@@ -14,7 +14,6 @@ from eigencount import (
     gl_order_poly,
     strict_compositions,
     table_rows,
-    weak_compositions,
 )
 
 print("=== group orders ===")
@@ -24,13 +23,17 @@ for n in range(5):
 
 print()
 print("=== compositions of 4 into 2 parts ===")
-print("weak  :", list(weak_compositions(4, 2)))
 print("strict:", list(strict_compositions(4, 2)))
+# weak compositions of 4 are the strict ones of 4+2 with every part less one
+print("weak  :", [tuple(p - 1 for p in c) for c in strict_compositions(6, 2)])
 
 print()
 print("=== class sizes for diagonal representatives, n = 4 ===")
 for parts in strict_compositions(4, 2):
     print(f"multiplicities {parts}: class size {class_size_poly(parts)}")
+
+print("the counts below sum these sizes without listing the compositions:")
+print("they split off one eigenspace at a time, q^(j(n-j)) [n choose j]_q ways")
 
 print()
 print("=== counts for n = 2, two prescribed eigenvalues ===")

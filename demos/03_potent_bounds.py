@@ -8,12 +8,13 @@ The upper bounds are certified by raising both sides to the (k+1)-th power
 and comparing exact integers, so even tight cases are decided honestly.
 """
 
+import math
+
 from eigencount import (
     RingSpec,
     UnsupportedField,
     bound_finite_ring,
     bound_matrix_ring,
-    n_strict,
     oracle,
     potent_count,
     roots_of_unity,
@@ -77,7 +78,7 @@ print("=== proof-internal composition estimates (informational only) ===")
 # inequality, so failures here are flagged, not asserted.
 for n in range(2, 9):
     for s in range(3, n + 1):
-        if n_strict(n, s) > (n - 1) ** s:
+        if math.comb(n - 1, s - 1) > (n - 1) ** s:
             print(f"  note: N({s}) > (n-1)^{s} at n={n}")
 for n in range(2, 9):
     for k in range(2, n + 1):

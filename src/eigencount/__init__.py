@@ -8,7 +8,7 @@ sets by exhaustive enumeration over small prime fields, and the bounds
 side certifies potent-count inequalities in exact integer arithmetic.
 """
 
-from .qpoly import IntPoly, NonZeroRemainder
+from .qpoly import IntPoly
 from .counting import (
     UnsupportedField,
     class_size_poly,
@@ -16,13 +16,11 @@ from .counting import (
     count_m_poly,
     gl_order_poly,
     is_prime,
-    n_strict,
     potent_count,
     roots_of_unity,
     strict_compositions,
     table_rows,
     validate_spectrum,
-    weak_compositions,
 )
 from .bounds import (
     BoundVerdict,
@@ -38,20 +36,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly",
-    "NonZeroRemainder",
     "UnsupportedField",
     "class_size_poly",
     "count_e_poly",
     "count_m_poly",
     "gl_order_poly",
     "is_prime",
-    "n_strict",
     "potent_count",
     "roots_of_unity",
     "strict_compositions",
     "table_rows",
     "validate_spectrum",
-    "weak_compositions",
     "BoundVerdict",
     "ModeMismatch",
     "RingSpec",

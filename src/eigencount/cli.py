@@ -108,6 +108,13 @@ def _diag(message: str):
     print(message, file=sys.stderr)
 
 
+def _diag_scan(rep):
+    _diag(
+        f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
+        f"{rep.record()['millis']} ms"
+    )
+
+
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -145,11 +152,7 @@ def _cmd_count(args, emitter: Emitter) -> int:
             raise UsageError("--p and --alphas must be given together")
         if args.q is not None:
             raise UsageError("--q conflicts with --p/--alphas; pick one evaluation point")
-        alphas = _parse_int_list(args.alphas, "spectrum")
-        try:
-            alphas = counting.validate_spectrum(args.p, alphas)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        alphas = counting.validate_spectrum(args.p, _parse_int_list(args.alphas, "spectrum"))
         k = len(alphas)
         if args.k is not None and args.k != k:
             raise UsageError(f"--k {args.k} disagrees with {k} spectrum values")
@@ -253,10 +256,7 @@ def _verify_spectrum_records(n, fld, alphas, budget, force, jobs, emitter) -> bo
         if not equal:
             params["formula"] = str(formula_value)
             params["oracle"] = str(rep.count)
-        _diag(
-            f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
-            f"{rep.record()['millis']} ms"
-        )
+        _diag_scan(rep)
         emitter.emit(
             OutputRecord(
                 command="verify",
@@ -273,10 +273,9 @@ def _verify_spectrum_records(n, fld, alphas, budget, force, jobs, emitter) -> bo
 def _cmd_verify(args, emitter: Emitter) -> int:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    try:
-        fld = oracle.PrimeField(args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    fld = oracle.PrimeField(args.p)
     budget = _budget_from_env()
     ok = True
 
@@ -287,10 +286,7 @@ def _cmd_verify(args, emitter: Emitter) -> int:
         rep = oracle.count_potent(
             args.n, fld, k, budget=budget, force=args.force, jobs=args.jobs
         )
-        _diag(
-            f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
-            f"{rep.record()['millis']} ms"
-        )
+        _diag_scan(rep)
         params = {
             "n": str(args.n),
             "p": str(fld.p),
@@ -328,11 +324,7 @@ def _cmd_verify(args, emitter: Emitter) -> int:
         return EXIT_OK if equal else EXIT_VERIFY_MISMATCH
 
     if args.spectrum is not None:
-        alphas = _parse_int_list(args.spectrum, "spectrum")
-        try:
-            alphas = counting.validate_spectrum(fld.p, alphas)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        alphas = counting.validate_spectrum(fld.p, _parse_int_list(args.spectrum, "spectrum"))
         ok = _verify_spectrum_records(
             args.n, fld, alphas, budget, args.force, args.jobs, emitter
         )
@@ -390,10 +382,7 @@ def _cmd_bound(args, emitter: Emitter) -> int:
             raise UsageError("ring bounds need --factors")
         if args.count is None:
             raise UsageError("ring bounds need an explicit --count")
-        try:
-            ring = bounds.RingSpec.parse(args.factors)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        ring = bounds.RingSpec.parse(args.factors)
         mode = args.mode
         if mode is None:
             mode = "theorem2" if ring.num_primes == 1 else "theorem3"
@@ -407,10 +396,7 @@ def _cmd_bound(args, emitter: Emitter) -> int:
             "mode": mode,
             "source": "explicit",
         }
-        try:
-            verdict = bounds.bound_finite_ring(ring, args.k, count, mode)
-        except bounds.ModeMismatch as exc:
-            raise UsageError(str(exc)) from exc
+        verdict = bounds.bound_finite_ring(ring, args.k, count, mode)
 
     params["lhs"] = str(verdict.lhs_certificate)
     params["rhs"] = str(verdict.rhs_certificate)
@@ -490,7 +476,8 @@ def main(argv: list[str] | None = None) -> int:
     emitter = Emitter(args.format, sys.stdout)
     try:
         return args.handler(args, emitter)
-    except UsageError as exc:
+    except ValueError as exc:
+        # UsageError, and the library's refusals of out-of-range parameters
         _diag(f"error: {exc}")
         return EXIT_USAGE
     except oracle.BudgetExceeded as exc:

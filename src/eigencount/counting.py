@@ -14,6 +14,13 @@ of the invertible m-by-m matrices.  Those ratios are integer polynomials
 in q, so both counts are too, and they depend only on (n, k), never on
 which eigenvalues were prescribed.
 
+The sums are never formed term by term.  Splitting an n-dimensional space
+into a j-dimensional eigenspace and the rest has U_n / (U_j U_{n-j}) =
+q^(j(n-j)) [n choose j]_q ways, and the Gaussian binomials follow from the
+q-Pascal rule with shifts and additions only, so peeling off one
+eigenvalue at a time yields both counts without dividing polynomials or
+enumerating compositions.
+
 Everything returns exact polynomials or exact integers; nothing here
 touches the brute-force oracle, which independently recounts these sets.
 """
@@ -21,16 +28,13 @@ touches the brute-force oracle, which independently recounts these sets.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .qpoly import ONE, Q, IntPoly
+from .qpoly import ONE, ZERO, IntPoly
 
 __all__ = [
-    "weak_compositions",
     "strict_compositions",
-    "n_strict",
     "gl_order_poly",
     "class_size_poly",
     "count_m_poly",
@@ -79,25 +83,6 @@ def strict_compositions(n: int, s: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of k nonnegative integers summing to n, lexicographic.
-
-    There are C(n+k-1, k-1) of them; shifting every part up by one gives a
-    bijection with the strict compositions of n+k into k parts.
-    """
-    if n < 0 or k < 1:
-        raise ValueError("need n >= 0 and k >= 1")
-    for parts in strict_compositions(n + k, k):
-        yield tuple(part - 1 for part in parts)
-
-
-def n_strict(n: int, s: int) -> int:
-    """Number of strict compositions of n into s parts: C(n-1, s-1)."""
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be positive")
-    return math.comb(n - 1, s - 1)
-
-
 @lru_cache(maxsize=None)
 def gl_order_poly(n: int) -> IntPoly:
     """Order of the invertible n-by-n matrices as a polynomial in q.
@@ -113,30 +98,78 @@ def gl_order_poly(n: int) -> IntPoly:
     return poly
 
 
+def _next_gaussian_row(above: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
+    """Gaussian binomials [m choose j]_q, j = 0..m, from the row of m-1.
+
+    By the q-Pascal rule [m, j] = [m-1, j-1] + q^j [m-1, j]; the empty
+    row yields the row of m = 0.
+    """
+    m = len(above)
+    return tuple(
+        ONE if j in (0, m) else above[j - 1] + above[j].shift(j) for j in range(m + 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def _gaussian_row(n: int) -> tuple[IntPoly, ...]:
+    return _next_gaussian_row(_gaussian_row(n - 1) if n else ())
+
+
+def _split_size(row: tuple[IntPoly, ...], j: int) -> IntPoly:
+    """U_m / (U_j U_{m-j}) = q^(j(m-j)) [m choose j]_q, given the row of m.
+
+    The number of ways to split an m-dimensional space into a
+    j-dimensional subspace and a complement of dimension m-j.
+    """
+    return row[j].shift(j * (len(row) - 1 - j))
+
+
 def class_size_poly(parts: Sequence[int]) -> IntPoly:
     """Conjugacy-class size of the diagonal matrix with block multiplicities.
 
     For distinct eigenvalues with multiplicities ``parts``, the class size
     is U_n divided by the product of the U_{n_i}; zero parts contribute a
-    factor of one.  The division is exact by the orbit-stabilizer theorem,
-    so a remainder is a fatal internal error.
+    factor of one.  The quotient telescopes into the product of the split
+    sizes that place each block next to the blocks before it, so no
+    division is needed.
     """
     parts = tuple(parts)
     if any(p < 0 for p in parts):
         raise ValueError("multiplicities must be nonnegative")
-    return _class_size_cached(tuple(sorted(parts)))
+    size = ONE
+    placed = 0
+    for part in parts:
+        placed += part
+        size = _split_size(_gaussian_row(placed), part) * size
+    return size
 
 
 @lru_cache(maxsize=None)
-def _class_size_cached(sorted_parts: tuple[int, ...]) -> IntPoly:
-    n = sum(sorted_parts)
-    denominator = ONE
-    for part in sorted_parts:
-        denominator = denominator * gl_order_poly(part)
-    return gl_order_poly(n).divexact(denominator)
+def _class_size_sum(n: int, k: int, least: int) -> IntPoly:
+    """Sum of class sizes over the compositions of n into k parts >= least.
+
+    Peels one eigenvalue at a time: P_1(m) is 1 for m >= least and 0
+    otherwise, and P_i(m) = sum over j >= least of C(m, j) P_{i-1}(m - j),
+    where C(m, j) is the split size of a j-dimensional eigenspace.  The
+    table is filled for m = 0, 1, ..., n in turn, so only the Gaussian row
+    of the current m is held, and the stack depth grows with neither n
+    nor k.
+    """
+    if k * least > n:
+        return ZERO
+    sums: list[list[IntPoly]] = [[] for _ in range(k)]  # sums[i][m] = P_{i+1}(m)
+    row: tuple[IntPoly, ...] = ()
+    for m in range(n + 1):
+        row = _next_gaussian_row(row)
+        sums[0].append(ONE if m >= least else ZERO)
+        # P_k itself is needed only at m = n
+        for i in range(1, k if m == n else k - 1):
+            sums[i].append(sum(
+                (_split_size(row, j) * sums[i - 1][m - j] for j in range(least, m + 1)), ZERO
+            ))
+    return sums[-1][-1]
 
 
-@lru_cache(maxsize=None)
 def count_m_poly(n: int, k: int) -> IntPoly:
     """Count of diagonalizable matrices with spectrum inside a fixed k-set.
 
@@ -144,13 +177,9 @@ def count_m_poly(n: int, k: int) -> IntPoly:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    total = IntPoly()
-    for parts in weak_compositions(n, k):
-        total = total + class_size_poly(parts)
-    return total
+    return _class_size_sum(n, k, 0)
 
 
-@lru_cache(maxsize=None)
 def count_e_poly(n: int, k: int) -> IntPoly:
     """Count of diagonalizable matrices with spectrum exactly a fixed k-set.
 
@@ -159,10 +188,7 @@ def count_e_poly(n: int, k: int) -> IntPoly:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    total = IntPoly()
-    for parts in strict_compositions(n, k):
-        total = total + class_size_poly(parts)
-    return total
+    return _class_size_sum(n, k, 1)
 
 
 def table_rows(n_max: int = 6) -> list[tuple[int, int, IntPoly]]:
@@ -226,6 +252,3 @@ def validate_spectrum(p: int, alphas: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("spectrum entries must be pairwise distinct")
     return alphas
 
-
-# q is exported for callers building ad-hoc polynomials next to the counts.
-q = Q

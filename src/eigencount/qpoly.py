@@ -2,7 +2,7 @@
 
 Matrix counts over a q-element field are integer polynomials in q, so
 everything here is exact: coefficients are Python ints of any size and
-division refuses to round.  A polynomial is stored as a coefficient tuple
+no operation rounds.  A polynomial is stored as a coefficient tuple
 indexed by power whose last entry is nonzero; the zero polynomial is the
 empty tuple.  The canonical form makes equality and hashing structural and
 keeps the text rendering unambiguous, which the golden-table comparisons
@@ -14,16 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-__all__ = ["IntPoly", "NonZeroRemainder", "ZERO", "ONE", "Q"]
-
-
-class NonZeroRemainder(ArithmeticError):
-    """Supposedly exact polynomial division left a remainder.
-
-    The counting formulas divide group orders that divide each other by
-    construction, so this surfacing means a caller bug or a falsified
-    assumption; it must never be silenced by truncation.
-    """
+__all__ = ["IntPoly", "ZERO", "ONE", "Q"]
 
 
 class IntPoly:
@@ -119,6 +110,12 @@ class IntPoly:
 
     __rmul__ = __mul__
 
+    def shift(self, power: int) -> IntPoly:
+        """Multiply by q^power."""
+        if power < 0:
+            raise ValueError("shift power must be nonnegative")
+        return IntPoly((0,) * power + self._coeffs)
+
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative exponent")
@@ -131,41 +128,6 @@ class IntPoly:
             base = base * base
             e >>= 1
         return result
-
-    def divexact(self, den: "IntPoly | int") -> IntPoly:
-        """Divide by ``den``, raising NonZeroRemainder unless exact.
-
-        Ordinary long division over the integers; every intermediate
-        coefficient quotient must be exact as well, which holds whenever
-        ``den`` divides ``self`` in the integer polynomial ring.
-        """
-        den = self._coerce(den)
-        if den is None:
-            raise TypeError("polynomial or int divisor expected")
-        if den.is_zero():
-            raise ZeroDivisionError("exact division by the zero polynomial")
-        num = list(self._coeffs)
-        dcs = den._coeffs
-        dd = len(dcs) - 1
-        lead = dcs[-1]
-        if len(num) <= dd:
-            if any(num):
-                raise NonZeroRemainder(f"{self} is not divisible by {den}")
-            return IntPoly()
-        quot = [0] * (len(num) - dd)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i]
-            if c == 0:
-                continue
-            qc, rem = divmod(c, lead)
-            if rem:
-                raise NonZeroRemainder(f"{self} is not divisible by {den}")
-            quot[i - dd] = qc
-            for j, dc in enumerate(dcs):
-                num[i - dd + j] -= qc * dc
-        if any(num):
-            raise NonZeroRemainder(f"{self} is not divisible by {den}")
-        return IntPoly(quot)
 
     def __call__(self, x: int) -> int:
         """Exact value at an integer point, by Horner's rule."""

@@ -160,9 +160,15 @@ def test_criterion_7_polynomial_identities():
                 for s in range(1, k + 1):
                     rhs = rhs + math.comb(k, s) * counting.count_e_poly(n, s)
                 assert counting.count_m_poly(n, k) == rhs, (n, k)
-        # class sizes divide exactly for every composition up to n = 12
+        # orbit-stabilizer: class size times centralizer order is |GL_n|,
+        # for every composition up to n = 12
         for n in range(1, 13):
             for s in range(1, n + 1):
                 for parts in counting.strict_compositions(n, s):
-                    counting.class_size_poly(parts)
+                    stabilizer = math.prod(
+                        (counting.gl_order_poly(m) for m in parts), start=IntPoly((1,))
+                    )
+                    assert counting.class_size_poly(parts) * stabilizer == (
+                        counting.gl_order_poly(n)
+                    ), parts
     print()

@@ -186,6 +186,8 @@ class TestVerify:
             ("verify", "--n", "2", "--p", "3", "--spectrum", "1,1"),
             ("verify", "--n", "2", "--p", "3", "--potent", "0"),
             ("verify", "--n", "2", "--p", "3"),
+            ("verify", "--n", "2", "--p", "3", "--spectrum", "0", "--jobs", "0"),
+            ("verify", "--n", "2", "--p", "3", "--spectrum", "0", "--jobs", "-3"),
         ],
     )
     def test_usage_errors(self, capsys, argv):
@@ -260,6 +262,16 @@ class TestBound:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize("count", [("--count", "1"), ()])
+    def test_library_refusal_is_one_line_exit_2(self, capsys, count):
+        # bounds.bound_matrix_ring / potent_count raise ValueError for n=0
+        code, out, err = run_cli(
+            capsys, "bound", "--kind", "matrix", "--n", "0", "--p", "3", "--k", "1", *count
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestFormats:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigencount.counting import (
     UnsupportedField,
@@ -11,16 +13,48 @@ from eigencount.counting import (
     count_m_poly,
     gl_order_poly,
     is_prime,
-    n_strict,
     potent_count,
     roots_of_unity,
     strict_compositions,
     table_rows,
     validate_spectrum,
-    weak_compositions,
 )
 from eigencount.qpoly import IntPoly
 from eigencount.reference import REFERENCE_E_TABLE
+
+
+# By-definition reference for the counts, in plain integers at one field
+# size q.  It enumerates compositions and divides group orders, and shares
+# no code with the recurrence in eigencount.counting.
+
+
+def weak_compositions(n, k):
+    """Ordered k-tuples of nonnegative integers summing to n, lexicographic.
+
+    Shifting every part up by one is a bijection with the strict
+    compositions of n+k into k parts.
+    """
+    for parts in strict_compositions(n + k, k):
+        yield tuple(part - 1 for part in parts)
+
+
+def gl_order(n, q):
+    """|GL_n(F_q)|: the number of ordered bases of F_q^n."""
+    return math.prod(q**n - q**i for i in range(n))
+
+
+def class_size(parts, q):
+    """|GL_n(F_q)| / prod |GL_{n_i}(F_q)|, asserting the division is exact."""
+    size, remainder = divmod(
+        gl_order(sum(parts), q), math.prod(gl_order(m, q) for m in parts)
+    )
+    assert remainder == 0, (parts, q)
+    return size
+
+
+def composition_sum(n, k, strict, q):
+    comps = strict_compositions(n, k) if strict else weak_compositions(n, k)
+    return sum(class_size(parts, q) for parts in comps)
 
 
 class TestCompositions:
@@ -54,24 +88,10 @@ class TestCompositions:
             assert all(sum(c) == n and len(c) == k for c in seen)
 
     def test_stream_length_matches_n_strict(self):
+        # N(s), the number of strict compositions into s parts, is C(n-1, s-1)
         for n in range(1, 21):
             for s in range(1, n + 1):
-                assert sum(1 for _ in strict_compositions(n, s)) == n_strict(n, s)
-
-
-class TestNStrict:
-    @pytest.mark.parametrize("n", [1, 2, 5, 19])
-    def test_single_part(self, n):
-        assert n_strict(n, 1) == 1
-
-    def test_two_parts(self):
-        assert n_strict(7, 2) == 6
-
-    def test_mid(self):
-        assert n_strict(6, 4) == 10
-
-    def test_more_parts_than_total(self):
-        assert n_strict(3, 5) == 0
+                assert sum(1 for _ in strict_compositions(n, s)) == math.comb(n - 1, s - 1)
 
 
 class TestGlOrder:
@@ -119,11 +139,11 @@ class TestClassSize:
                         assert poly(q) >= 1
 
     def test_never_inexact_up_to_twelve(self):
-        # every composition of every n <= 12 divides cleanly
+        # every composition of every n <= 12 is the exact group-order quotient
         for n in range(1, 13):
             for s in range(1, n + 1):
                 for parts in strict_compositions(n, s):
-                    class_size_poly(parts)
+                    assert class_size_poly(parts)(2) == class_size(parts, 2), parts
 
 
 class TestCounts:
@@ -156,6 +176,15 @@ class TestCounts:
                 for s in range(1, k + 1):
                     expected = expected + math.comb(k, s) * count_e_poly(n, s)
                 assert count_m_poly(n, k) == expected, (n, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), strict=st.booleans())
+def test_recurrence_matches_composition_sum(n, k, strict):
+    poly = count_e_poly(n, k) if strict else count_m_poly(n, k)
+    # both sides have degree at most n^2 - n, so n^2 points pin the polynomial
+    for q in range(2, n * n + 2):
+        assert poly(q) == composition_sum(n, k, strict, q), q
 
 
 class TestTable:
