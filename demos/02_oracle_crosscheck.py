@@ -42,15 +42,21 @@ for parts in [(2,), (1, 1), (1, 2), (1, 1, 1)]:
 print()
 print("=== the six rank-one idempotents of M_2(F_2) ===")
 F2 = oracle.PrimeField(2)
-rep = oracle.block_diag_rep((1, 1), F2)  # diag(0, 1)
+rep = oracle.block_diag_rep((1, 1), F2).tolist()  # diag(0, 1)
+
+
+def mul2(x, y):
+    """2x2 product over F_2."""
+    return [[(x[i][0] * y[0][j] + x[i][1] * y[1][j]) % 2 for j in range(2)] for i in range(2)]
+
+
 seen = set()
-for index in range(2**4):
-    g = oracle.FqMatrix.from_index(F2, 2, index)
-    try:
-        inv = g.inverse()
-    except ZeroDivisionError:
+for a, b, c, d in itertools.product(range(2), repeat=4):
+    if (a * d - b * c) % 2 == 0:
         continue
-    seen.add(g @ rep @ inv)
-for m in sorted(seen, key=lambda m: m.entries):
-    print(" ", m.rows())
+    # determinant 1: the inverse is the adjugate
+    inv = [[d, -b % 2], [-c % 2, a]]
+    seen.add(tuple(map(tuple, mul2(mul2([[a, b], [c, d]], rep), inv))))
+for m in sorted(seen):
+    print(" ", [list(row) for row in m])
 print("orbit size:", len(seen))

@@ -30,7 +30,6 @@ from .bounds import (
     bound_matrix_ring,
 )
 from .reference import REFERENCE_BY_NK, REFERENCE_E_TABLE
-from . import oracle
 
 __version__ = "0.1.0"
 

@@ -5,7 +5,8 @@ Subcommands: ``count`` (closed-form polynomials and evaluations),
 (formula against exhaustive oracle), ``bound`` (integer-certified
 inequalities).  Results go to stdout as text, one-JSON-object-per-line,
 or CSV; diagnostics (scan timings, warnings) go to stderr so identical
-invocations produce bit-identical stdout.
+invocations produce bit-identical stdout.  Only ``verify`` and the
+oracle fallback of ``bound`` import the oracle, and with it numpy.
 
 Exit codes: 0 success, 2 usage error, 3 table mismatch, 4 verification
 mismatch, 5 enumeration budget exceeded, 6 bound violated.  The scan
@@ -23,7 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import bounds, counting, oracle
+from . import bounds, counting
 from .reference import REFERENCE_BY_NK
 
 EXIT_OK = 0
@@ -38,6 +39,9 @@ class UsageError(ValueError):
     """Invalid flag combination or parameter value; maps to exit code 2."""
 
 
+_OPTIONAL_FIELDS = ("polynomial", "value", "verdict", "provenance")
+
+
 @dataclass
 class OutputRecord:
     command: str
@@ -47,45 +51,28 @@ class OutputRecord:
     verdict: str | None = None
     provenance: str | None = None
 
+    def _set_fields(self) -> dict[str, str]:
+        """The optional fields that are set, in output order."""
+        values = {name: getattr(self, name) for name in _OPTIONAL_FIELDS}
+        return {name: str(v) for name, v in values.items() if v is not None}
+
     def text_line(self) -> str:
-        parts = [self.command]
-        parts.extend(f"{k}={v}" for k, v in self.parameters.items())
-        if self.polynomial is not None:
-            parts.append(f"polynomial={self.polynomial}")
-        if self.value is not None:
-            parts.append(f"value={self.value}")
-        if self.verdict is not None:
-            parts.append(f"verdict={self.verdict}")
-        if self.provenance is not None:
-            parts.append(f"provenance={self.provenance}")
-        return " ".join(parts)
+        pairs = [*self.parameters.items(), *self._set_fields().items()]
+        return " ".join([self.command, *(f"{k}={v}" for k, v in pairs)])
 
     def json_line(self) -> str:
-        obj: dict[str, object] = {"command": self.command, "parameters": self.parameters}
-        if self.polynomial is not None:
-            obj["polynomial"] = self.polynomial
-        if self.value is not None:
-            obj["value"] = str(self.value)
-        if self.verdict is not None:
-            obj["verdict"] = self.verdict
-        if self.provenance is not None:
-            obj["provenance"] = self.provenance
-        return json.dumps(obj)
+        return json.dumps(
+            {"command": self.command, "parameters": self.parameters, **self._set_fields()}
+        )
 
     def csv_row(self) -> list[str]:
         params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
-        return [
-            self.command,
-            params,
-            self.polynomial if self.polynomial is not None else "",
-            str(self.value) if self.value is not None else "",
-            self.verdict if self.verdict is not None else "",
-            self.provenance if self.provenance is not None else "",
-        ]
+        fields = self._set_fields()
+        return [self.command, params, *(fields.get(name, "") for name in _OPTIONAL_FIELDS)]
 
 
 class Emitter:
-    _CSV_HEADER = ["command", "parameters", "polynomial", "value", "verdict", "provenance"]
+    _CSV_HEADER = ["command", "parameters", *_OPTIONAL_FIELDS]
 
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
@@ -122,10 +109,10 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise UsageError(f"malformed {what} {text!r}; expected comma-separated integers") from exc
 
 
-def _budget_from_env() -> int:
+def _budget_from_env(default: int) -> int:
     raw = os.environ.get("EIGENCOUNT_BUDGET")
     if raw is None:
-        return oracle.DEFAULT_BUDGET
+        return default
     try:
         budget = int(raw)
     except ValueError as exc:
@@ -234,6 +221,8 @@ def _cmd_table(args, emitter: Emitter) -> int:
 
 def _verify_spectrum_records(n, fld, alphas, budget, force, jobs, emitter) -> bool:
     """Emit formula-vs-oracle records for one spectrum; True if all equal."""
+    from . import oracle
+
     all_equal = True
     k = len(alphas)
     for mode in ("m", "e"):
@@ -275,8 +264,10 @@ def _cmd_verify(args, emitter: Emitter) -> int:
         raise UsageError("--n must be at least 1")
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
+    from . import oracle
+
     fld = oracle.PrimeField(args.p)
-    budget = _budget_from_env()
+    budget = _budget_from_env(oracle.DEFAULT_BUDGET)
     ok = True
 
     if args.potent is not None:
@@ -371,8 +362,11 @@ def _cmd_bound(args, emitter: Emitter) -> int:
                 provenance = "formula"
             except counting.UnsupportedField as exc:
                 _diag(f"note: {exc}")
+                from . import oracle
+
                 fld = oracle.PrimeField(args.p)
-                rep = oracle.count_potent(args.n, fld, args.k, budget=_budget_from_env())
+                budget = _budget_from_env(oracle.DEFAULT_BUDGET)
+                rep = oracle.count_potent(args.n, fld, args.k, budget=budget)
                 count = rep.count
                 provenance = "oracle"
             params["source"] = "computed"
@@ -480,7 +474,11 @@ def main(argv: list[str] | None = None) -> int:
         # UsageError, and the library's refusals of out-of-range parameters
         _diag(f"error: {exc}")
         return EXIT_USAGE
-    except oracle.BudgetExceeded as exc:
+    except RuntimeError as exc:
+        from .oracle import BudgetExceeded  # loaded already: only a scan raises it
+
+        if not isinstance(exc, BudgetExceeded):
+            raise
         _diag(
             f"error: {exc} (budget {exc.budget}, required {exc.required}; "
             "set EIGENCOUNT_BUDGET or pass --force)"

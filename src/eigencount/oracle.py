@@ -2,20 +2,25 @@
 
 Every count here comes from scanning matrices and testing the defining
 condition directly: annihilation by the prescribed linear factors for
-spectrum counts, A^(k+1) = A for potency, commutation and invertibility
-for centralizers, explicit conjugation for orbits.  Nothing is shared
-with the closed-form counting path, so agreement between the two is
-evidence, not tautology.
+spectrum counts, singularity of every A - alpha*I for exact spectra,
+A^(k+1) = A for potency, commutation and invertibility for centralizers,
+explicit conjugation for orbits.  Nothing is shared with the closed-form
+counting path, so agreement between the two is evidence, not tautology.
 
 A full scan enumerates all p^(n*n) matrices.  Matrix number t has entry
 digits of t in base p, least significant digit first, row-major; the scan
 walks t ascending, which makes results reproducible and lets the index
-range be split into contiguous pieces for parallel workers.  Scans above
-the budget (default 2^26 matrices) are refused unless forced.
+range be split into contiguous pieces for parallel workers.  Matrices are
+decoded in int64 chunks of shape (B, n, n); one batched Gauss-Jordan
+elimination mod p gives invertibility and inverses, and every count sums
+a per-chunk hit function over the index range.  Scans above the budget
+(default 2^26 matrices) are refused unless forced, and shapes whose
+p^(n*n) overflows the int64 index always.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,10 +32,8 @@ from .counting import is_prime
 
 __all__ = [
     "PrimeField",
-    "FqMatrix",
     "OracleCountReport",
     "BudgetExceeded",
-    "DimensionMismatch",
     "DuplicateAlpha",
     "count_m",
     "count_e",
@@ -43,6 +46,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 1 << 26
 _CHUNK = 1 << 16
+_INDEX_MAX = (1 << 63) - 1
 
 
 class BudgetExceeded(RuntimeError):
@@ -55,10 +59,6 @@ class BudgetExceeded(RuntimeError):
         )
         self.required = required
         self.budget = budget
-
-
-class DimensionMismatch(ValueError):
-    """Matrix operands disagree in dimension or base field."""
 
 
 class DuplicateAlpha(ValueError):
@@ -93,172 +93,6 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-# ----------------------------------------------------------------------
-# scalar matrices, used for hand-checkable operations and orbit building
-
-
-class FqMatrix:
-    """An n-by-n matrix over a prime field, entries reduced mod p."""
-
-    __slots__ = ("field", "n", "entries")
-
-    def __init__(self, field: PrimeField, n: int, entries: Sequence[int]):
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        entries = tuple(e % field.p for e in entries)
-        if len(entries) != n * n:
-            raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-        self.field = field
-        self.n = n
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> FqMatrix:
-        n = len(rows)
-        flat = [v for row in rows for v in row]
-        return cls(field, n, flat)
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> FqMatrix:
-        return cls(field, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, field: PrimeField, n: int) -> FqMatrix:
-        return cls(field, n, [0] * (n * n))
-
-    @classmethod
-    def from_index(cls, field: PrimeField, n: int, index: int) -> FqMatrix:
-        """Matrix number ``index`` in the scan order (base-p digits of index)."""
-        if index < 0:
-            raise ValueError("index must be nonnegative")
-        entries = []
-        for _ in range(n * n):
-            index, digit = divmod(index, field.p)
-            entries.append(digit)
-        if index:
-            raise ValueError("index out of range for this dimension")
-        return cls(field, n, entries)
-
-    def rows(self) -> list[list[int]]:
-        n = self.n
-        return [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
-
-    def _check_compatible(self, other: FqMatrix):
-        if not isinstance(other, FqMatrix):
-            raise TypeError("FqMatrix expected")
-        if self.n != other.n or self.field != other.field:
-            raise DimensionMismatch(
-                f"cannot combine {self.n}x{self.n} over F_{self.field.p} with "
-                f"{other.n}x{other.n} over F_{other.field.p}"
-            )
-
-    def __matmul__(self, other: FqMatrix) -> FqMatrix:
-        self._check_compatible(other)
-        n, p = self.n, self.field.p
-        a, b = self.entries, other.entries
-        out = [0] * (n * n)
-        for i in range(n):
-            base = i * n
-            for t in range(n):
-                aij = a[base + t]
-                if aij == 0:
-                    continue
-                brow = t * n
-                for j in range(n):
-                    out[base + j] += aij * b[brow + j]
-        return FqMatrix(self.field, n, [v % p for v in out])
-
-    def __pow__(self, exponent: int) -> FqMatrix:
-        if exponent < 0:
-            raise ValueError("negative matrix power")
-        result = FqMatrix.identity(self.field, self.n)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
-        return result
-
-    def sub_scalar(self, a: int) -> FqMatrix:
-        """The matrix minus a times the identity."""
-        n, p = self.n, self.field.p
-        entries = list(self.entries)
-        for i in range(n):
-            entries[i * n + i] = (entries[i * n + i] - a) % p
-        return FqMatrix(self.field, n, entries)
-
-    def rank(self) -> int:
-        """Row rank over F_p by Gauss-Jordan elimination."""
-        return _rank_rows(self.rows(), self.field.p)
-
-    def inverse(self) -> FqMatrix:
-        inv = _invert_rows(self.rows(), self.field.p)
-        if inv is None:
-            raise ZeroDivisionError("matrix is singular")
-        return FqMatrix.from_rows(self.field, inv)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqMatrix)
-            and self.field == other.field
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.n, self.entries))
-
-    def __repr__(self):
-        return f"FqMatrix(p={self.field.p}, rows={self.rows()})"
-
-
-def _rank_rows(rows: list[list[int]], p: int) -> int:
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    work = [[v % p for v in row] for row in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, m) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        for i in range(m):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def _invert_rows(rows: list[list[int]], p: int) -> list[list[int]] | None:
-    """Gauss-Jordan inverse mod p, or None if the matrix is singular."""
-    n = len(rows)
-    work = [[v % p for v in row] + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, p)
-        work[col] = [(v * inv) % p for v in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
-# ----------------------------------------------------------------------
-# full scans
-
-
 @dataclass
 class OracleCountReport:
     """One exhaustive count with the scan parameters that produced it."""
@@ -282,11 +116,6 @@ class OracleCountReport:
         }
 
 
-def _check_budget(required: int, budget: int, force: bool):
-    if not force and required > budget:
-        raise BudgetExceeded(required, budget)
-
-
 def _check_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
     alphas = tuple(int(a) for a in alphas)
     if not alphas:
@@ -296,6 +125,22 @@ def _check_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
     if len(set(alphas)) != len(alphas):
         raise DuplicateAlpha(f"repeated value in spectrum {alphas}")
     return alphas
+
+
+def _scan_size(n: int, p: int, budget: int, force: bool) -> int:
+    """The p^(n*n) matrices of a scan shape, after refusing shapes not to scan."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    total = p ** (n * n)
+    if total > _INDEX_MAX:
+        raise ValueError(f"{p}^{n * n} matrices overflow the int64 scan index")
+    if not force and total > budget:
+        raise BudgetExceeded(total, budget)
+    return total
+
+
+# ----------------------------------------------------------------------
+# the batch kernels
 
 
 def _decode(start: int, stop: int, n: int, p: int) -> np.ndarray:
@@ -321,57 +166,104 @@ def _pow_batch(mats: np.ndarray, exponent: int, p: int) -> np.ndarray:
     n = mats.shape[1]
     result = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape).copy()
     base = mats % p
-    e = exponent
-    while e:
-        if e & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
-        e >>= 1
+    while exponent:
+        if exponent & 1:
+            result = result @ base % p
+        exponent >>= 1
+        if exponent:
+            base = base @ base % p
     return result
 
 
-def _scan_range(task) -> int:
-    """Count hits in matrix index range [start, stop); worker entry point."""
-    kind, n, p, payload, start, stop = task
-    count = 0
+def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invertible mask and inverses mod p of an int64 (B, n, n) batch.
+
+    Eliminates [A | I] for the whole batch at once.  Column c takes as
+    pivot the first row at or below c with a nonzero entry there; a
+    matrix without one is singular, and its slot in the returned inverses
+    holds no meaning.
+    """
+    b, n, _ = mats.shape
+    inverse_of = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
+    work = np.concatenate((mats % p, eye), axis=2)
+    invertible = np.ones(b, dtype=bool)
+    batch = np.arange(b)
+    for col in range(n):
+        nonzero = work[:, col:, col] != 0
+        invertible &= nonzero.any(axis=1)
+        pivot = col + nonzero.argmax(axis=1)
+        top = work[:, col].copy()
+        work[:, col] = work[batch, pivot]
+        work[batch, pivot] = top
+        work[:, col] = work[:, col] * inverse_of[work[:, col, col]][:, None] % p
+        factors = work[:, :, col].copy()
+        factors[:, col] = 0
+        work -= factors[:, :, None] * work[:, None, col]
+        work %= p
+    return invertible, work[:, :, n:]
+
+
+# ----------------------------------------------------------------------
+# the scan driver and its per-chunk hit functions hit(mats, payload, p),
+# kept at module level so the worker pool can pickle them
+
+
+def _hits_m(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
+    return int(_annihilated_mask(mats, alphas, p).sum())
+
+
+def _hits_e(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
+    """Annihilated matrices for which every A - alpha*I is singular."""
+    mats = mats[_annihilated_mask(mats, alphas, p)]
+    eye = np.eye(mats.shape[1], dtype=np.int64)
+    for a in alphas:
+        invertible, _ = _gauss_jordan(mats - a * eye, p)
+        mats = mats[~invertible]
+    return len(mats)
+
+
+def _hits_potent(mats: np.ndarray, k: int, p: int) -> int:
+    return int((_pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2)).sum())
+
+
+def _hits_centralizer(mats: np.ndarray, rep: np.ndarray, p: int) -> int:
+    """Invertible matrices among those commuting with rep."""
+    commuting = ((mats @ rep) % p == (rep @ mats) % p).all(axis=(1, 2))
+    invertible, _ = _gauss_jordan(mats[commuting], p)
+    return int(invertible.sum())
+
+
+def _chunks(start: int, stop: int, n: int, p: int):
+    """Decoded matrices start..stop-1, at most _CHUNK of them at a time."""
     for cs in range(start, stop, _CHUNK):
-        ce = min(cs + _CHUNK, stop)
-        mats = _decode(cs, ce, n, p)
-        if kind == "potent":
-            powered = _pow_batch(mats, payload + 1, p)
-            count += int((powered == mats).all(axis=(1, 2)).sum())
-            continue
-        mask = _annihilated_mask(mats, payload, p)
-        if kind == "m":
-            count += int(mask.sum())
-        else:
-            # exact-spectrum refinement: every alpha must be an eigenvalue
-            for mat in mats[mask]:
-                rows = mat.tolist()
-                ok = True
-                for a in payload:
-                    shifted = [
-                        [(v - a if i == j else v) % p for j, v in enumerate(row)]
-                        for i, row in enumerate(rows)
-                    ]
-                    if _rank_rows(shifted, p) == n:
-                        ok = False
-                        break
-                if ok:
-                    count += 1
-    return count
+        yield _decode(cs, min(cs + _CHUNK, stop), n, p)
 
 
-def _run_scan(kind: str, n: int, p: int, payload, total: int, jobs: int) -> int:
-    if jobs <= 1 or total <= _CHUNK:
-        return _scan_range((kind, n, p, payload, 0, total))
-    step = (total + jobs - 1) // jobs
-    tasks = [
-        (kind, n, p, payload, s, min(s + step, total))
-        for s in range(0, total, step)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+def _scan_range(task) -> int:
+    """Sum the hits in matrix index range [start, stop); worker entry point."""
+    hit, n, p, payload, start, stop = task
+    return sum(hit(mats, payload, p) for mats in _chunks(start, stop, n, p))
+
+
+def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
+    """Sum the hits over all matrices on at most jobs worker processes,
+    clamped to the cores and to the chunks so none starts without work."""
+    workers = min(jobs, os.cpu_count() or 1, -(-total // _CHUNK))
+    if workers <= 1:
+        return _scan_range((hit, n, p, payload, 0, total))
+    step = -(-total // workers)
+    tasks = [(hit, n, p, payload, s, min(s + step, total)) for s in range(0, total, step)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_scan_range, tasks))
+
+
+def _count(n, field, spec, hit, payload, budget, force, jobs) -> OracleCountReport:
+    total = _scan_size(n, field.p, budget, force)
+    t0 = time.perf_counter()
+    hits = _run_scan(hit, n, field.p, payload, total, jobs)
+    seconds = time.perf_counter() - t0
+    return OracleCountReport(n, field.p, spec, count=hits, scanned=total, seconds=seconds)
 
 
 def count_m(
@@ -388,21 +280,9 @@ def count_m(
     These are the diagonalizable matrices whose spectrum lies inside the
     prescribed set.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
     alphas = _check_alphas(field, alphas)
-    total = field.p ** (n * n)
-    _check_budget(total, budget, force)
-    t0 = time.perf_counter()
-    hits = _run_scan("m", n, field.p, alphas, total, jobs)
-    return OracleCountReport(
-        n=n,
-        p=field.p,
-        spec="m:{" + ",".join(map(str, alphas)) + "}",
-        count=hits,
-        scanned=total,
-        seconds=time.perf_counter() - t0,
-    )
+    spec = "m:{" + ",".join(map(str, alphas)) + "}"
+    return _count(n, field, spec, _hits_m, alphas, budget, force, jobs)
 
 
 def count_e(
@@ -416,24 +296,13 @@ def count_e(
 ) -> OracleCountReport:
     """Exhaustively count diagonalizable matrices with spectrum exactly alphas.
 
-    The annihilation test is refined by requiring rank(A - alpha*I) < n for
-    every prescribed alpha, i.e. each one really occurs as an eigenvalue.
+    The annihilation test is refined by requiring A - alpha*I to be
+    singular for every prescribed alpha, i.e. each one really occurs as an
+    eigenvalue.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
     alphas = _check_alphas(field, alphas)
-    total = field.p ** (n * n)
-    _check_budget(total, budget, force)
-    t0 = time.perf_counter()
-    hits = _run_scan("e", n, field.p, alphas, total, jobs)
-    return OracleCountReport(
-        n=n,
-        p=field.p,
-        spec="e:{" + ",".join(map(str, alphas)) + "}",
-        count=hits,
-        scanned=total,
-        seconds=time.perf_counter() - t0,
-    )
+    spec = "e:{" + ",".join(map(str, alphas)) + "}"
+    return _count(n, field, spec, _hits_e, alphas, budget, force, jobs)
 
 
 def count_potent(
@@ -451,30 +320,17 @@ def count_potent(
     where the closed form does not apply; this count is then the only
     authority.
     """
-    if n < 1:
-        raise ValueError("dimension must be positive")
     if k < 1:
         raise ValueError("k must be positive")
-    total = field.p ** (n * n)
-    _check_budget(total, budget, force)
-    t0 = time.perf_counter()
-    hits = _run_scan("potent", n, field.p, k, total, jobs)
-    return OracleCountReport(
-        n=n,
-        p=field.p,
-        spec=f"potent:k={k}",
-        count=hits,
-        scanned=total,
-        seconds=time.perf_counter() - t0,
-    )
+    return _count(n, field, f"potent:k={k}", _hits_potent, k, budget, force, jobs)
 
 
 # ----------------------------------------------------------------------
 # conjugacy-class geometry for diagonal representatives
 
 
-def block_diag_rep(parts: Sequence[int], field: PrimeField) -> FqMatrix:
-    """Diagonal matrix with eigenvalue i-1 repeated parts[i-1] times.
+def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
+    """Diagonal int64 matrix with eigenvalue i-1 repeated parts[i-1] times.
 
     Zero parts contribute no rows but still consume their eigenvalue, so
     the representative matches the composition it came from.  Needs
@@ -483,19 +339,11 @@ def block_diag_rep(parts: Sequence[int], field: PrimeField) -> FqMatrix:
     parts = tuple(parts)
     if not parts or any(s < 0 for s in parts):
         raise ValueError("parts must be nonnegative with at least one entry")
-    n = sum(parts)
-    if n < 1:
+    if sum(parts) < 1:
         raise ValueError("parts must sum to a positive dimension")
     if len(parts) > field.p:
-        raise ValueError(
-            f"{len(parts)} distinct eigenvalues do not fit in F_{field.p}"
-        )
-    diag = []
-    for value, mult in enumerate(parts):
-        diag.extend([value] * mult)
-    return FqMatrix(
-        field, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)]
-    )
+        raise ValueError(f"{len(parts)} distinct eigenvalues do not fit in F_{field.p}")
+    return np.diag(np.repeat(np.arange(len(parts), dtype=np.int64), parts))
 
 
 def centralizer_size(
@@ -507,15 +355,9 @@ def centralizer_size(
 ) -> int:
     """Count invertible matrices commuting with the block-diagonal rep."""
     rep = block_diag_rep(parts, field)
-    n, p = rep.n, field.p
-    total = p ** (n * n)
-    _check_budget(total, budget, force)
-    hits = 0
-    for index in range(total):
-        a = FqMatrix.from_index(field, n, index)
-        if a @ rep == rep @ a and a.rank() == n:
-            hits += 1
-    return hits
+    n, p = len(rep), field.p
+    total = _scan_size(n, p, budget, force)
+    return _run_scan(_hits_centralizer, n, p, rep, total, 1)
 
 
 def orbit_size(
@@ -528,18 +370,15 @@ def orbit_size(
     """Size of the conjugacy class of the block-diagonal rep.
 
     Built explicitly: conjugate the representative by every invertible
-    matrix and deduplicate.
+    matrix and deduplicate, each conjugate keyed by its scan index.
     """
     rep = block_diag_rep(parts, field)
-    n, p = rep.n, field.p
-    total = p ** (n * n)
-    _check_budget(total, budget, force)
-    seen: set[tuple[int, ...]] = set()
-    for index in range(total):
-        g = FqMatrix.from_index(field, n, index)
-        inv = _invert_rows(g.rows(), p)
-        if inv is None:
-            continue
-        conj = g @ rep @ FqMatrix.from_rows(field, inv)
-        seen.add(conj.entries)
-    return len(seen)
+    n, p = len(rep), field.p
+    total = _scan_size(n, p, budget, force)
+    digit_weights = p ** np.arange(n * n, dtype=np.int64)
+    seen = np.empty(0, dtype=np.int64)
+    for g in _chunks(0, total, n, p):
+        invertible, g_inv = _gauss_jordan(g, p)
+        conjugates = (g[invertible] @ rep % p) @ g_inv[invertible] % p
+        seen = np.union1d(seen, conjugates.reshape(-1, n * n) @ digit_weights)
+    return int(seen.size)

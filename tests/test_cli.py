@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +14,22 @@ from eigencount import cli, oracle
 from eigencount.oracle import OracleCountReport
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(code, timeout=60):
+    """Run code in a fresh interpreter that imports eigencount from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 class TestCount:
@@ -194,6 +210,17 @@ class TestVerify:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
+    def test_int64_overflowing_shape_refused_even_forced(self):
+        # 257^9 matrices: a scan would run for ever and overflow the index
+        proc = run_python(
+            "import sys; from eigencount import cli; sys.exit(cli.main(["
+            "'verify', '--n', '3', '--p', '257', '--spectrum', '0', '--force']))"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "int64" in proc.stderr
+
 
 class TestBound:
     def test_matrix_tight_case(self, capsys):
@@ -318,6 +345,41 @@ class TestFormats:
         assert outs[0] == outs[1]
 
 
+    def test_record_bytes_pinned(self):
+        full = cli.OutputRecord(
+            command="verify",
+            parameters={"mode": "m", "n": "2", "spectrum": "0,1"},
+            polynomial="q^2+q+2",
+            value=8,
+            verdict="pass",
+            provenance="both",
+        )
+        bare = cli.OutputRecord(command="table", parameters={"n": "3", "k": "2"})
+        expected = {
+            "text": (
+                "verify mode=m n=2 spectrum=0,1 polynomial=q^2+q+2 value=8 verdict=pass "
+                "provenance=both\n"
+                "table n=3 k=2\n"
+            ),
+            "json": (
+                '{"command": "verify", "parameters": {"mode": "m", "n": "2", "spectrum": "0,1"}, '
+                '"polynomial": "q^2+q+2", "value": "8", "verdict": "pass", "provenance": "both"}\n'
+                '{"command": "table", "parameters": {"n": "3", "k": "2"}}\n'
+            ),
+            "csv": (
+                "command,parameters,polynomial,value,verdict,provenance\n"
+                'verify,"mode=m n=2 spectrum=0,1",q^2+q+2,8,pass,both\n'
+                "table,n=3 k=2,,,,\n"
+            ),
+        }
+        for fmt, text in expected.items():
+            stream = io.StringIO()
+            emitter = cli.Emitter(fmt, stream)
+            emitter.emit(full)
+            emitter.emit(bare)
+            assert stream.getvalue() == text, fmt
+
+
 class TestParserPlumbing:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -327,6 +389,21 @@ class TestParserPlumbing:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["table", "--bogus"]) == 2
+
+    def test_formula_commands_do_not_import_numpy(self):
+        proc = run_python(
+            "import io, sys, contextlib\n"
+            "from eigencount import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(a) for a in (\n"
+            "        ['count', '--mode', 'm', '--n', '3', '--k', '2', '--q', '5'],\n"
+            "        ['table', '--n-max', '4'],\n"
+            "        ['bound', '--kind', 'matrix', '--n', '4', '--p', '5', '--k', '2'],\n"
+            "    )]\n"
+            "assert codes == [0, 0, 0], codes\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_report_record_is_flat_strings():

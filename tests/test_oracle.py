@@ -1,16 +1,20 @@
-"""Brute-force oracle: matrix primitives, exhaustive counts, orbit geometry."""
+"""Brute-force oracle: batch kernels, exhaustive counts, orbit geometry."""
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eigencount import counting
+from eigencount import counting, oracle
 from eigencount.oracle import (
     BudgetExceeded,
-    DimensionMismatch,
     DuplicateAlpha,
-    FqMatrix,
     PrimeField,
+    _decode,
+    _gauss_jordan,
+    _pow_batch,
     block_diag_rep,
     centralizer_size,
     count_e,
@@ -23,6 +27,63 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F7 = PrimeField(7)
+
+
+def batch(*rows):
+    """An int64 (B, n, n) batch from nested row lists."""
+    return np.array(rows, dtype=np.int64)
+
+
+def eye(n, b=1):
+    return np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n))
+
+
+# by-definition references in plain Python, sharing nothing with the oracle
+
+
+def det_mod(rows, p):
+    """Determinant mod p by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0] % p
+    total = 0
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        total += (-1) ** j * entry * det_mod(minor, p)
+    return total % p
+
+
+def matmul_mod(x, y, p):
+    n = len(x)
+    return [[sum(x[i][t] * y[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def exact_spectrum_counts(n, p):
+    """Diagonalizable matrices of M_n(F_p) counted by their set of eigenvalues.
+
+    The eigenvalues of A are the alpha with det(A - alpha*I) = 0; A is
+    diagonalizable over F_p exactly when the product of (A - alpha*I)
+    over its eigenvalues vanishes.
+    """
+    counts = {}
+    for entries in itertools.product(range(p), repeat=n * n):
+        rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+        shifted = {
+            a: [[(v - a) % p if i == j else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+            for a in range(p)
+        }
+        spectrum = tuple(a for a in range(p) if det_mod(shifted[a], p) == 0)
+        if not spectrum:
+            continue
+        prod = shifted[spectrum[0]]
+        for a in spectrum[1:]:
+            prod = matmul_mod(prod, shifted[a], p)
+        if not any(any(row) for row in prod):
+            counts[spectrum] = counts.get(spectrum, 0) + 1
+    return counts
+
+
+def scan_started(*args):
+    raise AssertionError("a scan started that should have been refused")
 
 
 class TestPrimeField:
@@ -41,72 +102,85 @@ class TestPrimeField:
 
 
 class TestFqMatrix:
+    """Matrix arithmetic over F_q on the batch kernels: _decode, _pow_batch
+    and the Gauss-Jordan kernel _gauss_jordan."""
+
     def test_identity_multiplication(self):
-        a = FqMatrix.from_rows(F5, [[1, 2], [3, 4]])
-        eye = FqMatrix.identity(F5, 2)
-        assert eye @ a == a
-        assert a @ eye == a
+        a = batch([[1, 2], [3, 4]])
+        identity = _pow_batch(a, 0, 5)
+        assert np.array_equal(identity @ a % 5, a)
+        assert np.array_equal(a @ identity % 5, a)
 
     def test_transvection_squares_to_identity_char2(self):
-        t = FqMatrix.from_rows(F2, [[1, 1], [0, 1]])
-        assert t @ t == FqMatrix.identity(F2, 2)
+        t = batch([[1, 1], [0, 1]])
+        assert np.array_equal(_pow_batch(t, 2, 2), eye(2))
 
     def test_hand_multiplication_mod3(self):
-        m = FqMatrix.from_rows(F3, [[0, 1], [2, 0]])
-        assert (m @ m).rows() == [[2, 0], [0, 2]]
-
-    def test_dimension_mismatch(self):
-        a = FqMatrix.identity(F2, 2)
-        b = FqMatrix.identity(F2, 3)
-        c = FqMatrix.identity(F3, 2)
-        with pytest.raises(DimensionMismatch):
-            a @ b
-        with pytest.raises(DimensionMismatch):
-            a @ c
+        m = batch([[0, 1], [2, 0]])
+        assert _pow_batch(m, 2, 3).tolist() == [[[2, 0], [0, 2]]]
 
     def test_pow_zero_is_identity(self):
-        a = FqMatrix.from_rows(F5, [[2, 3], [1, 4]])
-        assert a**0 == FqMatrix.identity(F5, 2)
+        a = batch([[2, 3], [1, 4]])
+        assert np.array_equal(_pow_batch(a, 0, 5), eye(2))
 
     def test_nilpotent_square(self):
-        for field in (F2, F3, F7):
-            m = FqMatrix.from_rows(field, [[0, 1], [0, 0]])
-            assert m @ m == FqMatrix.zero(field, 2)
+        for p in (2, 3, 7):
+            m = batch([[0, 1], [0, 0]])
+            assert not _pow_batch(m, 2, p).any()
 
     def test_cube_over_f2(self):
-        m = FqMatrix.from_rows(F2, [[0, 1], [1, 1]])
-        assert m**3 == FqMatrix.identity(F2, 2)
+        m = batch([[0, 1], [1, 1]])
+        assert np.array_equal(_pow_batch(m, 3, 2), eye(2))
 
     def test_rank_zero_and_full(self):
-        assert FqMatrix.zero(F3, 3).rank() == 0
         for n in (1, 2, 3):
-            for field in (F2, F5):
-                assert FqMatrix.identity(field, n).rank() == n
+            invertible, _ = _gauss_jordan(np.zeros((1, n, n), dtype=np.int64), 3)
+            assert not invertible.any()
+            for p in (2, 5):
+                invertible, inverse = _gauss_jordan(eye(n), p)
+                assert invertible.all()
+                assert np.array_equal(inverse, eye(n))
 
     def test_rank_dependent_rows(self):
-        m = FqMatrix.from_rows(F5, [[1, 2], [2, 4]])
-        assert m.rank() == 1
+        invertible, _ = _gauss_jordan(batch([[1, 2], [2, 4]]), 5)
+        assert not invertible.any()
 
     def test_inverse(self):
-        m = FqMatrix.from_rows(F5, [[1, 2], [3, 4]])
-        prod = m @ m.inverse()
-        assert prod == FqMatrix.identity(F5, 2)
+        m = batch([[1, 2], [3, 4]])
+        invertible, inverse = _gauss_jordan(m, 5)
+        assert invertible.all()
+        assert np.array_equal(m @ inverse % 5, eye(2))
+        assert np.array_equal(inverse @ m % 5, eye(2))
 
-    def test_singular_inverse_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            FqMatrix.from_rows(F5, [[1, 2], [2, 4]]).inverse()
+    def test_singular_matrix_flagged_within_batch(self):
+        # a singular matrix is flagged, not raised, and leaves its
+        # neighbours' inverses intact
+        mats = batch([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[0, 1], [1, 0]])
+        invertible, inverse = _gauss_jordan(mats, 5)
+        assert invertible.tolist() == [True, False, True]
+        assert np.array_equal(mats[invertible] @ inverse[invertible] % 5, eye(2, 2))
 
     def test_from_index_round_trip(self):
         # scan order: entry j of the flattened matrix is digit j of the index
-        seen = set()
-        for index in range(3 ** 4):
-            m = FqMatrix.from_index(F3, 2, index)
-            seen.add(m.entries)
-        assert len(seen) == 81
+        mats = _decode(0, 3**4, 2, 3)
+        assert len({m.tobytes() for m in mats}) == 81
+        index = mats.reshape(-1, 4) @ (3 ** np.arange(4))
+        assert index.tolist() == list(range(81))
+        assert _decode(7, 8, 2, 3).tolist() == [[[1, 2], [0, 0]]]
 
-    def test_sub_scalar(self):
-        m = FqMatrix.from_rows(F5, [[1, 2], [3, 4]])
-        assert m.sub_scalar(1).rows() == [[0, 2], [3, 3]]
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        p=st.sampled_from([2, 3, 5, 7]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 40),
+    )
+    def test_kernel_matches_cofactor_determinant(self, n, p, seed, size):
+        mats = np.random.default_rng(seed).integers(0, p, size=(size, n, n), dtype=np.int64)
+        invertible, inverse = _gauss_jordan(mats, p)
+        expected = [det_mod(m.tolist(), p) != 0 for m in mats]
+        assert invertible.tolist() == expected
+        assert np.array_equal(inverse[invertible] @ mats[invertible] % p, eye(n, int(invertible.sum())))
 
 
 class TestSpectrumCounts:
@@ -173,6 +247,56 @@ class TestSpectrumCounts:
         expected = counting.count_m_poly(3, 3)(5)
         assert count_m(3, F5, [0, 2, 4]).count == expected
         assert count_m(3, F5, [0, 2, 4], jobs=4).count == expected
+
+    @pytest.mark.parametrize("n, p", [(2, 3), (2, 5), (3, 2)])
+    def test_exact_spectrum_matches_plain_python_count(self, n, p):
+        reference = exact_spectrum_counts(n, p)
+        field = PrimeField(p)
+        for size in range(1, p + 1):
+            for alphas in itertools.combinations(range(p), size):
+                assert count_e(n, field, alphas).count == reference.get(alphas, 0), alphas
+
+    def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
+        # 257^9 > 2^63 - 1: no budget or force can make this scannable.
+        # A scan that starts anyway fails here instead of running for ever.
+        monkeypatch.setattr(oracle, "_decode", scan_started)
+        with pytest.raises(ValueError, match="int64"):
+            count_m(3, PrimeField(257), [0], force=True)
+        with pytest.raises(ValueError, match="int64"):
+            count_potent(8, F2, 1, force=True)
+
+    def test_workers_clamped_to_cores_and_chunks(self, monkeypatch):
+        # an in-process stand-in for the pool records how many workers
+        # each scan asks for; no process is started
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, list(tasks))
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+        # 5^9 matrices fill 30 chunks: the 3 cores bound the workers
+        assert count_m(3, F5, [0, 2, 4], jobs=64).count == counting.count_m_poly(3, 3)(5)
+        assert requested == [3]
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+        # 23^4 matrices fill 5 chunks, 17^4 fill 2, 5^4 fill 1
+        assert count_m(2, PrimeField(23), [1, 5], jobs=64).count == counting.count_m_poly(2, 2)(23)
+        assert count_e(2, PrimeField(17), [0, 3], jobs=64).count == counting.count_e_poly(2, 2)(17)
+        assert count_m(2, F5, [0, 1], jobs=64).count == counting.count_m_poly(2, 2)(5)
+        assert requested == [3, 5, 2]
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
+        assert count_m(2, PrimeField(23), [1, 5], jobs=8).count == counting.count_m_poly(2, 2)(23)
+        assert requested == [3, 5, 2]
 
     def test_m_partitions_into_e_over_subsets(self):
         spectrum = (0, 1, 2)
@@ -247,9 +371,25 @@ class TestOrbitGeometry:
 
     def test_representative_layout(self):
         rep = block_diag_rep((2, 1), F3)
-        assert rep.rows() == [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+        assert rep.dtype == np.int64
+        assert rep.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
         rep = block_diag_rep((0, 2), F3)
-        assert rep.rows() == [[1, 0], [0, 1]]
+        assert rep.tolist() == [[1, 0], [0, 1]]
+
+    def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_decode", scan_started)
+        big = PrimeField(257)
+        with pytest.raises(ValueError, match="int64"):
+            orbit_size((1, 2), big, force=True)
+        with pytest.raises(ValueError, match="int64"):
+            centralizer_size((1, 2), big, force=True)
+
+    def test_budget_guard(self):
+        with pytest.raises(BudgetExceeded):
+            orbit_size((1, 2), F3, budget=100)
+        with pytest.raises(BudgetExceeded):
+            centralizer_size((1, 2), F3, budget=100)
+        assert centralizer_size((1, 2), F3, budget=100, force=True) == 96
 
     def test_too_many_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
