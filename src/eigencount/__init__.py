@@ -53,6 +53,5 @@ __all__ = [
     "bound_matrix_ring",
     "REFERENCE_BY_NK",
     "REFERENCE_E_TABLE",
-    "oracle",
     "__version__",
 ]

@@ -95,17 +95,12 @@ class RingSpec:
 def bound_matrix_ring(n: int, p: int, k: int, count: int) -> BoundVerdict:
     """Certify count <= (k+1) * p^(2n^2k/(k+1) - 1) over n-by-n matrices.
 
-    Equivalent integer form: (count*p)^(k+1) <= (k+1)^(k+1) * p^(2n^2k).
+    The ring of n-by-n matrices over F_p has p^(n^2) elements, so this is
+    the ``theorem2`` bound: (count*p)^(k+1) <= (k+1)^(k+1) * p^(2n^2k).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    lhs = (count * p) ** (k + 1)
-    rhs = (k + 1) ** (k + 1) * p ** (2 * n * n * k)
-    return BoundVerdict(lhs, rhs)
+    if n < 1:
+        raise ValueError("n must be positive")
+    return bound_finite_ring(RingSpec(((p, n * n),)), k, count, "theorem2")
 
 
 def bound_finite_ring(
@@ -113,14 +108,12 @@ def bound_finite_ring(
 ) -> BoundVerdict:
     """Certify the selected potent-count bound for a finite ring.
 
-    Modes (s = number of distinct primes, R the ring, p_i its primes):
+    With s distinct primes p_i and m their product, every mode certifies
+    (count*m)^(k+1) <= (k+1)^(s(k+1)) * |R|^(2k):
 
-    * ``theorem2``  single-prime rings only:
-      (count*p)^(k+1) <= (k+1)^(k+1) * |R|^(2k)
-    * ``theorem3``  general rings:
-      (count * p_1...p_s)^(k+1) <= (k+1)^(s(k+1)) * |R|^(2k)
-    * ``corollary`` general rings, smallest prime p:
-      (count * p^s)^(k+1) <= (k+1)^(s(k+1)) * |R|^(2k)
+    * ``theorem2``  single-prime rings only (s = 1, m = p)
+    * ``theorem3``  general rings, m = p_1...p_s
+    * ``corollary`` general rings, m = p^s for the smallest prime p
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -128,21 +121,16 @@ def bound_finite_ring(
         raise ValueError("count must be nonnegative")
     if mode not in RING_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {RING_MODES}")
-    card = ring.cardinality
     s = ring.num_primes
-    if mode == "theorem2":
-        if s != 1:
-            raise ModeMismatch(
-                "theorem2 mode needs a single-prime ring; got primes "
-                + ",".join(str(p) for p, _ in ring.prime_powers)
-            )
-        p = ring.prime_powers[0][0]
-        lhs = (count * p) ** (k + 1)
-        rhs = (k + 1) ** (k + 1) * card ** (2 * k)
-    elif mode == "theorem3":
-        lhs = (count * prod(p for p, _ in ring.prime_powers)) ** (k + 1)
-        rhs = (k + 1) ** (s * (k + 1)) * card ** (2 * k)
+    if mode == "theorem2" and s != 1:
+        raise ModeMismatch(
+            "theorem2 mode needs a single-prime ring; got primes "
+            + ",".join(str(p) for p, _ in ring.prime_powers)
+        )
+    if mode == "corollary":
+        m = ring.smallest_prime**s
     else:
-        lhs = (count * ring.smallest_prime**s) ** (k + 1)
-        rhs = (k + 1) ** (s * (k + 1)) * card ** (2 * k)
+        m = prod(p for p, _ in ring.prime_powers)
+    lhs = (count * m) ** (k + 1)
+    rhs = (k + 1) ** (s * (k + 1)) * ring.cardinality ** (2 * k)
     return BoundVerdict(lhs, rhs)

@@ -3,15 +3,19 @@
 Subcommands: ``count`` (closed-form polynomials and evaluations),
 ``table`` (regenerate the reference table and diff it), ``verify``
 (formula against exhaustive oracle), ``bound`` (integer-certified
-inequalities).  Results go to stdout as text, one-JSON-object-per-line,
-or CSV; diagnostics (scan timings, warnings) go to stderr so identical
-invocations produce bit-identical stdout.  Only ``verify`` and the
-oracle fallback of ``bound`` import the oracle, and with it numpy.
+inequalities).  This module parses arguments, checks what only the
+command line can get wrong (flag pairs and conflicts, the ``--n-max``
+range, the evaluation point, ``EIGENCOUNT_BUDGET``), and writes records;
+every other refusal is the library's ``ValueError``, reported the same
+way.  Records go to stdout as text, one-JSON-object-per-line, or CSV;
+diagnostics (scan timings, notes, warnings) go to stderr so identical
+invocations produce bit-identical stdout.  Only ``verify`` and the oracle
+fallback of ``bound`` import the oracle, and with it numpy.
 
 Exit codes: 0 success, 2 usage error, 3 table mismatch, 4 verification
 mismatch, 5 enumeration budget exceeded, 6 bound violated.  The scan
-budget defaults to 2^26 matrices and can be overridden with the
-EIGENCOUNT_BUDGET environment variable.
+budget defaults to 2^26 matrices per invocation and can be overridden
+with the EIGENCOUNT_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import bounds, counting
 from .reference import REFERENCE_BY_NK
@@ -34,79 +38,50 @@ EXIT_VERIFY_MISMATCH = 4
 EXIT_BUDGET = 5
 EXIT_BOUND_VIOLATED = 6
 
-
-class UsageError(ValueError):
-    """Invalid flag combination or parameter value; maps to exit code 2."""
-
-
-_OPTIONAL_FIELDS = ("polynomial", "value", "verdict", "provenance")
-
-
-@dataclass
-class OutputRecord:
-    command: str
-    parameters: dict[str, str] = field(default_factory=dict)
-    polynomial: str | None = None
-    value: int | None = None
-    verdict: str | None = None
-    provenance: str | None = None
-
-    def _set_fields(self) -> dict[str, str]:
-        """The optional fields that are set, in output order."""
-        values = {name: getattr(self, name) for name in _OPTIONAL_FIELDS}
-        return {name: str(v) for name, v in values.items() if v is not None}
-
-    def text_line(self) -> str:
-        pairs = [*self.parameters.items(), *self._set_fields().items()]
-        return " ".join([self.command, *(f"{k}={v}" for k, v in pairs)])
-
-    def json_line(self) -> str:
-        return json.dumps(
-            {"command": self.command, "parameters": self.parameters, **self._set_fields()}
-        )
-
-    def csv_row(self) -> list[str]:
-        params = " ".join(f"{k}={v}" for k, v in self.parameters.items())
-        fields = self._set_fields()
-        return [self.command, params, *(fields.get(name, "") for name in _OPTIONAL_FIELDS)]
+_FIELDS = ("polynomial", "value", "verdict", "provenance")
 
 
 class Emitter:
-    _CSV_HEADER = ["command", "parameters", *_OPTIONAL_FIELDS]
+    """Writes records to a stream as text lines, JSON lines or CSV rows."""
 
     def __init__(self, fmt: str, stream):
         self.fmt = fmt
         self.stream = stream
         self._csv = None
 
-    def emit(self, rec: OutputRecord):
-        if self.fmt == "json":
-            self.stream.write(rec.json_line() + "\n")
-        elif self.fmt == "csv":
+    def emit(
+        self, command: str, params: dict[str, str], *, mark: str = "",
+        polynomial=None, value=None, verdict=None, provenance=None,
+    ):
+        """One record: the command, its parameters, then the fields that are
+        not None, as strings, in _FIELDS order.  ``mark`` prefixes the text
+        line only."""
+        given = zip(_FIELDS, (polynomial, value, verdict, provenance))
+        fields = {name: str(v) for name, v in given if v is not None}
+        if self.fmt == "csv":
             if self._csv is None:
                 self._csv = csv.writer(self.stream, lineterminator="\n")
-                self._csv.writerow(self._CSV_HEADER)
-            self._csv.writerow(rec.csv_row())
+                self._csv.writerow(["command", "parameters", *_FIELDS])
+            pairs = " ".join(f"{k}={v}" for k, v in params.items())
+            self._csv.writerow([command, pairs, *(fields.get(name, "") for name in _FIELDS)])
+            return
+        if self.fmt == "json":
+            line = json.dumps({"command": command, "parameters": params, **fields})
         else:
-            self.stream.write(rec.text_line() + "\n")
+            pairs = [*params.items(), *fields.items()]
+            line = mark + " ".join([command, *(f"{k}={v}" for k, v in pairs)])
+        self.stream.write(line + "\n")
 
 
 def _diag(message: str):
     print(message, file=sys.stderr)
 
 
-def _diag_scan(rep):
-    _diag(
-        f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
-        f"{rep.record()['millis']} ms"
-    )
-
-
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"malformed {what} {text!r}; expected comma-separated integers") from exc
+        raise ValueError(f"malformed {what} {text!r}; expected comma-separated integers") from exc
 
 
 def _budget_from_env(default: int) -> int:
@@ -116,9 +91,9 @@ def _budget_from_env(default: int) -> int:
     try:
         budget = int(raw)
     except ValueError as exc:
-        raise UsageError(f"EIGENCOUNT_BUDGET={raw!r} is not an integer") from exc
+        raise ValueError(f"EIGENCOUNT_BUDGET={raw!r} is not an integer") from exc
     if budget < 1:
-        raise UsageError("EIGENCOUNT_BUDGET must be positive")
+        raise ValueError("EIGENCOUNT_BUDGET must be positive")
     return budget
 
 
@@ -126,55 +101,59 @@ def _spectrum_text(alphas) -> str:
     return ",".join(str(a) for a in alphas)
 
 
+def _potent_formula(n: int, p: int, k: int) -> int | None:
+    """potent_count, or None after a note on stderr where its closed form
+    does not apply."""
+    try:
+        return counting.potent_count(n, p, k)
+    except counting.UnsupportedField as exc:
+        _diag(f"note: {exc}")
+        return None
+
+
 # ----------------------------------------------------------------------
 # count
 
 
 def _cmd_count(args, emitter: Emitter) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    have_concrete = args.p is not None or args.alphas is not None
-    if have_concrete:
+    if args.p is not None or args.alphas is not None:
         if args.p is None or args.alphas is None:
-            raise UsageError("--p and --alphas must be given together")
+            raise ValueError("--p and --alphas must be given together")
         if args.q is not None:
-            raise UsageError("--q conflicts with --p/--alphas; pick one evaluation point")
+            raise ValueError("--q conflicts with --p/--alphas; pick one evaluation point")
         alphas = counting.validate_spectrum(args.p, _parse_int_list(args.alphas, "spectrum"))
         k = len(alphas)
         if args.k is not None and args.k != k:
-            raise UsageError(f"--k {args.k} disagrees with {k} spectrum values")
+            raise ValueError(f"--k {args.k} disagrees with {k} spectrum values")
         eval_at = args.p
     else:
         if args.k is None:
-            raise UsageError("--k is required unless --alphas is given")
-        k = args.k
-        alphas = None
-        eval_at = args.q
-    if k < 1:
-        raise UsageError("--k must be at least 1")
+            raise ValueError("--k is required unless --alphas is given")
+        k, alphas, eval_at = args.k, None, args.q
     if eval_at is not None and eval_at < 1:
-        raise UsageError("evaluation point must be at least 1")
+        raise ValueError("evaluation point must be at least 1")
 
     poly = counting.count_m_poly(args.n, k) if args.mode == "m" else counting.count_e_poly(args.n, k)
-    if args.mode == "e" and eval_at is not None and eval_at < k:
-        _diag(
-            f"warning: exact-spectrum count evaluated at q={eval_at} < k={k}; "
-            "no field that small carries k distinct eigenvalues"
-        )
     params = {"mode": args.mode, "n": str(args.n), "k": str(k)}
     if alphas is not None:
         params["p"] = str(args.p)
         params["spectrum"] = _spectrum_text(alphas)
     elif args.q is not None:
         params["q"] = str(args.q)
-    rec = OutputRecord(
-        command="count",
-        parameters=params,
-        polynomial=str(poly),
-        value=poly(eval_at) if eval_at is not None else None,
+    emitter.emit(
+        "count", params,
+        polynomial=poly, value=poly(eval_at) if eval_at is not None else None,
         provenance="formula",
     )
-    emitter.emit(rec)
+    # warnings follow the record, so a record refused while rendering
+    # (a value past Python's int-to-str digit limit) leaves one error line
+    if args.q is not None and not counting.is_prime_power(args.q):
+        _diag(f"warning: q={args.q} is not a prime power; no field has that many elements")
+    if args.mode == "e" and eval_at is not None and eval_at < k:
+        _diag(
+            f"warning: exact-spectrum count evaluated at q={eval_at} < k={k}; "
+            "no field that small carries k distinct eigenvalues"
+        )
     return EXIT_OK
 
 
@@ -184,31 +163,20 @@ def _cmd_count(args, emitter: Emitter) -> int:
 
 def _cmd_table(args, emitter: Emitter) -> int:
     if not (3 <= args.n_max <= 8):
-        raise UsageError("--n-max must be between 3 and 8")
+        raise ValueError("--n-max must be between 3 and 8")
     mismatches = 0
     for n, k, poly in counting.table_rows(args.n_max):
         text = str(poly)
         expected = REFERENCE_BY_NK.get((n, k))
         params = {"n": str(n), "k": str(k)}
-        verdict = None
-        if expected is not None:
-            if text == expected:
-                verdict = "match"
-            else:
-                verdict = "mismatch"
-                params["expected"] = expected
-                mismatches += 1
-        rec = OutputRecord(
-            command="table",
-            parameters=params,
-            polynomial=text,
-            verdict=verdict,
-            provenance="formula",
+        verdict = None if expected is None else "match" if text == expected else "mismatch"
+        if verdict == "mismatch":
+            params["expected"] = expected
+            mismatches += 1
+        emitter.emit(
+            "table", params, mark="! " if verdict == "mismatch" else "",
+            polynomial=text, verdict=verdict, provenance="formula",
         )
-        if verdict == "mismatch" and emitter.fmt == "text":
-            emitter.stream.write("! " + rec.text_line() + "\n")
-        else:
-            emitter.emit(rec)
     if mismatches:
         _diag(f"{mismatches} table row(s) differ from the reference fixture")
         return EXIT_TABLE_MISMATCH
@@ -219,115 +187,73 @@ def _cmd_table(args, emitter: Emitter) -> int:
 # verify
 
 
-def _verify_spectrum_records(n, fld, alphas, budget, force, jobs, emitter) -> bool:
-    """Emit formula-vs-oracle records for one spectrum; True if all equal."""
-    from . import oracle
-
-    all_equal = True
-    k = len(alphas)
-    for mode in ("m", "e"):
-        if mode == "m":
-            poly = counting.count_m_poly(n, k)
-            rep = oracle.count_m(n, fld, alphas, budget=budget, force=force, jobs=jobs)
-        else:
-            poly = counting.count_e_poly(n, k)
-            rep = oracle.count_e(n, fld, alphas, budget=budget, force=force, jobs=jobs)
-        formula_value = poly(fld.p)
-        equal = formula_value == rep.count
-        all_equal &= equal
-        params = {
-            "mode": mode,
-            "n": str(n),
-            "p": str(fld.p),
-            "spectrum": _spectrum_text(alphas),
-            "scanned": str(rep.scanned),
-        }
-        if not equal:
-            params["formula"] = str(formula_value)
-            params["oracle"] = str(rep.count)
-        _diag_scan(rep)
+def _verify_record(emitter: Emitter, rep, params: dict[str, str], poly, formula) -> bool:
+    """Print the scan line and one verify record comparing the oracle's
+    count with ``formula`` (the value of ``poly`` at p), or an oracle-only
+    record when formula is None; False on a mismatch."""
+    _diag(
+        f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
+        f"{int(rep.seconds * 1000)} ms"
+    )
+    params = {**params, "scanned": str(rep.scanned)}
+    if formula is None:
         emitter.emit(
-            OutputRecord(
-                command="verify",
-                parameters=params,
-                polynomial=str(poly),
-                value=rep.count,
-                verdict="pass" if equal else "fail",
-                provenance="both",
-            )
+            "verify", params, value=rep.count, verdict="oracle-only", provenance="oracle"
         )
-    return all_equal
+        return True
+    equal = formula == rep.count
+    if not equal:
+        params.update(formula=str(formula), oracle=str(rep.count))
+    emitter.emit(
+        "verify", params,
+        polynomial=poly, value=rep.count, verdict="pass" if equal else "fail",
+        provenance="both",
+    )
+    return equal
 
 
 def _cmd_verify(args, emitter: Emitter) -> int:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     from . import oracle
 
     fld = oracle.PrimeField(args.p)
     budget = _budget_from_env(oracle.DEFAULT_BUDGET)
-    ok = True
+    scan = {"budget": budget, "force": args.force, "jobs": args.jobs}
 
     if args.potent is not None:
         k = args.potent
-        if k < 1:
-            raise UsageError("--potent k must be at least 1")
-        rep = oracle.count_potent(
-            args.n, fld, k, budget=budget, force=args.force, jobs=args.jobs
-        )
-        _diag_scan(rep)
-        params = {
-            "n": str(args.n),
-            "p": str(fld.p),
-            "k": str(k),
-            "scanned": str(rep.scanned),
-        }
-        try:
-            formula_value = counting.potent_count(args.n, fld.p, k)
-        except counting.UnsupportedField as exc:
-            _diag(f"note: {exc}")
-            emitter.emit(
-                OutputRecord(
-                    command="verify",
-                    parameters=params,
-                    value=rep.count,
-                    verdict="oracle-only",
-                    provenance="oracle",
-                )
-            )
-            return EXIT_OK
-        equal = formula_value == rep.count
-        if not equal:
-            params["formula"] = str(formula_value)
-            params["oracle"] = str(rep.count)
-        emitter.emit(
-            OutputRecord(
-                command="verify",
-                parameters=params,
-                polynomial=str(counting.count_m_poly(args.n, k + 1)),
-                value=rep.count,
-                verdict="pass" if equal else "fail",
-                provenance="both",
-            )
-        )
-        return EXIT_OK if equal else EXIT_VERIFY_MISMATCH
-
-    if args.spectrum is not None:
-        alphas = counting.validate_spectrum(fld.p, _parse_int_list(args.spectrum, "spectrum"))
-        ok = _verify_spectrum_records(
-            args.n, fld, alphas, budget, args.force, args.jobs, emitter
-        )
+        rep = oracle.count_potent(args.n, fld, k, **scan)
+        formula = _potent_formula(args.n, fld.p, k)
+        poly = counting.count_m_poly(args.n, k + 1) if formula is not None else None
+        params = {"n": str(args.n), "p": str(fld.p), "k": str(k)}
+        ok = _verify_record(emitter, rep, params, poly, formula)
         return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
-    # all nonempty subsets of F_p; sizes beyond n+1 add no new information
-    max_size = min(args.n + 1, fld.p)
-    for size in range(1, max_size + 1):
-        for alphas in itertools.combinations(range(fld.p), size):
-            ok &= _verify_spectrum_records(
-                args.n, fld, alphas, budget, args.force, args.jobs, emitter
-            )
+    if args.spectrum is not None:
+        spectra = [counting.validate_spectrum(fld.p, _parse_int_list(args.spectrum, "spectrum"))]
+        num_spectra = 1
+    else:
+        # all nonempty subsets of F_p; sizes beyond n+1 add no new information
+        sizes = range(1, min(args.n + 1, fld.p) + 1)
+        spectra = itertools.chain.from_iterable(
+            itertools.combinations(range(fld.p), size) for size in sizes
+        )
+        num_spectra = sum(math.comb(fld.p, size) for size in sizes)
+    # an M and an E scan per spectrum, all refused up front if over budget
+    oracle._scan_size(args.n, fld.p, budget, args.force, scans=2 * num_spectra)
+    counts = (
+        ("m", counting.count_m_poly, oracle.count_m),
+        ("e", counting.count_e_poly, oracle.count_e),
+    )
+    ok = True
+    for alphas in spectra:
+        for mode, formula_poly, oracle_count in counts:
+            poly = formula_poly(args.n, len(alphas))
+            rep = oracle_count(args.n, fld, alphas, **scan)
+            params = {
+                "mode": mode, "n": str(args.n), "p": str(fld.p),
+                "spectrum": _spectrum_text(alphas),
+            }
+            ok &= _verify_record(emitter, rep, params, poly, poly(fld.p))
     return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
 
@@ -336,52 +262,35 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 
 def _cmd_bound(args, emitter: Emitter) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
-    if args.count is not None and args.count < 0:
-        raise UsageError("--count must be nonnegative")
-
+    provenance = None
     if args.kind == "matrix":
         if args.n is None or args.p is None:
-            raise UsageError("matrix bounds need --n and --p")
-        if not counting.is_prime(args.p):
-            raise UsageError(f"{args.p} is not prime")
-        params = {
-            "kind": "matrix",
-            "n": str(args.n),
-            "p": str(args.p),
-            "k": str(args.k),
-        }
-        provenance = None
-        if args.count is not None:
-            count = args.count
+            raise ValueError("matrix bounds need --n and --p")
+        params = {"kind": "matrix", "n": str(args.n), "p": str(args.p), "k": str(args.k)}
+        count = args.count
+        if count is not None:
             params["source"] = "explicit"
         else:
-            try:
-                count = counting.potent_count(args.n, args.p, args.k)
-                provenance = "formula"
-            except counting.UnsupportedField as exc:
-                _diag(f"note: {exc}")
+            params["source"] = "computed"
+            count = _potent_formula(args.n, args.p, args.k)
+            provenance = "formula"
+            if count is None:
                 from . import oracle
 
-                fld = oracle.PrimeField(args.p)
                 budget = _budget_from_env(oracle.DEFAULT_BUDGET)
-                rep = oracle.count_potent(args.n, fld, args.k, budget=budget)
-                count = rep.count
+                count = oracle.count_potent(
+                    args.n, oracle.PrimeField(args.p), args.k, budget=budget
+                ).count
                 provenance = "oracle"
-            params["source"] = "computed"
         verdict = bounds.bound_matrix_ring(args.n, args.p, args.k, count)
     else:
         if args.factors is None:
-            raise UsageError("ring bounds need --factors")
+            raise ValueError("ring bounds need --factors")
         if args.count is None:
-            raise UsageError("ring bounds need an explicit --count")
+            raise ValueError("ring bounds need an explicit --count")
         ring = bounds.RingSpec.parse(args.factors)
-        mode = args.mode
-        if mode is None:
-            mode = "theorem2" if ring.num_primes == 1 else "theorem3"
+        mode = args.mode or ("theorem2" if ring.num_primes == 1 else "theorem3")
         count = args.count
-        provenance = None
         params = {
             "kind": "ring",
             "factors": str(ring),
@@ -395,13 +304,8 @@ def _cmd_bound(args, emitter: Emitter) -> int:
     params["lhs"] = str(verdict.lhs_certificate)
     params["rhs"] = str(verdict.rhs_certificate)
     emitter.emit(
-        OutputRecord(
-            command="bound",
-            parameters=params,
-            value=count,
-            verdict="holds" if verdict.holds else "violated",
-            provenance=provenance,
-        )
+        "bound", params,
+        value=count, verdict="holds" if verdict.holds else "violated", provenance=provenance,
     )
     return EXIT_OK if verdict.holds else EXIT_BOUND_VIOLATED
 
@@ -471,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args, emitter)
     except ValueError as exc:
-        # UsageError, and the library's refusals of out-of-range parameters
+        # the command line's own refusals and the library's
         _diag(f"error: {exc}")
         return EXIT_USAGE
     except RuntimeError as exc:

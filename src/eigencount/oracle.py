@@ -54,7 +54,7 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"scan needs {required} matrices but the budget is {budget}; "
+            f"scanning needs {required} matrices but the budget is {budget}; "
             "raise the budget or force the scan"
         )
         self.required = required
@@ -80,9 +80,6 @@ class PrimeField:
             raise ValueError(f"p={p} outside supported range [2, 257]")
         self.p = p
 
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, -1, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
 
@@ -104,17 +101,6 @@ class OracleCountReport:
     scanned: int
     seconds: float
 
-    def record(self) -> dict[str, str]:
-        """Flat record with exact decimal strings for the numeric fields."""
-        return {
-            "n": str(self.n),
-            "p": str(self.p),
-            "spec": self.spec,
-            "count": str(self.count),
-            "scanned": str(self.scanned),
-            "millis": str(int(self.seconds * 1000)),
-        }
-
 
 def _check_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
     alphas = tuple(int(a) for a in alphas)
@@ -127,15 +113,19 @@ def _check_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
     return alphas
 
 
-def _scan_size(n: int, p: int, budget: int, force: bool) -> int:
-    """The p^(n*n) matrices of a scan shape, after refusing shapes not to scan."""
+def _scan_size(n: int, p: int, budget: int, force: bool, scans: int = 1) -> int:
+    """The p^(n*n) matrices of a scan shape, after refusing shapes not to scan.
+
+    The budget covers ``scans`` scans of that shape together, so a caller
+    about to run several can refuse them all before the first one.
+    """
     if n < 1:
         raise ValueError("dimension must be positive")
     total = p ** (n * n)
     if total > _INDEX_MAX:
         raise ValueError(f"{p}^{n * n} matrices overflow the int64 scan index")
-    if not force and total > budget:
-        raise BudgetExceeded(total, budget)
+    if not force and scans * total > budget:
+        raise BudgetExceeded(scans * total, budget)
     return total
 
 
@@ -259,6 +249,8 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
 
 
 def _count(n, field, spec, hit, payload, budget, force, jobs) -> OracleCountReport:
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     total = _scan_size(n, field.p, budget, force)
     t0 = time.perf_counter()
     hits = _run_scan(hit, n, field.p, payload, total, jobs)

@@ -32,10 +32,6 @@ class IntPoly:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def const(cls, value: int) -> IntPoly:
-        return cls((value,))
-
-    @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> IntPoly:
         if power < 0:
             raise ValueError("monomial power must be nonnegative")

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from eigencount import cli, oracle
-from eigencount.oracle import OracleCountReport
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -85,6 +84,30 @@ class TestCount:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    def test_q_not_a_prime_power_warns(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--mode", "m", "--n", "2", "--k", "2", "--q", "6")
+        assert code == 0
+        assert out == "count mode=m n=2 k=2 q=6 polynomial=q^2+q+2 value=44 provenance=formula\n"
+        assert len(err.splitlines()) == 1 and "q=6 is not a prime power" in err
+        code, _, err = run_cli(capsys, "count", "--mode", "m", "--n", "2", "--k", "2", "--q", "4")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("shape", [("40", "10"), ("1", "1000000000")])
+    def test_size_limit_refused_before_building(self, shape):
+        # the child's address space is capped, so a build that starts
+        # anyway fails fast instead of filling the machine's memory
+        proc = run_python(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+            "from eigencount import cli\n"
+            "sys.exit(cli.main(['count', '--mode', 'm', '--n', %r, '--k', %r]))\n" % shape,
+            timeout=20,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "size limit" in proc.stderr
 
 
 class TestTable:
@@ -182,6 +205,15 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "3", "--all-subsets")
         assert code == 5
         assert "budget" in err
+
+    def test_budget_covers_every_scan_of_an_invocation(self, capsys, monkeypatch):
+        # 14 scans of 81 matrices: each fits a budget of 100, all of them do not
+        monkeypatch.setenv("EIGENCOUNT_BUDGET", "100")
+        monkeypatch.setattr(oracle, "_decode", lambda *a: pytest.fail("a scan started"))
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "3", "--all-subsets")
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "required 1134" in err
 
     def test_force_overrides_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
@@ -346,15 +378,12 @@ class TestFormats:
 
 
     def test_record_bytes_pinned(self):
-        full = cli.OutputRecord(
-            command="verify",
-            parameters={"mode": "m", "n": "2", "spectrum": "0,1"},
-            polynomial="q^2+q+2",
-            value=8,
-            verdict="pass",
-            provenance="both",
+        full = (
+            "verify",
+            {"mode": "m", "n": "2", "spectrum": "0,1"},
+            {"polynomial": "q^2+q+2", "value": 8, "verdict": "pass", "provenance": "both"},
         )
-        bare = cli.OutputRecord(command="table", parameters={"n": "3", "k": "2"})
+        bare = ("table", {"n": "3", "k": "2"}, {})
         expected = {
             "text": (
                 "verify mode=m n=2 spectrum=0,1 polynomial=q^2+q+2 value=8 verdict=pass "
@@ -375,8 +404,8 @@ class TestFormats:
         for fmt, text in expected.items():
             stream = io.StringIO()
             emitter = cli.Emitter(fmt, stream)
-            emitter.emit(full)
-            emitter.emit(bare)
+            for command, params, fields in (full, bare):
+                emitter.emit(command, params, **fields)
             assert stream.getvalue() == text, fmt
 
 
@@ -393,6 +422,7 @@ class TestParserPlumbing:
     def test_formula_commands_do_not_import_numpy(self):
         proc = run_python(
             "import io, sys, contextlib\n"
+            "from eigencount import *\n"
             "from eigencount import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(a) for a in (\n"
@@ -405,15 +435,3 @@ class TestParserPlumbing:
         )
         assert proc.returncode == 0, proc.stderr
 
-
-def test_report_record_is_flat_strings():
-    report = OracleCountReport(n=2, p=3, spec="m:{0}", count=1, scanned=81, seconds=0.5)
-    record = report.record()
-    assert record == {
-        "n": "2",
-        "p": "3",
-        "spec": "m:{0}",
-        "count": "1",
-        "scanned": "81",
-        "millis": "500",
-    }

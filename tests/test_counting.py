@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount.counting import (
+    MAX_SHAPE,
     UnsupportedField,
     class_size_poly,
     count_e_poly,
     count_m_poly,
     gl_order_poly,
     is_prime,
+    is_prime_power,
     potent_count,
     roots_of_unity,
     strict_compositions,
@@ -283,3 +285,47 @@ def test_is_prime_small_range():
         assert is_prime(n) == (n in primes)
     assert is_prime(257)
     assert not is_prime(257 * 263)
+
+
+def test_is_prime_power_by_factoring():
+    for q in range(5000):
+        primes = {f for f in range(2, q + 1) if q % f == 0 and is_prime(f)}
+        assert is_prime_power(q) == (len(primes) == 1), q
+
+
+@pytest.mark.parametrize(
+    "q, expected",
+    [
+        (2**61 - 1, True),
+        ((2**61 - 1) ** 3, True),
+        (1093**2, True),  # 2^(q-1) = 1 mod q: a base-2 Fermat test alone is fooled
+        (3**200, True),
+        (2**127, True),
+        ((2**61 - 1) * (2**31 - 1), False),
+        (3825123056546413051, False),  # strong pseudoprime to the bases 2..23
+        (10**30, False),
+        (6**40, False),
+    ],
+)
+def test_is_prime_power_large(q, expected):
+    assert is_prime_power(q) == expected
+
+
+class TestSizeLimit:
+    # (n, k) of the benchmark's WIDE and DEEP count jobs, the largest table
+    # row, and the largest shape the acceptance identities build
+    ADMITTED = [(10, 10), (9, 9), (12, 6), (40, 2), (30, 3), (20, 4), (30, 2), (8, 8)]
+
+    @pytest.mark.parametrize("n, k", ADMITTED)
+    def test_admits_used_shapes(self, n, k):
+        assert k * n**3 <= MAX_SHAPE
+
+    @pytest.mark.parametrize("n, k", [(40, 10), (1, 10**9), (41, 2)])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_refuses_large_shapes(self, n, k, strict):
+        build = count_e_poly if strict else count_m_poly
+        if strict and k > n:
+            assert build(n, k).is_zero()  # no list or polynomial is built for it
+        else:
+            with pytest.raises(ValueError, match="size limit"):
+                build(n, k)

@@ -96,10 +96,6 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(bad)
 
-    def test_inverse(self):
-        for a in range(1, 7):
-            assert (PrimeField(7).inv(a) * a) % 7 == 1
-
 
 class TestFqMatrix:
     """Matrix arithmetic over F_q on the batch kernels: _decode, _pow_batch
@@ -208,9 +204,6 @@ class TestSpectrumCounts:
         assert report.scanned == 3**4
         assert report.n == 2 and report.p == 3
         assert report.spec == "m:{0,1}"
-        record = report.record()
-        assert record["count"] == str(report.count)
-        assert set(record) == {"n", "p", "spec", "count", "scanned", "millis"}
 
     def test_alpha_order_irrelevant(self):
         for alphas in itertools.permutations([0, 2, 4]):
@@ -236,6 +229,13 @@ class TestSpectrumCounts:
         assert excinfo.value.budget == 10
         # force overrides
         assert count_m(2, F3, [0], budget=10, force=True).count == 1
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, monkeypatch, jobs):
+        monkeypatch.setattr(oracle, "_decode", scan_started)
+        for scan in (lambda: count_m(2, F3, [0], jobs=jobs), lambda: count_potent(2, F3, 1, jobs=jobs)):
+            with pytest.raises(ValueError, match="jobs"):
+                scan()
 
     def test_parallel_scan_matches_serial(self):
         serial = count_m(2, F5, [0, 1]).count
