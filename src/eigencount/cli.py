@@ -239,7 +239,7 @@ def _cmd_verify(args, emitter: Emitter) -> int:
         )
         num_spectra = sum(math.comb(fld.p, size) for size in sizes)
     # an M and an E scan per spectrum, all refused up front if over budget
-    oracle._scan_size(args.n, fld.p, budget, args.force, scans=2 * num_spectra)
+    oracle._scan_size(args.n, fld.p, budget, args.force, args.jobs, scans=2 * num_spectra)
     counts = (
         ("m", counting.count_m_poly, oracle.count_m),
         ("e", counting.count_e_poly, oracle.count_e),

@@ -113,14 +113,16 @@ def _check_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
     return alphas
 
 
-def _scan_size(n: int, p: int, budget: int, force: bool, scans: int = 1) -> int:
-    """The p^(n*n) matrices of a scan shape, after refusing shapes not to scan.
+def _scan_size(n: int, p: int, budget: int, force: bool, jobs: int = 1, scans: int = 1) -> int:
+    """The p^(n*n) matrices of a scan shape, after refusing scans not to run.
 
     The budget covers ``scans`` scans of that shape together, so a caller
     about to run several can refuse them all before the first one.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     total = p ** (n * n)
     if total > _INDEX_MAX:
         raise ValueError(f"{p}^{n * n} matrices overflow the int64 scan index")
@@ -249,9 +251,7 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
 
 
 def _count(n, field, spec, hit, payload, budget, force, jobs) -> OracleCountReport:
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    total = _scan_size(n, field.p, budget, force)
+    total = _scan_size(n, field.p, budget, force, jobs)
     t0 = time.perf_counter()
     hits = _run_scan(hit, n, field.p, payload, total, jobs)
     seconds = time.perf_counter() - t0

@@ -93,6 +93,20 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--mode", "m", "--n", "2", "--k", "2", "--q", "4")
         assert code == 0 and err == ""
 
+    def test_large_prime_accepted_at_once(self):
+        # 10^18 + 3 is prime; trial division up to its square root takes minutes
+        proc = run_python(
+            "import sys; from eigencount import cli; sys.exit(cli.main(["
+            "'count', '--mode', 'm', '--n', '1', '--p', '1000000000000000003', '--alphas', '0']))",
+            timeout=20,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == (
+            "count mode=m n=1 k=1 p=1000000000000000003 spectrum=0 "
+            "polynomial=1 value=1 provenance=formula\n"
+        )
+        assert proc.stderr == ""
+
     @pytest.mark.parametrize("shape", [("40", "10"), ("1", "1000000000")])
     def test_size_limit_refused_before_building(self, shape):
         # the child's address space is capped, so a build that starts
@@ -206,14 +220,29 @@ class TestVerify:
         assert code == 5
         assert "budget" in err
 
-    def test_budget_covers_every_scan_of_an_invocation(self, capsys, monkeypatch):
-        # 14 scans of 81 matrices: each fits a budget of 100, all of them do not
+    # 14 scans (--all-subsets) or 2 (--spectrum) of 81 matrices each: one
+    # fits a budget of 100, all of an invocation's scans do not
+    @pytest.mark.parametrize(
+        "scope, required", [(("--all-subsets",), 1134), (("--spectrum", "0"), 162)]
+    )
+    def test_budget_covers_every_scan_of_an_invocation(
+        self, capsys, monkeypatch, scope, required
+    ):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "100")
         monkeypatch.setattr(oracle, "_decode", lambda *a: pytest.fail("a scan started"))
-        code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "3", "--all-subsets")
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "3", *scope)
         assert code == 5
         assert out == ""
-        assert len(err.splitlines()) == 1 and "required 1134" in err
+        assert len(err.splitlines()) == 1 and f"required {required}" in err
+
+    def test_jobs_refused_before_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "2", "--p", "3", "--spectrum", "0", "--jobs", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: jobs must be at least 1\n"
 
     def test_force_overrides_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")

@@ -287,6 +287,21 @@ def test_is_prime_small_range():
     assert not is_prime(257 * 263)
 
 
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+        (2**89 - 1, True),  # above the exact range: a base-2 strong probable prime
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (318665857834031151167461, False),  # strong pseudoprime to the bases 2..37
+        ((2**61 - 1) * (2**31 - 1), False),
+    ],
+)
+def test_is_prime_large(n, expected):
+    assert is_prime(n) == expected
+
+
 def test_is_prime_power_by_factoring():
     for q in range(5000):
         primes = {f for f in range(2, q + 1) if q % f == 0 and is_prime(f)}
