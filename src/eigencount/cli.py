@@ -101,16 +101,6 @@ def _spectrum_text(alphas) -> str:
     return ",".join(str(a) for a in alphas)
 
 
-def _potent_formula(n: int, p: int, k: int) -> int | None:
-    """potent_count, or None after a note on stderr where its closed form
-    does not apply."""
-    try:
-        return counting.potent_count(n, p, k)
-    except counting.UnsupportedField as exc:
-        _diag(f"note: {exc}")
-        return None
-
-
 # ----------------------------------------------------------------------
 # count
 
@@ -222,8 +212,12 @@ def _cmd_verify(args, emitter: Emitter) -> int:
     if args.potent is not None:
         k = args.potent
         rep = oracle.count_potent(args.n, fld, k, **scan)
-        formula = _potent_formula(args.n, fld.p, k)
-        poly = counting.count_m_poly(args.n, k + 1) if formula is not None else None
+        try:
+            formula = counting.potent_count(args.n, fld.p, k)
+            poly = counting.count_m_poly(args.n, k + 1)
+        except counting.UnsupportedField as exc:
+            _diag(f"note: {exc}")
+            formula = poly = None
         params = {"n": str(args.n), "p": str(fld.p), "k": str(k)}
         ok = _verify_record(emitter, rep, params, poly, formula)
         return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
@@ -272,15 +266,19 @@ def _cmd_bound(args, emitter: Emitter) -> int:
             params["source"] = "explicit"
         else:
             params["source"] = "computed"
-            count = _potent_formula(args.n, args.p, args.k)
-            provenance = "formula"
-            if count is None:
+            try:
+                count = counting.potent_count(args.n, args.p, args.k)
+                provenance = "formula"
+            except counting.UnsupportedField as exc:
                 from . import oracle
 
+                # the scan refuses its budget before the note is written,
+                # so a refusal stays one line
                 budget = _budget_from_env(oracle.DEFAULT_BUDGET)
                 count = oracle.count_potent(
                     args.n, oracle.PrimeField(args.p), args.k, budget=budget
                 ).count
+                _diag(f"note: {exc}")
                 provenance = "oracle"
         verdict = bounds.bound_matrix_ring(args.n, args.p, args.k, count)
     else:

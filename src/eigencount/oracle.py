@@ -10,16 +10,31 @@ counting path, so agreement between the two is evidence, not tautology.
 A full scan enumerates all p^(n*n) matrices.  Matrix number t has entry
 digits of t in base p, least significant digit first, row-major; the scan
 walks t ascending, which makes results reproducible and lets the index
-range be split into contiguous pieces for parallel workers.  Matrices are
-decoded in int64 chunks of shape (B, n, n); one batched Gauss-Jordan
-elimination mod p gives invertibility and inverses, and every count sums
-a per-chunk hit function over the index range.  Scans above the budget
-(default 2^26 matrices) are refused unless forced, and shapes whose
-p^(n*n) overflows the int64 index always.
+range be split into contiguous pieces for parallel workers.  Each chunk
+of matrices is decoded into entry planes: an int32 array of shape
+(n*n, B) whose row i*n + j holds entry (i, j) of every matrix.  int32 is
+exact for every shape a scan admits: entries are reduced mod p after each
+product, so no intermediate reaches (n+1)*p^2, which is largest (about
+2^17.6) at n=2, p=257.
+
+Spectrum and potent scans first apply a cheap necessary condition on the
+planes by matrix-vector products: column 0 of prod(A - alpha*I) is zero
+(v <- (A - alpha*I) v from v = e_1), or A^k (A e_1) = A e_1 (A^k applied
+by binary powering, so O(log k) squarings).  The full condition implies
+it -- a zero product has a zero first column, and A^(k+1) = A sends e_1
+to A e_1 -- so the filter drops no matrix the full test would count.
+Only its survivors become an int64 (B', n, n) batch and take the full
+defining test; exact spectra then refine by batched Gauss-Jordan
+elimination mod p, which also gives invertibility and inverses for
+centralizers and orbits.  Every count sums a per-chunk hit function over
+the index range.  Scans above the budget (default 2^26 matrices) are
+refused unless forced, and shapes whose p^(n*n) overflows the int64
+index always.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -136,12 +151,76 @@ def _scan_size(n: int, p: int, budget: int, force: bool, jobs: int = 1, scans: i
 
 
 def _decode(start: int, stop: int, n: int, p: int) -> np.ndarray:
-    """Matrices number start..stop-1 as an int64 array of shape (B, n, n)."""
+    """Matrices number start..stop-1 as int32 entry planes of shape (n*n, B)."""
     idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((idx.size, n * n), dtype=np.int64)
+    planes = np.empty((n * n, idx.size), dtype=np.int32)
     for j in range(n * n):
-        idx, digits[:, j] = np.divmod(idx, p)
-    return digits.reshape(-1, n, n)
+        quotient = idx // p
+        planes[j] = idx - quotient * p
+        idx = quotient
+    return planes
+
+
+def _matrices(planes: np.ndarray) -> np.ndarray:
+    """The int64 (B, n, n) batch of the matrices in entry planes."""
+    n = math.isqrt(len(planes))
+    return np.ascontiguousarray(planes.T, dtype=np.int64).reshape(-1, n, n)
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place: numpy floor-divides by a scalar several times
+    faster than it takes the remainder."""
+    quotient = x // p
+    quotient *= p
+    x -= quotient
+    return x
+
+
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v, not reduced, for planes a of shape (n, n, B) and vectors v of shape (n, B)."""
+    w = a[:, 0] * v[0]
+    for j in range(1, len(v)):
+        w += a[:, j] * v[j]
+    return w
+
+
+def _square(a: np.ndarray, p: int) -> np.ndarray:
+    """A A mod p for planes a of shape (n, n, B)."""
+    sq = a[:, 0, None] * a[None, 0]
+    for t in range(1, len(a)):
+        sq += a[:, t, None] * a[None, t]
+    return _reduce(sq, p)
+
+
+def _first_column_annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
+    """True where column 0 of prod(A - alpha*I) vanishes, by v <- (A - alpha*I) v
+    from v = e_1: necessary for the whole product to vanish."""
+    n = math.isqrt(len(planes))
+    a = planes.reshape(n, n, -1)
+    v = a[:, 0].copy()  # A e_1
+    v[0] += p - alphas[0]
+    v = _reduce(v, p)
+    for alpha in alphas[1:]:
+        w = _matvec(a, v)
+        w += (p - alpha) * v
+        v = _reduce(w, p)
+    return ~v.any(axis=0)
+
+
+def _first_column_potent(planes: np.ndarray, k: int, p: int) -> np.ndarray:
+    """True where A^k (A e_1) = A e_1, with A^k applied by binary powering:
+    necessary for A^(k+1) = A."""
+    n = math.isqrt(len(planes))
+    base = planes.reshape(n, n, -1)
+    column = base[:, 0]
+    v = column
+    while k:
+        if k & 1:
+            v = _reduce(_matvec(base, v), p)
+        k >>= 1
+        if k:
+            base = _square(base, p)
+    return (v == column).all(axis=0)
 
 
 def _annihilated_mask(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
@@ -197,17 +276,24 @@ def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# the scan driver and its per-chunk hit functions hit(mats, payload, p),
+# the scan driver and its per-chunk hit functions hit(planes, payload, p),
 # kept at module level so the worker pool can pickle them
 
 
-def _hits_m(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
-    return int(_annihilated_mask(mats, alphas, p).sum())
+def _annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
+    """The int64 batch of matrices annihilated by prod(A - alpha*I): the
+    first-column filter, then the full product on its survivors."""
+    mats = _matrices(planes[:, _first_column_annihilated(planes, alphas, p)])
+    return mats[_annihilated_mask(mats, alphas, p)]
 
 
-def _hits_e(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
+def _hits_m(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
+    return len(_annihilated(planes, alphas, p))
+
+
+def _hits_e(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
     """Annihilated matrices for which every A - alpha*I is singular."""
-    mats = mats[_annihilated_mask(mats, alphas, p)]
+    mats = _annihilated(planes, alphas, p)
     eye = np.eye(mats.shape[1], dtype=np.int64)
     for a in alphas:
         invertible, _ = _gauss_jordan(mats - a * eye, p)
@@ -215,19 +301,23 @@ def _hits_e(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
     return len(mats)
 
 
-def _hits_potent(mats: np.ndarray, k: int, p: int) -> int:
+def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
+    """Matrices with A^(k+1) = A: the first-column filter, then the full
+    power on its survivors."""
+    mats = _matrices(planes[:, _first_column_potent(planes, k, p)])
     return int((_pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2)).sum())
 
 
-def _hits_centralizer(mats: np.ndarray, rep: np.ndarray, p: int) -> int:
+def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
     """Invertible matrices among those commuting with rep."""
+    mats = _matrices(planes)
     commuting = ((mats @ rep) % p == (rep @ mats) % p).all(axis=(1, 2))
     invertible, _ = _gauss_jordan(mats[commuting], p)
     return int(invertible.sum())
 
 
 def _chunks(start: int, stop: int, n: int, p: int):
-    """Decoded matrices start..stop-1, at most _CHUNK of them at a time."""
+    """Entry planes of matrices start..stop-1, at most _CHUNK of them at a time."""
     for cs in range(start, stop, _CHUNK):
         yield _decode(cs, min(cs + _CHUNK, stop), n, p)
 
@@ -235,7 +325,7 @@ def _chunks(start: int, stop: int, n: int, p: int):
 def _scan_range(task) -> int:
     """Sum the hits in matrix index range [start, stop); worker entry point."""
     hit, n, p, payload, start, stop = task
-    return sum(hit(mats, payload, p) for mats in _chunks(start, stop, n, p))
+    return sum(hit(planes, payload, p) for planes in _chunks(start, stop, n, p))
 
 
 def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
@@ -369,7 +459,8 @@ def orbit_size(
     total = _scan_size(n, p, budget, force)
     digit_weights = p ** np.arange(n * n, dtype=np.int64)
     seen = np.empty(0, dtype=np.int64)
-    for g in _chunks(0, total, n, p):
+    for planes in _chunks(0, total, n, p):
+        g = _matrices(planes)
         invertible, g_inv = _gauss_jordan(g, p)
         conjugates = (g[invertible] @ rep % p) @ g_inv[invertible] % p
         seen = np.union1d(seen, conjugates.reshape(-1, n * n) @ digit_weights)

@@ -309,6 +309,20 @@ class TestBound:
         assert code == 0
         assert "value=11" in out
         assert "provenance=oracle" in out
+        assert err.startswith("note: ") and len(err.splitlines()) == 1
+
+    def test_oracle_fallback_budget_refusal_is_one_line(self, capsys, monkeypatch):
+        # the fallback scan refuses its 2^4 matrices before the note that
+        # the closed form does not apply is written
+        monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
+        monkeypatch.setattr(oracle, "_decode", lambda *a: pytest.fail("a scan started"))
+        code, out, err = run_cli(
+            capsys, "bound", "--kind", "matrix", "--n", "2", "--p", "2", "--k", "2"
+        )
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "required 16" in err
 
     def test_ring_single_prime(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,10 @@
 """Brute-force oracle: batch kernels, exhaustive counts, orbit geometry."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,15 @@ from eigencount.oracle import (
     BudgetExceeded,
     DuplicateAlpha,
     PrimeField,
+    _annihilated_mask,
     _decode,
+    _first_column_annihilated,
+    _first_column_potent,
     _gauss_jordan,
+    _hits_e,
+    _hits_m,
+    _hits_potent,
+    _matrices,
     _pow_batch,
     block_diag_rep,
     centralizer_size,
@@ -22,6 +33,8 @@ from eigencount.oracle import (
     count_potent,
     orbit_size,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -57,6 +70,18 @@ def matmul_mod(x, y, p):
     return [[sum(x[i][t] * y[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
 
 
+def power_mod(rows, exponent, p):
+    """rows^exponent mod p by repeated squaring."""
+    n = len(rows)
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    while exponent:
+        if exponent & 1:
+            result = matmul_mod(result, rows, p)
+        rows = matmul_mod(rows, rows, p)
+        exponent >>= 1
+    return result
+
+
 def exact_spectrum_counts(n, p):
     """Diagonalizable matrices of M_n(F_p) counted by their set of eigenvalues.
 
@@ -80,6 +105,31 @@ def exact_spectrum_counts(n, p):
         if not any(any(row) for row in prod):
             counts[spectrum] = counts.get(spectrum, 0) + 1
     return counts
+
+
+def full_batch_hits(mats, alphas, p):
+    """M and E hits of an int64 batch by the full defining tests alone,
+    with no first-column filter."""
+    annihilated = mats[_annihilated_mask(mats, alphas, p)]
+    exact = annihilated
+    for a in alphas:
+        invertible, _ = _gauss_jordan(exact - a * np.eye(mats.shape[1], dtype=np.int64), p)
+        exact = exact[~invertible]
+    return len(annihilated), len(exact)
+
+
+def potent_mask(mats, k, p):
+    """A^(k+1) = A by the full power, with no first-column filter."""
+    return (_pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2))
+
+
+def run_python(code, timeout):
+    """Run code in a fresh interpreter that imports eigencount from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def scan_started(*args):
@@ -157,12 +207,18 @@ class TestFqMatrix:
         assert np.array_equal(mats[invertible] @ inverse[invertible] % 5, eye(2, 2))
 
     def test_from_index_round_trip(self):
-        # scan order: entry j of the flattened matrix is digit j of the index
-        mats = _decode(0, 3**4, 2, 3)
-        assert len({m.tobytes() for m in mats}) == 81
-        index = mats.reshape(-1, 4) @ (3 ** np.arange(4))
+        # scan order: plane j holds digit j of the index, which is entry
+        # (j // n, j % n) of the matrix
+        planes = _decode(0, 3**4, 2, 3)
+        assert planes.dtype == np.int32 and planes.shape == (4, 81)
+        assert len({column.tobytes() for column in planes.T}) == 81
+        index = (3 ** np.arange(4)) @ planes
         assert index.tolist() == list(range(81))
-        assert _decode(7, 8, 2, 3).tolist() == [[[1, 2], [0, 0]]]
+        assert _decode(7, 8, 2, 3).tolist() == [[1], [2], [0], [0]]
+        mats = _matrices(_decode(7, 8, 2, 3))
+        assert mats.dtype == np.int64 and mats.tolist() == [[[1, 2], [0, 0]]]
+        # the top of the 7x7 binary index range ends at the all-ones matrix
+        assert _decode(2**49 - 2, 2**49, 7, 2).tolist() == [[0, 1]] + [[1, 1]] * 48
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -177,6 +233,105 @@ class TestFqMatrix:
         expected = [det_mod(m.tolist(), p) != 0 for m in mats]
         assert invertible.tolist() == expected
         assert np.array_equal(inverse[invertible] @ mats[invertible] % p, eye(n, int(invertible.sum())))
+
+
+class TestFirstColumnFilter:
+    """The filter on entry planes keeps every matrix the full defining test
+    accepts, so filtered hits equal the full tests on whole batches."""
+
+    @pytest.mark.parametrize("n, p", [(1, 5), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
+    def test_filtered_hits_equal_full_batch(self, n, p):
+        planes = _decode(0, p ** (n * n), n, p)
+        mats = _matrices(planes)
+        for size in range(1, p + 1):
+            for alphas in itertools.combinations(range(p), size):
+                expected = full_batch_hits(mats, alphas, p)
+                assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == expected, alphas
+        for k in range(1, p + 2):
+            assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum(), k
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        p=st.sampled_from([2, 3, 5, 7]),
+        k=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 30),
+    )
+    def test_filter_keeps_every_accepted_matrix(self, n, p, k, seed, size):
+        rng = np.random.default_rng(seed)
+        alphas = tuple(rng.permutation(p)[: rng.integers(1, p + 1)].tolist())
+        roots = [x for x in range(p) if pow(x, k + 1, p) == x]
+        # random matrices, then conjugates G D G^-1 of diagonal matrices
+        # that pass the annihilation and the potency test
+        g = rng.integers(0, p, size=(size, n, n))
+        invertible, g_inv = _gauss_jordan(g, p)
+        g, g_inv = g[invertible], g_inv[invertible]
+
+        def conjugates(values):
+            return (g * rng.choice(values, size=(len(g), 1, n))) @ g_inv % p
+
+        mats = np.concatenate(
+            [rng.integers(0, p, size=(size, n, n)), conjugates(alphas), conjugates(roots)]
+        )
+        planes = np.ascontiguousarray(mats.reshape(len(mats), -1).T, dtype=np.int32)
+        assert np.array_equal(_matrices(planes), mats)
+        annihilated = _annihilated_mask(mats, alphas, p)
+        potent = potent_mask(mats, k, p)
+        assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
+        assert not (annihilated & ~_first_column_annihilated(planes, alphas, p)).any()
+        assert not (potent & ~_first_column_potent(planes, k, p)).any()
+
+    @pytest.mark.parametrize(
+        "planes, p",
+        [
+            # (2, 257) has the largest intermediates a scan admits: every
+            # entry and every alpha at 256, with 0 and 255 beside them
+            (np.array(list(itertools.product([0, 255, 256], repeat=4)), dtype=np.int32).T, 257),
+            # (7, 2) from the top of its index range
+            (_decode(2**49 - 4096, 2**49, 7, 2), 2),
+        ],
+        ids=["n2-p257", "n7-p2"],
+    )
+    def test_int32_planes_match_int64(self, planes, p):
+        planes = np.ascontiguousarray(planes)
+        wide = planes.astype(np.int64)
+        mats = _matrices(planes)
+        n = mats.shape[1]
+        eye = np.eye(n, dtype=np.int64)
+        for alphas in [(p - 1,), (p - 2, p - 1), (0, p - 1), (0, 1, p - 2, p - 1)]:
+            alphas = tuple(dict.fromkeys(alphas))
+            product = np.broadcast_to(eye, mats.shape)
+            for a in alphas:
+                product = product @ ((mats - a * eye) % p) % p
+            expected = ~product[:, :, 0].any(axis=1)
+            assert np.array_equal(_first_column_annihilated(planes, alphas, p), expected)
+            assert np.array_equal(_first_column_annihilated(wide, alphas, p), expected)
+            assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == full_batch_hits(
+                mats, alphas, p
+            )
+        for k in (1, 2, 3, p - 1, p, 4 * p + 3):
+            power = _pow_batch(mats, k + 1, p)
+            expected = (power[:, :, 0] == mats[:, :, 0]).all(axis=1)
+            assert np.array_equal(_first_column_potent(planes, k, p), expected)
+            assert np.array_equal(_first_column_potent(wide, k, p), expected)
+            assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum()
+
+    def test_huge_k_answers_at_once(self):
+        # binary powering costs O(log k) squarings; a loop linear in k
+        # would not finish before the timeout
+        code = (
+            "from eigencount import oracle\n"
+            "print(oracle.count_potent(2, oracle.PrimeField(3), 10**18).count)"
+        )
+        proc = run_python(code, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        k = 10**18
+        expected = 0
+        for entries in itertools.product(range(3), repeat=4):
+            rows = [list(entries[:2]), list(entries[2:])]
+            expected += power_mod(rows, k + 1, 3) == rows
+        assert int(proc.stdout) == expected
 
 
 class TestSpectrumCounts:
