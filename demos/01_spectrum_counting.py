@@ -7,7 +7,10 @@ count (spectrum contained in a set vs spectrum exactly a set).  Everything
 is an exact polynomial in the field size q.
 """
 
+import math
+
 from eigencount import (
+    IntPoly,
     class_size_poly,
     count_e_poly,
     count_m_poly,
@@ -32,8 +35,8 @@ print("=== class sizes for diagonal representatives, n = 4 ===")
 for parts in strict_compositions(4, 2):
     print(f"multiplicities {parts}: class size {class_size_poly(parts)}")
 
-print("the counts below sum these sizes without listing the compositions:")
-print("they split off one eigenspace at a time, q^(j(n-j)) [n choose j]_q ways")
+print("the exact-spectrum counts below sum these sizes without listing the")
+print("compositions: they split off one eigenspace at a time, q^(j(n-j)) [n choose j]_q ways")
 
 print()
 print("=== counts for n = 2, two prescribed eigenvalues ===")
@@ -44,6 +47,13 @@ print(f"spectrum exactly the set: {e}")
 print("the difference, 2, is the two scalar matrices")
 for q in (2, 3, 5, 7):
     print(f"  q={q}: inside={m(q)}  exact={e(q)}")
+
+print()
+print("=== spectrum inside k values: choose the s values that occur ===")
+print("M(2,k) = sum over s of C(k,s) E(2,s); its cost does not grow with k")
+for k in (1, 2, 3, 10**6):
+    via_e = sum((math.comb(k, s) * count_e_poly(2, s) for s in (1, 2)), IntPoly())
+    print(f"  k={k}: count_m_poly = {count_m_poly(2, k)}   sum = {via_e}")
 
 print()
 print("=== the n = 3..6 reference table ===")

@@ -22,9 +22,16 @@ __all__ = [
     "bound_matrix_ring",
     "bound_finite_ring",
     "RING_MODES",
+    "MAX_CERTIFICATE_BITS",
 ]
 
 RING_MODES = ("theorem2", "theorem3", "corollary")
+
+# Certificates are refused when their size, estimated from bit lengths
+# before any power is taken, exceeds this: 2^20 bits (about 316,000 digits)
+# takes milliseconds to compute, while a (k+1)-th power of a large count,
+# or |R|^(2k) of a large ring, can take longer than any caller waits.
+MAX_CERTIFICATE_BITS = 1 << 20
 
 
 class ModeMismatch(ValueError):
@@ -131,6 +138,17 @@ def bound_finite_ring(
         m = ring.smallest_prime**s
     else:
         m = prod(p for p, _ in ring.prime_powers)
+    # bit_length(a^e) <= e * bit_length(a), and likewise for products
+    bits = max(
+        (k + 1) * (count * m).bit_length(),
+        s * (k + 1) * (k + 1).bit_length()
+        + 2 * k * sum(r * p.bit_length() for p, r in ring.prime_powers),
+    )
+    if bits > MAX_CERTIFICATE_BITS:
+        raise ValueError(
+            f"the certificates would take about {bits} bits, past the bound's "
+            f"size limit of {MAX_CERTIFICATE_BITS} bits"
+        )
     lhs = (count * m) ** (k + 1)
     rhs = (k + 1) ** (s * (k + 1)) * ring.cardinality ** (2 * k)
     return BoundVerdict(lhs, rhs)

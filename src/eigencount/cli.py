@@ -289,6 +289,8 @@ def _cmd_bound(args, emitter: Emitter) -> int:
         ring = bounds.RingSpec.parse(args.factors)
         mode = args.mode or ("theorem2" if ring.num_primes == 1 else "theorem3")
         count = args.count
+        # certified first: it refuses a ring too large to render
+        verdict = bounds.bound_finite_ring(ring, args.k, count, mode)
         params = {
             "kind": "ring",
             "factors": str(ring),
@@ -297,7 +299,6 @@ def _cmd_bound(args, emitter: Emitter) -> int:
             "mode": mode,
             "source": "explicit",
         }
-        verdict = bounds.bound_finite_ring(ring, args.k, count, mode)
 
     params["lhs"] = str(verdict.lhs_certificate)
     params["rhs"] = str(verdict.rhs_certificate)

@@ -18,8 +18,10 @@ The sums are never formed term by term.  Splitting an n-dimensional space
 into a j-dimensional eigenspace and the rest has U_n / (U_j U_{n-j}) =
 q^(j(n-j)) [n choose j]_q ways, and the Gaussian binomials follow from the
 q-Pascal rule with shifts and additions only, so peeling off one
-eigenvalue at a time yields both counts without dividing polynomials or
-enumerating compositions.
+eigenvalue at a time yields E(n, 1..n) without dividing polynomials or
+enumerating compositions.  A weak composition is a strict one of its s
+nonzero parts, so M(n, k) = sum over s of C(k, s) E(n, s), and its cost
+does not grow with k.
 
 Everything returns exact polynomials or exact integers; nothing here
 touches the brute-force oracle, which independently recounts these sets.
@@ -50,11 +52,10 @@ __all__ = [
     "MAX_SHAPE",
 ]
 
-# The closed forms refuse (n, k) with k * n^3 above this.  Their recurrence
-# holds k rows of n + 1 polynomials of degree up to n^2, so k * n^3 bounds
-# its size; the limit admits (40, 2), (30, 3), (12, 6) and (10, 10), keeps
-# every admitted build to a few seconds, and is checked before anything is
-# built.
+# The closed forms refuse (n, k) with min(n, k) * n^3 above this, which
+# bounds their recurrence: min(n, k) rows of n + 1 polynomials of degree up
+# to n^2.  It admits (40, 2), (30, 3), (12, 6) and any k at n <= 19, keeps
+# every admitted build to a few seconds, and is checked before building.
 MAX_SHAPE = 1 << 17
 
 # Miller-Rabin to all of these bases is exact below _EXACT_BELOW (3.3 * 10^24).
@@ -205,43 +206,46 @@ def class_size_poly(parts: Sequence[int]) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _class_size_sum(n: int, k: int, least: int) -> IntPoly:
-    """Sum of class sizes over the compositions of n into k parts >= least.
+def _strict_sums(n: int, w: int) -> tuple[IntPoly, ...]:
+    """E(n, s), s = 1..w: class sizes summed over strict compositions of n.
 
-    Peels one eigenvalue at a time: P_1(m) is 1 for m >= least and 0
-    otherwise, and P_i(m) = sum over j >= least of C(m, j) P_{i-1}(m - j),
-    where C(m, j) is the split size of a j-dimensional eigenspace.  The
-    table is filled for m = 0, 1, ..., n in turn, so only the Gaussian row
-    of the current m is held, and the stack depth grows with neither n
-    nor k.
+    Peels one eigenvalue at a time: P_1(m) = 1 for m >= 1, and P_s(m) is
+    the sum over 1 <= j <= m - s + 1 of C(m, j) P_{s-1}(m - j), where
+    C(m, j) is the split size of a j-dimensional eigenspace.  The table is
+    filled for m = 0, 1, ..., n in turn, so only the Gaussian row of the
+    current m is held, and the stack depth grows with neither n nor w.
     """
-    if k * least > n:
-        return ZERO
-    if k * n**3 > MAX_SHAPE:
-        raise ValueError(
-            f"n={n}, k={k} is past the closed forms' size limit k*n^3 <= {MAX_SHAPE}"
-        )
-    sums: list[list[IntPoly]] = [[] for _ in range(k)]  # sums[i][m] = P_{i+1}(m)
+    sums: list[list[IntPoly]] = [[] for _ in range(w)]  # sums[i][m] = P_{i+1}(m)
     row: tuple[IntPoly, ...] = ()
     for m in range(n + 1):
         row = _next_gaussian_row(row)
-        sums[0].append(ONE if m >= least else ZERO)
-        # P_k itself is needed only at m = n
-        for i in range(1, k if m == n else k - 1):
+        sums[0].append(ONE if m else ZERO)
+        for i in range(1, w if m == n else w - 1):  # P_w is needed only at m = n
             sums[i].append(sum(
-                (_split_size(row, j) * sums[i - 1][m - j] for j in range(least, m + 1)), ZERO
+                (_split_size(row, j) * sums[i - 1][m - j] for j in range(1, m - i + 1)), ZERO
             ))
-    return sums[-1][-1]
+    return tuple(s[-1] for s in sums)
+
+
+def _exact_row(n: int, k: int) -> tuple[IntPoly, ...]:
+    """E(n, s) for s = 1..min(n, k), once (n, k) has passed the size limit."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    if min(n, k) * n**3 > MAX_SHAPE:
+        raise ValueError(
+            f"n={n} with {k} prescribed eigenvalues is past the closed forms' "
+            f"size limit min(n,k)*n^3 <= {MAX_SHAPE}"
+        )
+    return _strict_sums(n, min(n, k))
 
 
 def count_m_poly(n: int, k: int) -> IntPoly:
     """Count of diagonalizable matrices with spectrum inside a fixed k-set.
 
-    Sum of class sizes over the weak compositions of n into k parts.
+    Sum of class sizes over the weak compositions of n into k parts, i.e.
+    the sum over s of C(k, s) E(n, s): choose the s values that occur.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    return _class_size_sum(n, k, 0)
+    return sum((math.comb(k, s) * e for s, e in enumerate(_exact_row(n, k), 1)), ZERO)
 
 
 def count_e_poly(n: int, k: int) -> IntPoly:
@@ -250,9 +254,7 @@ def count_e_poly(n: int, k: int) -> IntPoly:
     Sum of class sizes over the strict compositions; the zero polynomial
     when k > n since n-by-n matrices carry at most n distinct eigenvalues.
     """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    return _class_size_sum(n, k, 1)
+    return ZERO if k > n >= 1 else _exact_row(n, k)[-1]
 
 
 def table_rows(n_max: int = 6) -> list[tuple[int, int, IntPoly]]:
@@ -264,9 +266,7 @@ def table_rows(n_max: int = 6) -> list[tuple[int, int, IntPoly]]:
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
     return [
-        (n, k, count_e_poly(n, k))
-        for n in range(3, n_max + 1)
-        for k in range(2, n + 1)
+        (n, k, e) for n in range(3, n_max + 1) for k, e in enumerate(_exact_row(n, n)[1:], 2)
     ]
 
 

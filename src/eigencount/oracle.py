@@ -227,22 +227,22 @@ def _annihilated_mask(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> np.n
     """True where the product of (A - alpha*I) over all alphas vanishes."""
     n = mats.shape[1]
     eye = np.eye(n, dtype=np.int64)
-    prod = (mats - alphas[0] * eye) % p
+    prod = _reduce(mats - alphas[0] * eye, p)
     for a in alphas[1:]:
-        prod = (prod @ ((mats - a * eye) % p)) % p
+        prod = _reduce(prod @ _reduce(mats - a * eye, p), p)
     return ~prod.any(axis=(1, 2))
 
 
 def _pow_batch(mats: np.ndarray, exponent: int, p: int) -> np.ndarray:
     n = mats.shape[1]
     result = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape).copy()
-    base = mats % p
+    base = _reduce(mats.copy(), p)
     while exponent:
         if exponent & 1:
-            result = result @ base % p
+            result = _reduce(result @ base, p)
         exponent >>= 1
         if exponent:
-            base = base @ base % p
+            base = _reduce(base @ base, p)
     return result
 
 
@@ -257,7 +257,7 @@ def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     b, n, _ = mats.shape
     inverse_of = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
     eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
-    work = np.concatenate((mats % p, eye), axis=2)
+    work = _reduce(np.concatenate((mats, eye), axis=2), p)
     invertible = np.ones(b, dtype=bool)
     batch = np.arange(b)
     for col in range(n):
@@ -267,11 +267,11 @@ def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         top = work[:, col].copy()
         work[:, col] = work[batch, pivot]
         work[batch, pivot] = top
-        work[:, col] = work[:, col] * inverse_of[work[:, col, col]][:, None] % p
+        work[:, col] = _reduce(work[:, col] * inverse_of[work[:, col, col]][:, None], p)
         factors = work[:, :, col].copy()
         factors[:, col] = 0
         work -= factors[:, :, None] * work[:, None, col]
-        work %= p
+        _reduce(work, p)
     return invertible, work[:, :, n:]
 
 
@@ -311,7 +311,7 @@ def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
 def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
     """Invertible matrices among those commuting with rep."""
     mats = _matrices(planes)
-    commuting = ((mats @ rep) % p == (rep @ mats) % p).all(axis=(1, 2))
+    commuting = (_reduce(mats @ rep, p) == _reduce(rep @ mats, p)).all(axis=(1, 2))
     invertible, _ = _gauss_jordan(mats[commuting], p)
     return int(invertible.sum())
 
@@ -462,6 +462,6 @@ def orbit_size(
     for planes in _chunks(0, total, n, p):
         g = _matrices(planes)
         invertible, g_inv = _gauss_jordan(g, p)
-        conjugates = (g[invertible] @ rep % p) @ g_inv[invertible] % p
+        conjugates = _reduce(_reduce(g[invertible] @ rep, p) @ g_inv[invertible], p)
         seen = np.union1d(seen, conjugates.reshape(-1, n * n) @ digit_weights)
     return int(seen.size)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +30,30 @@ def run_python(code, timeout=60):
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def run_capped(statement):
+    """Run one statement with cli and counting imported, in a child whose
+    address space is capped at 2 GiB and whose run is cut at 20 s, so a
+    build that should not start fails fast instead of filling the
+    machine's memory; the statement's value is the exit code."""
+    return run_python(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "from eigencount import cli, counting\n"
+        f"sys.exit({statement})\n",
+        timeout=20,
+    )
+
+
+def weak_sum_n3(k, q):
+    """M(3, k) at q by definition: class sizes U_3 / prod U_{n_i} over the
+    weak compositions of 3 into k parts, grouped by their nonzero parts
+    (3), (2, 1) and (1, 1, 1)."""
+    def gl(n):
+        return math.prod(q**n - q**i for i in range(n))
+
+    return k + k * (k - 1) * (gl(3) // (gl(2) * gl(1))) + math.comb(k, 3) * (gl(3) // gl(1) ** 3)
 
 
 class TestCount:
@@ -107,21 +132,31 @@ class TestCount:
         )
         assert proc.stderr == ""
 
-    @pytest.mark.parametrize("shape", [("40", "10"), ("1", "1000000000")])
+    @pytest.mark.parametrize("shape", [("40", "10"), ("41", "2"), ("20", "20")])
     def test_size_limit_refused_before_building(self, shape):
-        # the child's address space is capped, so a build that starts
-        # anyway fails fast instead of filling the machine's memory
-        proc = run_python(
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
-            "from eigencount import cli\n"
-            "sys.exit(cli.main(['count', '--mode', 'm', '--n', %r, '--k', %r]))\n" % shape,
-            timeout=20,
-        )
+        proc = run_capped(f"cli.main(['count', '--mode', 'm', '--n', {shape[0]!r}, '--k', {shape[1]!r}])")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
-        assert proc.stderr.startswith("error: ") and "size limit" in proc.stderr
+        assert proc.stderr.startswith("error: ") and "size limit min(n,k)*n^3" in proc.stderr
+        assert f"n={shape[0]} with {shape[1]} prescribed eigenvalues" in proc.stderr
+
+    def test_large_k_answered_under_memory_cap(self):
+        # the cost of an M-count does not grow with k, so these answer at once
+        proc = run_capped("cli.main(['count', '--mode', 'm', '--n', '1', '--k', '1000000000'])")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "count mode=m n=1 k=1000000000 polynomial=1000000000 provenance=formula\n"
+        big = 10**18
+        proc = run_capped(
+            f"cli.main(['count', '--mode', 'm', '--n', '3', '--k', '{big}', '--q', '7'])"
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.endswith(f" value={weak_sum_n3(big, 7)} provenance=formula\n")
+        # A^(k+1) = A with k = p - 1 over a prime p above 10^18: M(3, p) at q = p
+        p = big + 3
+        proc = run_capped(f"print(counting.potent_count(3, {p}, {p - 1}))")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert int(proc.stdout) == weak_sum_n3(p, p)
 
 
 class TestTable:
@@ -364,6 +399,22 @@ class TestBound:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("matrix", "--n", "3", "--p", "3", "--k", "10000000", "--count", "5"),
+            ("ring", "--factors", "2^1000000000000", "--k", "1", "--count", "1"),
+            ("matrix", "--n", "100000", "--p", "3", "--k", "1", "--count", "1"),
+            ("matrix", "--n", "3", "--p", "1000000000000000003", "--k", "1000000000000000002"),
+        ],
+    )
+    def test_oversized_certificates_refused_before_any_power(self, argv):
+        proc = run_capped(f"cli.main(['bound', '--kind', *{argv!r}])")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ") and "size limit" in proc.stderr
 
     @pytest.mark.parametrize("count", [("--count", "1"), ()])
     def test_library_refusal_is_one_line_exit_2(self, capsys, count):

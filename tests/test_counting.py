@@ -179,10 +179,30 @@ class TestCounts:
                     expected = expected + math.comb(k, s) * count_e_poly(n, s)
                 assert count_m_poly(n, k) == expected, (n, k)
 
+    @pytest.mark.parametrize("k", [1, 2, 5, 8, 10**3, 10**6, 10**18])
+    def test_at_q_equal_one(self, k):
+        # at q = 1 a class size is a multinomial coefficient, so M counts
+        # all maps from n points to k values and E the surjective ones
+        for n in range(1, 9):
+            # k! S(n, k) by inclusion-exclusion, 0 when k > n
+            surjections = sum(
+                (-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)
+            ) if k <= n else 0
+            assert count_m_poly(n, k)(1) == k**n, n
+            assert count_e_poly(n, k)(1) == surjections, n
+
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 8), k=st.integers(1, 6), strict=st.booleans())
-def test_recurrence_matches_composition_sum(n, k, strict):
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 8), st.integers(1, 6)),
+        # k up to 3n, well past n, where E vanishes and M stops growing in cost
+        st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, 3 * n))),
+    ),
+    strict=st.booleans(),
+)
+def test_recurrence_matches_composition_sum(shape, strict):
+    n, k = shape
     poly = count_e_poly(n, k) if strict else count_m_poly(n, k)
     # both sides have degree at most n^2 - n, so n^2 points pin the polynomial
     for q in range(2, n * n + 2):
@@ -335,12 +355,22 @@ class TestSizeLimit:
     def test_admits_used_shapes(self, n, k):
         assert k * n**3 <= MAX_SHAPE
 
-    @pytest.mark.parametrize("n, k", [(40, 10), (1, 10**9), (41, 2)])
+    @pytest.mark.parametrize("n, k", [(40, 10), (41, 2), (20, 20)])
     @pytest.mark.parametrize("strict", [False, True])
     def test_refuses_large_shapes(self, n, k, strict):
         build = count_e_poly if strict else count_m_poly
-        if strict and k > n:
-            assert build(n, k).is_zero()  # no list or polynomial is built for it
+        with pytest.raises(ValueError, match="size limit"):
+            build(n, k)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_large_k_answers(self, strict):
+        # the limit bounds min(n, k) * n^3; E-counts with k > n are 0
+        if strict:
+            assert count_e_poly(1, 10**9).is_zero()
         else:
-            with pytest.raises(ValueError, match="size limit"):
-                build(n, k)
+            assert count_m_poly(1, 10**9) == IntPoly((10**9,))
+
+    def test_refusal_names_rule_and_eigenvalue_count(self):
+        # A^3 = A prescribes the spectrum {0, 1, -1}: three values, not k = 2
+        with pytest.raises(ValueError, match=r"n=50 with 3 prescribed eigenvalues .* min\(n,k\)\*n\^3"):
+            potent_count(50, 3, 2)
