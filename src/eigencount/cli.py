@@ -57,7 +57,13 @@ class Emitter:
         not None, as strings, in _FIELDS order.  ``mark`` prefixes the text
         line only."""
         given = zip(_FIELDS, (polynomial, value, verdict, provenance))
-        fields = {name: str(v) for name, v in given if v is not None}
+        try:
+            fields = {name: str(v) for name, v in given if v is not None}
+        except ValueError:  # an integer past Python's int-to-str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(
+                f"the record is too long to print: a number in it has more than {limit} digits"
+            ) from None
         if self.fmt == "csv":
             if self._csv is None:
                 self._csv = csv.writer(self.stream, lineterminator="\n")

@@ -12,24 +12,27 @@ digits of t in base p, least significant digit first, row-major; the scan
 walks t ascending, which makes results reproducible and lets the index
 range be split into contiguous pieces for parallel workers.  Each chunk
 of matrices is decoded into entry planes: an int32 array of shape
-(n*n, B) whose row i*n + j holds entry (i, j) of every matrix.  int32 is
-exact for every shape a scan admits: entries are reduced mod p after each
+(n*n, B) whose row i*n + j holds entry (i, j) of every matrix.  A chunk
+is a whole number of runs of p^j matrices that differ only in their low
+j digits, so one template holds those digits and each chunk fills in the
+rest by broadcast, into one buffer reused across a range.  int32 is exact
+for every shape a scan admits: entries are reduced mod p after each
 product, so no intermediate reaches (n+1)*p^2, which is largest (about
 2^17.6) at n=2, p=257.
 
-Spectrum and potent scans first apply a cheap necessary condition on the
-planes by matrix-vector products: column 0 of prod(A - alpha*I) is zero
-(v <- (A - alpha*I) v from v = e_1), or A^k (A e_1) = A e_1 (A^k applied
-by binary powering, so O(log k) squarings).  The full condition implies
-it -- a zero product has a zero first column, and A^(k+1) = A sends e_1
-to A e_1 -- so the filter drops no matrix the full test would count.
-Only its survivors become an int64 (B', n, n) batch and take the full
-defining test; exact spectra then refine by batched Gauss-Jordan
-elimination mod p, which also gives invertibility and inverses for
-centralizers and orbits.  Every count sums a per-chunk hit function over
-the index range.  Scans above the budget (default 2^26 matrices) are
-refused unless forced, and shapes whose p^(n*n) overflows the int64
-index always.
+Spectrum and potent scans test their defining condition on the planes
+one column at a time, by matrix-vector products: column j of
+prod(A - alpha*I) is v <- (A - alpha*I) v from v = e_j, and column j of
+A^(k+1) - A is A^k (A e_j) - A e_j, with A^k formed by binary powering in
+O(log k) products.  A matrix is zero exactly when all its columns are, so
+this is the definition itself; only the matrices whose columns so far
+vanish go on to the next column, so column 0 does nearly all the work.
+Exact spectra then refine the annihilated matrices, as an int64
+(B', n, n) batch, by batched Gauss-Jordan elimination mod p, which also
+gives invertibility and inverses for centralizers and orbits.  Every
+count sums a per-chunk hit function over the index range.  Scans above
+the budget (default 2^26 matrices) are refused unless forced, and shapes
+whose p^(n*n) overflows the int64 index always.
 """
 
 from __future__ import annotations
@@ -41,7 +44,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+# numpy's OpenBLAS would start a thread pool that these integer kernels
+# never use: import it single-threaded unless the caller chose otherwise,
+# then leave the environment as it was
+_BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+_blas_threads_unset = _BLAS_THREADS not in os.environ
+os.environ.setdefault(_BLAS_THREADS, "1")
+try:
+    import numpy as np
+finally:
+    if _blas_threads_unset:
+        del os.environ[_BLAS_THREADS]
 
 from .counting import is_prime
 
@@ -150,15 +163,39 @@ def _scan_size(n: int, p: int, budget: int, force: bool, jobs: int = 1, scans: i
 # the batch kernels
 
 
-def _decode(start: int, stop: int, n: int, p: int) -> np.ndarray:
-    """Matrices number start..stop-1 as int32 entry planes of shape (n*n, B)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    planes = np.empty((n * n, idx.size), dtype=np.int32)
-    for j in range(n * n):
-        quotient = idx // p
-        planes[j] = idx - quotient * p
-        idx = quotient
-    return planes
+def _chunk_layout(n: int, p: int) -> tuple[int, int, int]:
+    """(j, p^j, size) for the largest j <= n*n with p^j <= _CHUNK: matrices
+    differ only in their low j digits within each run of p^j, and a chunk
+    holds size matrices, the most whole runs that fit in _CHUNK."""
+    j = 0
+    while j < n * n and p ** (j + 1) <= _CHUNK:
+        j += 1
+    run = p**j
+    return j, run, run * min(_CHUNK // run, p ** (n * n - j))
+
+
+def _chunks(start: int, stop: int, n: int, p: int):
+    """Entry planes of matrices start..stop-1, one chunk at a time, decoded
+    into one int32 buffer of shape (n*n, size) that each chunk overwrites.
+
+    Chunks are aligned to multiples of size.  The low j digits repeat in
+    every run of p^j matrices, so they are written once; per chunk only the
+    higher digits, constant over each run, are filled in by broadcast.
+    """
+    j, run, size = _chunk_layout(n, p)
+    buffer = np.empty((n * n, size), dtype=np.int32)
+    low = np.arange(run)
+    for d in range(j):
+        buffer[d].reshape(-1, run)[:] = low % p
+        low //= p
+    for cs in range(start - start % size, stop, size):
+        end = min(stop, cs + size) - cs
+        runs = -(-end // run)
+        high = np.arange(cs // run, cs // run + runs, dtype=np.int64)
+        for d in range(j, n * n):
+            buffer[d, : runs * run].reshape(runs, run)[:] = (high % p)[:, None]
+            high //= p
+        yield buffer[:, max(start - cs, 0) : end]
 
 
 def _matrices(planes: np.ndarray) -> np.ndarray:
@@ -184,66 +221,12 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def _square(a: np.ndarray, p: int) -> np.ndarray:
-    """A A mod p for planes a of shape (n, n, B)."""
-    sq = a[:, 0, None] * a[None, 0]
+def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """A B mod p for planes a and b of shape (n, n, B)."""
+    prod = a[:, 0, None] * b[None, 0]
     for t in range(1, len(a)):
-        sq += a[:, t, None] * a[None, t]
-    return _reduce(sq, p)
-
-
-def _first_column_annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
-    """True where column 0 of prod(A - alpha*I) vanishes, by v <- (A - alpha*I) v
-    from v = e_1: necessary for the whole product to vanish."""
-    n = math.isqrt(len(planes))
-    a = planes.reshape(n, n, -1)
-    v = a[:, 0].copy()  # A e_1
-    v[0] += p - alphas[0]
-    v = _reduce(v, p)
-    for alpha in alphas[1:]:
-        w = _matvec(a, v)
-        w += (p - alpha) * v
-        v = _reduce(w, p)
-    return ~v.any(axis=0)
-
-
-def _first_column_potent(planes: np.ndarray, k: int, p: int) -> np.ndarray:
-    """True where A^k (A e_1) = A e_1, with A^k applied by binary powering:
-    necessary for A^(k+1) = A."""
-    n = math.isqrt(len(planes))
-    base = planes.reshape(n, n, -1)
-    column = base[:, 0]
-    v = column
-    while k:
-        if k & 1:
-            v = _reduce(_matvec(base, v), p)
-        k >>= 1
-        if k:
-            base = _square(base, p)
-    return (v == column).all(axis=0)
-
-
-def _annihilated_mask(mats: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
-    """True where the product of (A - alpha*I) over all alphas vanishes."""
-    n = mats.shape[1]
-    eye = np.eye(n, dtype=np.int64)
-    prod = _reduce(mats - alphas[0] * eye, p)
-    for a in alphas[1:]:
-        prod = _reduce(prod @ _reduce(mats - a * eye, p), p)
-    return ~prod.any(axis=(1, 2))
-
-
-def _pow_batch(mats: np.ndarray, exponent: int, p: int) -> np.ndarray:
-    n = mats.shape[1]
-    result = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape).copy()
-    base = _reduce(mats.copy(), p)
-    while exponent:
-        if exponent & 1:
-            result = _reduce(result @ base, p)
-        exponent >>= 1
-        if exponent:
-            base = _reduce(base @ base, p)
-    return result
+        prod += a[:, t, None] * b[None, t]
+    return _reduce(prod, p)
 
 
 def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,19 +264,30 @@ def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
-    """The int64 batch of matrices annihilated by prod(A - alpha*I): the
-    first-column filter, then the full product on its survivors."""
-    mats = _matrices(planes[:, _first_column_annihilated(planes, alphas, p)])
-    return mats[_annihilated_mask(mats, alphas, p)]
+    """Entry planes of the matrices annihilated by prod(A - alpha*I), tested
+    column by column: column j is v <- (A - alpha*I) v from v = e_j, and only
+    the matrices whose columns so far vanish go on to the next."""
+    n = math.isqrt(len(planes))
+    for j in range(n):
+        a = planes.reshape(n, n, -1)
+        v = a[:, j].copy()  # A e_j
+        v[j] += p - alphas[0]
+        v = _reduce(v, p)
+        for alpha in alphas[1:]:
+            w = _matvec(a, v)
+            w += (p - alpha) * v
+            v = _reduce(w, p)
+        planes = planes[:, ~v.any(axis=0)]
+    return planes
 
 
 def _hits_m(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
-    return len(_annihilated(planes, alphas, p))
+    return _annihilated(planes, alphas, p).shape[1]
 
 
 def _hits_e(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
     """Annihilated matrices for which every A - alpha*I is singular."""
-    mats = _annihilated(planes, alphas, p)
+    mats = _matrices(_annihilated(planes, alphas, p))
     eye = np.eye(mats.shape[1], dtype=np.int64)
     for a in alphas:
         invertible, _ = _gauss_jordan(mats - a * eye, p)
@@ -302,10 +296,23 @@ def _hits_e(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
 
 
 def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
-    """Matrices with A^(k+1) = A: the first-column filter, then the full
-    power on its survivors."""
-    mats = _matrices(planes[:, _first_column_potent(planes, k, p)])
-    return int((_pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2)).sum())
+    """Matrices with A^(k+1) = A: A^k by binary powering, then
+    A^k (A e_j) = A e_j column by column, only the matrices whose columns
+    so far agree going on to the next."""
+    n = math.isqrt(len(planes))
+    a = base = planes.reshape(n, n, -1)
+    power = None
+    while k:
+        if k & 1:
+            power = base if power is None else _mul(power, base, p)
+        k >>= 1
+        if k:
+            base = _mul(base, base, p)
+    for j in range(n):
+        column = a[:, j]
+        agree = (_reduce(_matvec(power, column), p) == column).all(axis=0)
+        a, power = a[..., agree], power[..., agree]
+    return a.shape[-1]
 
 
 def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
@@ -314,12 +321,6 @@ def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
     commuting = (_reduce(mats @ rep, p) == _reduce(rep @ mats, p)).all(axis=(1, 2))
     invertible, _ = _gauss_jordan(mats[commuting], p)
     return int(invertible.sum())
-
-
-def _chunks(start: int, stop: int, n: int, p: int):
-    """Entry planes of matrices start..stop-1, at most _CHUNK of them at a time."""
-    for cs in range(start, stop, _CHUNK):
-        yield _decode(cs, min(cs + _CHUNK, stop), n, p)
 
 
 def _scan_range(task) -> int:
@@ -331,10 +332,12 @@ def _scan_range(task) -> int:
 def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
     """Sum the hits over all matrices on at most jobs worker processes,
     clamped to the cores and to the chunks so none starts without work."""
-    workers = min(jobs, os.cpu_count() or 1, -(-total // _CHUNK))
+    size = _chunk_layout(n, p)[2]
+    chunks = -(-total // size)
+    workers = min(jobs, os.cpu_count() or 1, chunks)
     if workers <= 1:
         return _scan_range((hit, n, p, payload, 0, total))
-    step = -(-total // workers)
+    step = -(-chunks // workers) * size
     tasks = [(hit, n, p, payload, s, min(s + step, total)) for s in range(0, total, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(_scan_range, tasks))

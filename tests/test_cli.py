@@ -4,32 +4,17 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import run_python
 
 from eigencount import cli, oracle
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(code, timeout=60):
-    """Run code in a fresh interpreter that imports eigencount from src/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
-    )
 
 
 def run_capped(statement):
@@ -158,6 +143,19 @@ class TestCount:
         assert proc.returncode == 0 and proc.stderr == ""
         assert int(proc.stdout) == weak_sum_n3(p, p)
 
+    def test_record_too_long_to_print_refused_in_own_words(self):
+        # C(k, 2) of a 4299-digit k passes Python's int-to-str digit limit
+        k = "9" * 4299
+        proc = run_python(
+            f"import sys; from eigencount import cli; sys.exit(cli.main(['count', '--mode', 'm', "
+            f"'--n', '19', '--k', '{k}']))",
+            timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: the record is too long to print")
+        assert "digits" in proc.stderr and "sys." not in proc.stderr
+
 
 class TestTable:
     def test_reference_range_all_match(self, capsys):
@@ -264,7 +262,7 @@ class TestVerify:
         self, capsys, monkeypatch, scope, required
     ):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "100")
-        monkeypatch.setattr(oracle, "_decode", lambda *a: pytest.fail("a scan started"))
+        monkeypatch.setattr(oracle, "_chunks", lambda *a: pytest.fail("a scan started"))
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "3", *scope)
         assert code == 5
         assert out == ""
@@ -350,7 +348,7 @@ class TestBound:
         # the fallback scan refuses its 2^4 matrices before the note that
         # the closed form does not apply is written
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
-        monkeypatch.setattr(oracle, "_decode", lambda *a: pytest.fail("a scan started"))
+        monkeypatch.setattr(oracle, "_chunks", lambda *a: pytest.fail("a scan started"))
         code, out, err = run_cli(
             capsys, "bound", "--kind", "matrix", "--n", "2", "--p", "2", "--k", "2"
         )

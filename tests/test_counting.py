@@ -171,13 +171,15 @@ class TestCounts:
         assert count_e_poly(3, 7).is_zero()
 
     def test_decomposition_identity(self):
-        # M splits by which subset of the k values actually occurs
-        for n in range(1, 9):
-            for k in range(1, 9):
-                expected = IntPoly()
-                for s in range(1, k + 1):
-                    expected = expected + math.comb(k, s) * count_e_poly(n, s)
-                assert count_m_poly(n, k) == expected, (n, k)
+        # M sums the class sizes over the weak compositions of n into k
+        # parts; both sides have degree at most n^2 - n in q, so agreeing at
+        # n^2 points makes them the same polynomial
+        for n in range(1, 6):
+            for k in range(1, 6):
+                m = count_m_poly(n, k)
+                assert m.degree <= n * n - n, (n, k)
+                for q in range(2, n * n + 2):
+                    assert m(q) == composition_sum(n, k, False, q), (n, k, q)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8, 10**3, 10**6, 10**18])
     def test_at_q_equal_one(self, k):

@@ -2,30 +2,27 @@
 
 import itertools
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount import counting, oracle
 from eigencount.oracle import (
+    _CHUNK,
     BudgetExceeded,
     DuplicateAlpha,
     PrimeField,
-    _annihilated_mask,
-    _decode,
-    _first_column_annihilated,
-    _first_column_potent,
+    _annihilated,
+    _chunk_layout,
+    _chunks,
     _gauss_jordan,
     _hits_e,
     _hits_m,
     _hits_potent,
     _matrices,
-    _pow_batch,
     block_diag_rep,
     centralizer_size,
     count_e,
@@ -33,8 +30,6 @@ from eigencount.oracle import (
     count_potent,
     orbit_size,
 )
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -107,10 +102,38 @@ def exact_spectrum_counts(n, p):
     return counts
 
 
+def decode(start, stop, n, p):
+    """Entry planes of matrices start..stop-1, copied out of the scan's
+    chunks, which share one buffer."""
+    return np.concatenate([planes.copy() for planes in _chunks(start, stop, n, p)], axis=1)
+
+
+def annihilated_mask(mats, alphas, p):
+    """True where the product of (A - alpha*I) over all alphas vanishes, by
+    whole int64 matrix products."""
+    eye = np.eye(mats.shape[1], dtype=np.int64)
+    prod = (mats - alphas[0] * eye) % p
+    for a in alphas[1:]:
+        prod = prod @ ((mats - a * eye) % p) % p
+    return ~prod.any(axis=(1, 2))
+
+
+def pow_batch(mats, exponent, p):
+    """mats^exponent mod p by repeated squaring of whole int64 matrices."""
+    n = mats.shape[1]
+    result = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape).copy()
+    base = mats % p
+    while exponent:
+        if exponent & 1:
+            result = result @ base % p
+        exponent >>= 1
+        base = base @ base % p
+    return result
+
+
 def full_batch_hits(mats, alphas, p):
-    """M and E hits of an int64 batch by the full defining tests alone,
-    with no first-column filter."""
-    annihilated = mats[_annihilated_mask(mats, alphas, p)]
+    """M and E hits of an int64 batch by whole-matrix products."""
+    annihilated = mats[annihilated_mask(mats, alphas, p)]
     exact = annihilated
     for a in alphas:
         invertible, _ = _gauss_jordan(exact - a * np.eye(mats.shape[1], dtype=np.int64), p)
@@ -119,17 +142,8 @@ def full_batch_hits(mats, alphas, p):
 
 
 def potent_mask(mats, k, p):
-    """A^(k+1) = A by the full power, with no first-column filter."""
-    return (_pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2))
-
-
-def run_python(code, timeout):
-    """Run code in a fresh interpreter that imports eigencount from src/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
-    )
+    """A^(k+1) = A by the whole int64 power."""
+    return (pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2))
 
 
 def scan_started(*args):
@@ -148,35 +162,35 @@ class TestPrimeField:
 
 
 class TestFqMatrix:
-    """Matrix arithmetic over F_q on the batch kernels: _decode, _pow_batch
-    and the Gauss-Jordan kernel _gauss_jordan."""
+    """Matrix arithmetic over F_q: the scan decoder _chunks, the int64
+    reference pow_batch and the Gauss-Jordan kernel _gauss_jordan."""
 
     def test_identity_multiplication(self):
         a = batch([[1, 2], [3, 4]])
-        identity = _pow_batch(a, 0, 5)
+        identity = pow_batch(a, 0, 5)
         assert np.array_equal(identity @ a % 5, a)
         assert np.array_equal(a @ identity % 5, a)
 
     def test_transvection_squares_to_identity_char2(self):
         t = batch([[1, 1], [0, 1]])
-        assert np.array_equal(_pow_batch(t, 2, 2), eye(2))
+        assert np.array_equal(pow_batch(t, 2, 2), eye(2))
 
     def test_hand_multiplication_mod3(self):
         m = batch([[0, 1], [2, 0]])
-        assert _pow_batch(m, 2, 3).tolist() == [[[2, 0], [0, 2]]]
+        assert pow_batch(m, 2, 3).tolist() == [[[2, 0], [0, 2]]]
 
     def test_pow_zero_is_identity(self):
         a = batch([[2, 3], [1, 4]])
-        assert np.array_equal(_pow_batch(a, 0, 5), eye(2))
+        assert np.array_equal(pow_batch(a, 0, 5), eye(2))
 
     def test_nilpotent_square(self):
         for p in (2, 3, 7):
             m = batch([[0, 1], [0, 0]])
-            assert not _pow_batch(m, 2, p).any()
+            assert not pow_batch(m, 2, p).any()
 
     def test_cube_over_f2(self):
         m = batch([[0, 1], [1, 1]])
-        assert np.array_equal(_pow_batch(m, 3, 2), eye(2))
+        assert np.array_equal(pow_batch(m, 3, 2), eye(2))
 
     def test_rank_zero_and_full(self):
         for n in (1, 2, 3):
@@ -209,16 +223,42 @@ class TestFqMatrix:
     def test_from_index_round_trip(self):
         # scan order: plane j holds digit j of the index, which is entry
         # (j // n, j % n) of the matrix
-        planes = _decode(0, 3**4, 2, 3)
+        planes = decode(0, 3**4, 2, 3)
         assert planes.dtype == np.int32 and planes.shape == (4, 81)
         assert len({column.tobytes() for column in planes.T}) == 81
         index = (3 ** np.arange(4)) @ planes
         assert index.tolist() == list(range(81))
-        assert _decode(7, 8, 2, 3).tolist() == [[1], [2], [0], [0]]
-        mats = _matrices(_decode(7, 8, 2, 3))
+        assert decode(7, 8, 2, 3).tolist() == [[1], [2], [0], [0]]
+        mats = _matrices(decode(7, 8, 2, 3))
         assert mats.dtype == np.int64 and mats.tolist() == [[[1, 2], [0, 0]]]
         # the top of the 7x7 binary index range ends at the all-ones matrix
-        assert _decode(2**49 - 2, 2**49, 7, 2).tolist() == [[0, 1]] + [[1, 1]] * 48
+        assert decode(2**49 - 2, 2**49, 7, 2).tolist() == [[0, 1]] + [[1, 1]] * 48
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        p=st.sampled_from([2, 3, 5, 7, 257]),
+        data=st.data(),
+    )
+    def test_chunks_are_whole_runs_of_the_index(self, n, p, data):
+        # every chunk but a range's first starts at a multiple of the chunk
+        # size, a multiple of p^j up to _CHUNK, and the digits match divmod
+        total = min(p ** (n * n), (1 << 63) - 1)
+        start = data.draw(st.integers(0, total - 1))
+        stop = data.draw(st.integers(start + 1, min(total, start + 3 * _CHUNK)))
+        j, run, size = _chunk_layout(n, p)
+        assert run == p**j and size % run == 0 and size <= _CHUNK
+        assert j == n * n or p * run > _CHUNK
+        position, firsts = start, []
+        for planes in _chunks(start, stop, n, p):
+            assert planes.dtype == np.int32 and 0 < planes.shape[1] <= size
+            firsts.append(position)
+            for offset in {0, planes.shape[1] // 2, planes.shape[1] - 1}:
+                digits = [(position + offset) // p**d % p for d in range(n * n)]
+                assert planes[:, offset].tolist() == digits
+            position += planes.shape[1]
+        assert position == stop
+        assert all(first % size == 0 for first in firsts[1:])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -236,18 +276,18 @@ class TestFqMatrix:
 
 
 class TestFirstColumnFilter:
-    """The filter on entry planes keeps every matrix the full defining test
-    accepts, so filtered hits equal the full tests on whole batches."""
+    """The column-by-column tests on entry planes accept exactly the
+    matrices the whole-matrix int64 references accept."""
 
     @pytest.mark.parametrize("n, p", [(1, 5), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
     def test_filtered_hits_equal_full_batch(self, n, p):
-        planes = _decode(0, p ** (n * n), n, p)
+        planes = decode(0, p ** (n * n), n, p)
         mats = _matrices(planes)
         for size in range(1, p + 1):
             for alphas in itertools.combinations(range(p), size):
                 expected = full_batch_hits(mats, alphas, p)
                 assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == expected, alphas
-        for k in range(1, p + 2):
+        for k in range(1, 9):
             assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum(), k
 
     @settings(max_examples=80, deadline=None)
@@ -276,11 +316,11 @@ class TestFirstColumnFilter:
         )
         planes = np.ascontiguousarray(mats.reshape(len(mats), -1).T, dtype=np.int32)
         assert np.array_equal(_matrices(planes), mats)
-        annihilated = _annihilated_mask(mats, alphas, p)
+        annihilated = annihilated_mask(mats, alphas, p)
         potent = potent_mask(mats, k, p)
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
-        assert not (annihilated & ~_first_column_annihilated(planes, alphas, p)).any()
-        assert not (potent & ~_first_column_potent(planes, k, p)).any()
+        assert np.array_equal(_matrices(_annihilated(planes, alphas, p)), mats[annihilated])
+        assert _hits_potent(planes, k, p) == potent.sum()
 
     @pytest.mark.parametrize(
         "planes, p",
@@ -289,7 +329,7 @@ class TestFirstColumnFilter:
             # entry and every alpha at 256, with 0 and 255 beside them
             (np.array(list(itertools.product([0, 255, 256], repeat=4)), dtype=np.int32).T, 257),
             # (7, 2) from the top of its index range
-            (_decode(2**49 - 4096, 2**49, 7, 2), 2),
+            (decode(2**49 - 4096, 2**49, 7, 2), 2),
         ],
         ids=["n2-p257", "n7-p2"],
     )
@@ -297,25 +337,17 @@ class TestFirstColumnFilter:
         planes = np.ascontiguousarray(planes)
         wide = planes.astype(np.int64)
         mats = _matrices(planes)
-        n = mats.shape[1]
-        eye = np.eye(n, dtype=np.int64)
         for alphas in [(p - 1,), (p - 2, p - 1), (0, p - 1), (0, 1, p - 2, p - 1)]:
             alphas = tuple(dict.fromkeys(alphas))
-            product = np.broadcast_to(eye, mats.shape)
-            for a in alphas:
-                product = product @ ((mats - a * eye) % p) % p
-            expected = ~product[:, :, 0].any(axis=1)
-            assert np.array_equal(_first_column_annihilated(planes, alphas, p), expected)
-            assert np.array_equal(_first_column_annihilated(wide, alphas, p), expected)
+            expected = mats[annihilated_mask(mats, alphas, p)]
+            assert np.array_equal(_matrices(_annihilated(planes, alphas, p)), expected)
+            assert np.array_equal(_matrices(_annihilated(wide, alphas, p)), expected)
             assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == full_batch_hits(
                 mats, alphas, p
             )
         for k in (1, 2, 3, p - 1, p, 4 * p + 3):
-            power = _pow_batch(mats, k + 1, p)
-            expected = (power[:, :, 0] == mats[:, :, 0]).all(axis=1)
-            assert np.array_equal(_first_column_potent(planes, k, p), expected)
-            assert np.array_equal(_first_column_potent(wide, k, p), expected)
-            assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum()
+            expected = potent_mask(mats, k, p).sum()
+            assert _hits_potent(planes, k, p) == _hits_potent(wide, k, p) == expected
 
     def test_huge_k_answers_at_once(self):
         # binary powering costs O(log k) squarings; a loop linear in k
@@ -332,6 +364,32 @@ class TestFirstColumnFilter:
             rows = [list(entries[:2]), list(entries[2:])]
             expected += power_mod(rows, k + 1, 3) == rows
         assert int(proc.stdout) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_threads():
+    # numpy's OpenBLAS starts its thread pool at import unless told not to;
+    # the oracle's integer kernels never use it
+    code = (
+        "import os, sys\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "from eigencount import oracle\n"
+        "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    proc = run_python(code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False"]
+    # a caller's own setting is kept
+    code = (
+        "import os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "from eigencount import oracle\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = run_python(code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2"]
 
 
 class TestSpectrumCounts:
@@ -387,7 +445,7 @@ class TestSpectrumCounts:
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, monkeypatch, jobs):
-        monkeypatch.setattr(oracle, "_decode", scan_started)
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
         for scan in (lambda: count_m(2, F3, [0], jobs=jobs), lambda: count_potent(2, F3, 1, jobs=jobs)):
             with pytest.raises(ValueError, match="jobs"):
                 scan()
@@ -414,7 +472,7 @@ class TestSpectrumCounts:
     def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
         # 257^9 > 2^63 - 1: no budget or force can make this scannable.
         # A scan that starts anyway fails here instead of running for ever.
-        monkeypatch.setattr(oracle, "_decode", scan_started)
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
         with pytest.raises(ValueError, match="int64"):
             count_m(3, PrimeField(257), [0], force=True)
         with pytest.raises(ValueError, match="int64"):
@@ -422,8 +480,8 @@ class TestSpectrumCounts:
 
     def test_workers_clamped_to_cores_and_chunks(self, monkeypatch):
         # an in-process stand-in for the pool records how many workers
-        # each scan asks for; no process is started
-        requested = []
+        # each scan asks for and their index ranges; no process is started
+        requested, ranges = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -436,6 +494,7 @@ class TestSpectrumCounts:
                 return False
 
             def map(self, fn, tasks):
+                ranges.append([task[4:] for task in tasks])
                 return map(fn, list(tasks))
 
         monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
@@ -443,6 +502,10 @@ class TestSpectrumCounts:
         # 5^9 matrices fill 30 chunks: the 3 cores bound the workers
         assert count_m(3, F5, [0, 2, 4], jobs=64).count == counting.count_m_poly(3, 3)(5)
         assert requested == [3]
+        # its 32 chunks of 62,500 split 11, 11, 10 on chunk boundaries
+        size = _chunk_layout(3, 5)[2]
+        assert size == 62500
+        assert ranges == [[(0, 11 * size), (11 * size, 22 * size), (22 * size, 5**9)]]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
         # 23^4 matrices fill 5 chunks, 17^4 fill 2, 5^4 fill 1
         assert count_m(2, PrimeField(23), [1, 5], jobs=64).count == counting.count_m_poly(2, 2)(23)
@@ -532,7 +595,7 @@ class TestOrbitGeometry:
         assert rep.tolist() == [[1, 0], [0, 1]]
 
     def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_decode", scan_started)
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
         big = PrimeField(257)
         with pytest.raises(ValueError, match="int64"):
             orbit_size((1, 2), big, force=True)
