@@ -11,14 +11,15 @@ A full scan enumerates all p^(n*n) matrices.  Matrix number t has entry
 digits of t in base p, least significant digit first, row-major; the scan
 walks t ascending, which makes results reproducible and lets the index
 range be split into contiguous pieces for parallel workers.  Each chunk
-of matrices is decoded into entry planes: an int32 array of shape
+of matrices is decoded into entry planes: an integer array of shape
 (n*n, B) whose row i*n + j holds entry (i, j) of every matrix.  A chunk
 is a whole number of runs of p^j matrices that differ only in their low
 j digits, so one template holds those digits and each chunk fills in the
-rest by broadcast, into one buffer reused across a range.  int32 is exact
-for every shape a scan admits: entries are reduced mod p after each
-product, so no intermediate reaches (n+1)*p^2, which is largest (about
-2^17.6) at n=2, p=257.
+rest by broadcast, into one buffer reused across a range.  Entries are
+reduced mod p after each product, so no intermediate reaches (n+1)*p^2,
+and the planes are the narrowest of int8/int16/int32 that holds it.
+Within the default budget that is int8 or int16, except int32 at n=1
+for p >= 131; forced shapes such as (2, 257) take int32 too.
 
 Spectrum and potent scans test their defining condition on the planes
 one column at a time, by matrix-vector products: column j of
@@ -40,7 +41,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,16 +174,23 @@ def _chunk_layout(n: int, p: int) -> tuple[int, int, int]:
     return j, run, run * min(_CHUNK // run, p ** (n * n - j))
 
 
+def _plane_dtype(n: int, p: int) -> type:
+    """The narrowest signed integer type holding (n+1)*p^2, above every
+    intermediate of the plane kernels: a matvec or product sum is at most
+    n*(p-1)^2, and annihilation adds at most p*(p-1) to it."""
+    return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= (n + 1) * p * p)
+
+
 def _chunks(start: int, stop: int, n: int, p: int):
     """Entry planes of matrices start..stop-1, one chunk at a time, decoded
-    into one int32 buffer of shape (n*n, size) that each chunk overwrites.
+    into one _plane_dtype buffer of shape (n*n, size) that each chunk overwrites.
 
     Chunks are aligned to multiples of size.  The low j digits repeat in
     every run of p^j matrices, so they are written once; per chunk only the
     higher digits, constant over each run, are filled in by broadcast.
     """
     j, run, size = _chunk_layout(n, p)
-    buffer = np.empty((n * n, size), dtype=np.int32)
+    buffer = np.empty((n * n, size), dtype=_plane_dtype(n, p))
     low = np.arange(run)
     for d in range(j):
         buffer[d].reshape(-1, run)[:] = low % p
@@ -337,6 +344,9 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
     workers = min(jobs, os.cpu_count() or 1, chunks)
     if workers <= 1:
         return _scan_range((hit, n, p, payload, 0, total))
+    # loaded here, so that serial scans never import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     step = -(-chunks // workers) * size
     tasks = [(hit, n, p, payload, s, min(s + step, total)) for s in range(0, total, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

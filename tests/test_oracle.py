@@ -1,6 +1,8 @@
 """Brute-force oracle: batch kernels, exhaustive counts, orbit geometry."""
 
+import concurrent.futures
 import itertools
+import math
 import os
 
 import numpy as np
@@ -23,6 +25,7 @@ from eigencount.oracle import (
     _hits_m,
     _hits_potent,
     _matrices,
+    _plane_dtype,
     block_diag_rep,
     centralizer_size,
     count_e,
@@ -146,6 +149,20 @@ def potent_mask(mats, k, p):
     return (pow_batch(mats, k + 1, p) == mats).all(axis=(1, 2))
 
 
+def boundary_planes(n, p):
+    """Entry planes in _plane_dtype(n, p) of matrices with entries in
+    {0, p-2, p-1}: all of them if there are at most 4096, else a seeded
+    sample of 4096 with every diagonal one and the all-(p-1) one."""
+    values = [0, p - 2, p - 1]
+    if 3 ** (n * n) <= 4096:
+        mats = np.array(list(itertools.product(values, repeat=n * n)))
+    else:
+        diagonal = [np.diag(d).ravel() for d in itertools.product(values, repeat=n)]
+        drawn = np.random.default_rng(0).choice(values, size=(4096, n * n))
+        mats = np.concatenate([drawn, diagonal, np.full((1, n * n), p - 1)])
+    return mats.T.astype(_plane_dtype(n, p))
+
+
 def scan_started(*args):
     raise AssertionError("a scan started that should have been refused")
 
@@ -224,7 +241,7 @@ class TestFqMatrix:
         # scan order: plane j holds digit j of the index, which is entry
         # (j // n, j % n) of the matrix
         planes = decode(0, 3**4, 2, 3)
-        assert planes.dtype == np.int32 and planes.shape == (4, 81)
+        assert planes.dtype == _plane_dtype(2, 3) and planes.shape == (4, 81)
         assert len({column.tobytes() for column in planes.T}) == 81
         index = (3 ** np.arange(4)) @ planes
         assert index.tolist() == list(range(81))
@@ -251,7 +268,7 @@ class TestFqMatrix:
         assert j == n * n or p * run > _CHUNK
         position, firsts = start, []
         for planes in _chunks(start, stop, n, p):
-            assert planes.dtype == np.int32 and 0 < planes.shape[1] <= size
+            assert planes.dtype == _plane_dtype(n, p) and 0 < planes.shape[1] <= size
             firsts.append(position)
             for offset in {0, planes.shape[1] // 2, planes.shape[1] - 1}:
                 digits = [(position + offset) // p**d % p for d in range(n * n)]
@@ -273,6 +290,24 @@ class TestFqMatrix:
         expected = [det_mod(m.tolist(), p) != 0 for m in mats]
         assert invertible.tolist() == expected
         assert np.array_equal(inverse[invertible] @ mats[invertible] % p, eye(n, int(invertible.sum())))
+
+    def test_plane_dtype_is_the_narrowest_exact_one(self):
+        # over every shape a scan admits, the planes' type holds the largest
+        # intermediate of the kernels, a matvec sum plus the annihilation
+        # step, and the next narrower type would not hold (n+1)*p^2
+        widths = [np.int8, np.int16, np.int32]
+        shapes = [
+            (n, p)
+            for n in range(1, 8)
+            for p in range(2, 258)
+            if counting.is_prime(p) and p ** (n * n) <= (1 << 63) - 1
+        ]
+        assert len(shapes) == 153
+        for n, p in shapes:
+            dtype = _plane_dtype(n, p)
+            assert n * (p - 1) ** 2 + p * (p - 1) <= np.iinfo(dtype).max, (n, p)
+            narrower = widths[: widths.index(dtype)]
+            assert not narrower or np.iinfo(narrower[-1]).max < (n + 1) * p * p, (n, p)
 
 
 class TestFirstColumnFilter:
@@ -314,7 +349,7 @@ class TestFirstColumnFilter:
         mats = np.concatenate(
             [rng.integers(0, p, size=(size, n, n)), conjugates(alphas), conjugates(roots)]
         )
-        planes = np.ascontiguousarray(mats.reshape(len(mats), -1).T, dtype=np.int32)
+        planes = np.ascontiguousarray(mats.reshape(len(mats), -1).T, dtype=_plane_dtype(n, p))
         assert np.array_equal(_matrices(planes), mats)
         annihilated = annihilated_mask(mats, alphas, p)
         potent = potent_mask(mats, k, p)
@@ -325,16 +360,23 @@ class TestFirstColumnFilter:
     @pytest.mark.parametrize(
         "planes, p",
         [
-            # (2, 257) has the largest intermediates a scan admits: every
-            # entry and every alpha at 256, with 0 and 255 beside them
-            (np.array(list(itertools.product([0, 255, 256], repeat=4)), dtype=np.int32).T, 257),
+            # (2, 257) has the largest intermediates a scan admits, in
+            # int32: every entry and every alpha at 256, with 0 and 255
+            # beside them
+            (boundary_planes(2, 257), 257),
             # (7, 2) from the top of its index range
             (decode(2**49 - 4096, 2**49, 7, 2), 2),
+            # (4, 5) and (2, 103) come closest to the top of int8 and
+            # int16: (n+1)*p^2 is 125 and 31,827
+            (boundary_planes(4, 5), 5),
+            (boundary_planes(2, 103), 103),
         ],
-        ids=["n2-p257", "n7-p2"],
+        ids=["n2-p257", "n7-p2", "n4-p5-int8", "n2-p103-int16"],
     )
     def test_int32_planes_match_int64(self, planes, p):
         planes = np.ascontiguousarray(planes)
+        n = math.isqrt(len(planes))
+        assert planes.dtype == _plane_dtype(n, p)
         wide = planes.astype(np.int64)
         mats = _matrices(planes)
         for alphas in [(p - 1,), (p - 2, p - 1), (0, p - 1), (0, 1, p - 2, p - 1)]:
@@ -345,7 +387,7 @@ class TestFirstColumnFilter:
             assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == full_batch_hits(
                 mats, alphas, p
             )
-        for k in (1, 2, 3, p - 1, p, 4 * p + 3):
+        for k in (*range(1, 9), p - 1, p, 4 * p + 3, 10**18):
             expected = potent_mask(mats, k, p).sum()
             assert _hits_potent(planes, k, p) == _hits_potent(wide, k, p) == expected
 
@@ -390,6 +432,21 @@ def test_import_starts_no_blas_threads():
     proc = run_python(code, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["2"]
+
+
+def test_serial_scans_load_no_worker_pool():
+    # the pool's modules (multiprocessing, socket) load only for a scan
+    # that starts workers
+    code = (
+        "import sys\n"
+        "import eigencount.oracle as oracle\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "print(oracle.count_m(2, oracle.PrimeField(3), [0, 1]).count)\n"
+        "assert 'concurrent.futures.process' not in sys.modules\n"
+    )
+    proc = run_python(code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(counting.count_m_poly(2, 2)(3))]
 
 
 class TestSpectrumCounts:
@@ -497,7 +554,7 @@ class TestSpectrumCounts:
                 ranges.append([task[4:] for task in tasks])
                 return map(fn, list(tasks))
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         # 5^9 matrices fill 30 chunks: the 3 cores bound the workers
         assert count_m(3, F5, [0, 2, 4], jobs=64).count == counting.count_m_poly(3, 3)(5)
