@@ -4,6 +4,8 @@
 A matrix is (k+1)-potent when A^(k+1) = A.  Over a field whose unit group
 contains the k-th roots of unity this is the same as being diagonalizable
 with spectrum inside {0, 1, w, ..., w^(k-1)}, so the spectrum counts apply.
+Otherwise x^(k+1) - x has repeated or non-linear factors, and the count
+joins nilpotent parts over extension fields; the scan confirms both.
 The upper bounds are certified by raising both sides to the (k+1)-th power
 and comparing exact integers, so even tight cases are decided honestly.
 """
@@ -12,7 +14,6 @@ import math
 
 from eigencount import (
     RingSpec,
-    UnsupportedField,
     bound_finite_ring,
     bound_matrix_ring,
     oracle,
@@ -34,20 +35,17 @@ for n, p, k in [(2, 2, 1), (2, 3, 2), (2, 7, 3), (2, 5, 4)]:
     print(f"A^{k + 1}=A in M_{n}(F_{p}): formula {formula}, scan {scan.count}")
 
 print()
-print("=== when the formula does not apply ===")
-try:
-    potent_count(2, 2, 2)
-except UnsupportedField as exc:
-    print("F_2, k=2:", exc)
-scan = oracle.count_potent(2, oracle.PrimeField(2), 2)
-print(
-    f"the scan still counts {scan.count} solutions of A^3=A over M_2(F_2) "
-    "(three of them are not diagonalizable)"
-)
+print("=== formula and scan agree where x^(k+1)-x has repeated or non-linear factors ===")
+for n, p, k, why in [
+    (2, 2, 2, "x^3-x = x(x+1)^2; three solutions are not diagonalizable"),
+    (2, 5, 3, "x^4-x = x(x-1)(x^2+x+1); some solutions have no eigenvalue in F_5"),
+]:
+    scan = oracle.count_potent(n, oracle.PrimeField(p), k)
+    print(f"A^{k + 1}=A in M_{n}(F_{p}): formula {potent_count(n, p, k)}, scan {scan.count} ({why})")
 
 print()
 print("=== certified upper bounds ===")
-cases = [(1, 3, 1), (2, 2, 1), (2, 3, 2), (2, 7, 3)]
+cases = [(1, 3, 1), (2, 2, 1), (2, 3, 2), (2, 7, 3), (2, 2, 2), (4, 3, 3)]
 for n, p, k in cases:
     count = potent_count(n, p, k)
     verdict = bound_matrix_ring(n, p, k, count)

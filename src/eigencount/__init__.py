@@ -10,7 +10,6 @@ side certifies potent-count inequalities in exact integer arithmetic.
 
 from .qpoly import IntPoly
 from .counting import (
-    UnsupportedField,
     class_size_poly,
     count_e_poly,
     count_m_poly,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "IntPoly",
-    "UnsupportedField",
     "class_size_poly",
     "count_e_poly",
     "count_m_poly",

@@ -8,9 +8,9 @@ command line can get wrong (flag pairs and conflicts, the ``--n-max``
 range, the evaluation point, ``EIGENCOUNT_BUDGET``), and writes records;
 every other refusal is the library's ``ValueError``, reported the same
 way.  Records go to stdout as text, one-JSON-object-per-line, or CSV;
-diagnostics (scan timings, notes, warnings) go to stderr so identical
-invocations produce bit-identical stdout.  Only ``verify`` and the oracle
-fallback of ``bound`` import the oracle, and with it numpy.
+diagnostics (scan timings, warnings) go to stderr so identical
+invocations produce bit-identical stdout.  Only ``verify`` imports the
+oracle, and with it numpy.
 
 Exit codes: 0 success, 2 usage error, 3 table mismatch, 4 verification
 mismatch, 5 enumeration budget exceeded, 6 bound violated.  The scan
@@ -88,19 +88,6 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed {what} {text!r}; expected comma-separated integers") from exc
-
-
-def _budget_from_env(default: int) -> int:
-    raw = os.environ.get("EIGENCOUNT_BUDGET")
-    if raw is None:
-        return default
-    try:
-        budget = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"EIGENCOUNT_BUDGET={raw!r} is not an integer") from exc
-    if budget < 1:
-        raise ValueError("EIGENCOUNT_BUDGET must be positive")
-    return budget
 
 
 def _spectrum_text(alphas) -> str:
@@ -185,18 +172,13 @@ def _cmd_table(args, emitter: Emitter) -> int:
 
 def _verify_record(emitter: Emitter, rep, params: dict[str, str], poly, formula) -> bool:
     """Print the scan line and one verify record comparing the oracle's
-    count with ``formula`` (the value of ``poly`` at p), or an oracle-only
-    record when formula is None; False on a mismatch."""
+    count with ``formula``, the value at p of ``poly`` when there is one;
+    False on a mismatch."""
     _diag(
         f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
         f"{int(rep.seconds * 1000)} ms"
     )
     params = {**params, "scanned": str(rep.scanned)}
-    if formula is None:
-        emitter.emit(
-            "verify", params, value=rep.count, verdict="oracle-only", provenance="oracle"
-        )
-        return True
     equal = formula == rep.count
     if not equal:
         params.update(formula=str(formula), oracle=str(rep.count))
@@ -212,20 +194,21 @@ def _cmd_verify(args, emitter: Emitter) -> int:
     from . import oracle
 
     fld = oracle.PrimeField(args.p)
-    budget = _budget_from_env(oracle.DEFAULT_BUDGET)
+    raw = os.environ.get("EIGENCOUNT_BUDGET", str(oracle.DEFAULT_BUDGET))
+    try:
+        budget = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"EIGENCOUNT_BUDGET={raw!r} is not an integer") from exc
+    if budget < 1:
+        raise ValueError("EIGENCOUNT_BUDGET must be positive")
     scan = {"budget": budget, "force": args.force, "jobs": args.jobs}
 
     if args.potent is not None:
         k = args.potent
         rep = oracle.count_potent(args.n, fld, k, **scan)
-        try:
-            formula = counting.potent_count(args.n, fld.p, k)
-            poly = counting.count_m_poly(args.n, k + 1)
-        except counting.UnsupportedField as exc:
-            _diag(f"note: {exc}")
-            formula = poly = None
+        poly = counting.count_m_poly(args.n, k + 1) if (fld.p - 1) % k == 0 else None
         params = {"n": str(args.n), "p": str(fld.p), "k": str(k)}
-        ok = _verify_record(emitter, rep, params, poly, formula)
+        ok = _verify_record(emitter, rep, params, poly, counting.potent_count(args.n, fld.p, k))
         return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
     if args.spectrum is not None:
@@ -267,25 +250,11 @@ def _cmd_bound(args, emitter: Emitter) -> int:
         if args.n is None or args.p is None:
             raise ValueError("matrix bounds need --n and --p")
         params = {"kind": "matrix", "n": str(args.n), "p": str(args.p), "k": str(args.k)}
-        count = args.count
-        if count is not None:
-            params["source"] = "explicit"
+        if args.count is None:
+            params["source"], provenance = "computed", "formula"
+            count = counting.potent_count(args.n, args.p, args.k)
         else:
-            params["source"] = "computed"
-            try:
-                count = counting.potent_count(args.n, args.p, args.k)
-                provenance = "formula"
-            except counting.UnsupportedField as exc:
-                from . import oracle
-
-                # the scan refuses its budget before the note is written,
-                # so a refusal stays one line
-                budget = _budget_from_env(oracle.DEFAULT_BUDGET)
-                count = oracle.count_potent(
-                    args.n, oracle.PrimeField(args.p), args.k, budget=budget
-                ).count
-                _diag(f"note: {exc}")
-                provenance = "oracle"
+            params["source"], count = "explicit", args.count
         verdict = bounds.bound_matrix_ring(args.n, args.p, args.k, count)
     else:
         if args.factors is None:

@@ -23,6 +23,9 @@ enumerating compositions.  A weak composition is a strict one of its s
 nonzero parts, so M(n, k) = sum over s of C(k, s) E(n, s), and its cost
 does not grow with k.
 
+Potent counts, A^(k+1) = A over F_p for any k, join nilpotent primary
+parts over extension fields by the same split sizes, in integers at q = p.
+
 Everything returns exact polynomials or exact integers; nothing here
 touches the brute-force oracle, which independently recounts these sets.
 """
@@ -48,7 +51,6 @@ __all__ = [
     "validate_spectrum",
     "is_prime",
     "is_prime_power",
-    "UnsupportedField",
     "MAX_SHAPE",
 ]
 
@@ -61,10 +63,6 @@ MAX_SHAPE = 1 << 17
 # Miller-Rabin to all of these bases is exact below _EXACT_BELOW (3.3 * 10^24).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXACT_BELOW = 3_317_044_064_679_887_385_961_981
-
-
-class UnsupportedField(ValueError):
-    """The closed form for potent counts does not apply over this field."""
 
 
 def is_prime(n: int) -> bool:
@@ -227,15 +225,20 @@ def _strict_sums(n: int, w: int) -> tuple[IntPoly, ...]:
     return tuple(s[-1] for s in sums)
 
 
-def _exact_row(n: int, k: int) -> tuple[IntPoly, ...]:
-    """E(n, s) for s = 1..min(n, k), once (n, k) has passed the size limit."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
+def _check_shape(n: int, k: int) -> None:
+    """Refuse n-by-n counts with k prescribed eigenvalues past MAX_SHAPE."""
     if min(n, k) * n**3 > MAX_SHAPE:
         raise ValueError(
             f"n={n} with {k} prescribed eigenvalues is past the closed forms' "
             f"size limit min(n,k)*n^3 <= {MAX_SHAPE}"
         )
+
+
+def _exact_row(n: int, k: int) -> tuple[IntPoly, ...]:
+    """E(n, s) for s = 1..min(n, k), once (n, k) has passed the size limit."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    _check_shape(n, k)
     return _strict_sums(n, min(n, k))
 
 
@@ -283,24 +286,74 @@ def roots_of_unity(p: int, k: int) -> list[int]:
     return [x for x in range(1, p) if pow(x, k, p) == 1]
 
 
+def _gl_order(m: int, q: int) -> int:
+    """Order of the invertible m-by-m matrices over a q-element field."""
+    return q ** (m * (m - 1) // 2) * math.prod(q**i - 1 for i in range(1, m + 1))
+
+
+def _partitions(m: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of m into parts of at most top, largest part first."""
+    if m == 0:
+        yield ()
+    for first in range(min(m, top), 0, -1):
+        yield from ((first, *rest) for rest in _partitions(m - first, first))
+
+
+def _nilpotent_count(m: int, e: int, q: int) -> int:
+    """Number of m-by-m matrices N over the q-element field with N^e = 0:
+    |GL_m| / |C_lambda| summed over the Jordan types lambda with parts at
+    most e, |C_lambda| = q^(sum lambda'_i^2 - sum m_i^2) prod |GL_(m_i)| and
+    m_i the number of parts equal to i (Macdonald, ch. II and IV)."""
+    total = 0
+    for parts in _partitions(m, e):
+        mult = [parts.count(i) for i in set(parts)]
+        conj_sq = sum((2 * j + 1) * part for j, part in enumerate(parts))  # sum of lambda'_i^2
+        cent = q ** (conj_sq - sum(v * v for v in mult)) * math.prod(_gl_order(v, q) for v in mult)
+        size, rem = divmod(_gl_order(m, q), cent)
+        assert rem == 0, (m, q, parts)
+        total += size
+    return total
+
+
 def potent_count(n: int, p: int, k: int) -> int:
     """Number of n-by-n matrices A over the p-element field with A^(k+1) = A.
 
-    Requires k to divide p-1: then x^(k+1) - x splits into distinct linear
-    factors, the solutions are exactly the diagonalizable matrices with
-    spectrum inside {0} and the k-th roots of unity, and the M-count with
-    k+1 prescribed values applies, evaluated at q = p.
+    With e the largest power of p dividing k = k' e, x^(k+1) - x is
+    x (x^k' - 1)^e, x^k' - 1 squarefree: A is 0 on its x-primary part and
+    phi(A)^e = 0 on that of each irreducible factor phi of x^k' - 1.  Parts
+    join by (a*b)(r) = sum over j of S(r, j) a(j) b(r-j), S the split size,
+    and the N_d factors of degree d, gcd(k', p^d - 1) = sum over f | d of
+    f N_f, by the binomial theorem.  If k | p-1 this is M(n, k+1) at p.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    if (p - 1) % k != 0:
-        raise UnsupportedField(
-            f"k={k} does not divide p-1={p - 1}: the field has too few k-th "
-            "roots of unity; use the brute-force oracle count instead"
-        )
-    return count_m_poly(n, k + 1)(p)
+    _check_shape(n, k + 1)
+    e = next(p**i for i in itertools.count() if k % p ** (i + 1))  # the p-part of k
+    split = [[1]]  # split[r][j] = |GL_r| / (|GL_j| |GL_(r-j)|), by the q-Pascal rule
+    for r in range(1, n + 1):
+        above = [0, *split[-1], 0]
+        split.append([p ** (r - j) * above[j] + p ** (2 * j) * above[j + 1] for j in range(r + 1)])
+    total, factors = [1] * (n + 1), {}  # the x part: A = 0 on it; factors[d] = N_d
+    for d in range(1, n + 1):
+        roots = math.gcd(k // e, p**d - 1)  # the k'-th roots of unity in F_(p^d)
+        factors[d] = (roots - sum(f * factors[f] for f in range(1, d) if d % f == 0)) // d
+        if not factors[d]:
+            continue
+        # one factor on d*m dimensions: F_q-nilpotents of index <= e, q^(m^2-m) if e >= m
+        h, q = [0] * (n + 1), p**d
+        for m in range(1, n // d + 1):
+            nil = q ** (m * m - m) if e >= m else 1 if e == 1 else _nilpotent_count(m, e, q)
+            h[d * m] = nil * p ** (m * m * d * (d - 1) // 2) * math.prod(  # |GL_dm(p)| / |GL_m(q)|
+                p**i - 1 for i in range(1, d * m + 1) if i % d)
+        acc = [0] * (n + 1)  # Horner: sum over s of C(N_d, s) h^s * total, h^s 0 below s*d
+        for s in range(min(n // d, factors[d]), -1, -1):
+            c = math.comb(factors[d], s)
+            acc = [sum(acc[r - j] * h[j] * split[r][j] for j in range(d, r + 1, d))
+                   + c * total[r] if r <= n - s * d else 0 for r in range(n + 1)]
+        total = acc
+    return total[n]
 
 
 def validate_spectrum(p: int, alphas: Sequence[int]) -> tuple[int, ...]:

@@ -88,6 +88,10 @@ def test_criterion_3_anchored_values():
         # 3-potents of M_2(F_3)
         assert counting.potent_count(2, 3, 2) == 39
         assert oracle.count_potent(2, F3, 2).count == 39
+        # A^3 = A over M_2(F_2), where x^3 - x = x(x-1)^2 has a repeated
+        # factor: 8 idempotents and 3 non-diagonalizable solutions
+        assert counting.potent_count(2, 2, 2) == 11
+        assert oracle.count_potent(2, F2, 2).count == 11
     print()
 
 
@@ -125,12 +129,11 @@ def test_criterion_6_bound_certification():
         assert tight.holds
         assert tight.lhs_certificate == tight.rhs_certificate == 36
 
-        # every potent count reachable from the grid via k dividing p-1
+        # every potent count on the grid for k = 1..p+1, whether or not k
+        # divides p-1: the inequality is claimed for every k
         checked = 0
         for n, p in GRID:
-            for k in range(1, p):
-                if (p - 1) % k:
-                    continue
+            for k in range(1, p + 2):
                 count = counting.potent_count(n, p, k)
                 verdict = bounds.bound_matrix_ring(n, p, k, count)
                 assert verdict.holds, (n, p, k, count)
@@ -139,7 +142,7 @@ def test_criterion_6_bound_certification():
                 assert bounds.bound_finite_ring(ring, k, count, "theorem3").holds
                 assert bounds.bound_finite_ring(ring, k, count, "corollary").holds
                 checked += 1
-        assert checked >= 10
+        assert checked == sum(p + 1 for _, p in GRID)
 
         # anchored potent counts from criterion 3
         for n, p, k, count in [(2, 2, 1, 8), (2, 7, 3, 340), (2, 3, 2, 39)]:

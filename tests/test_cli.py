@@ -8,7 +8,7 @@ import math
 import pytest
 from conftest import run_python
 
-from eigencount import cli, oracle
+from eigencount import cli, counting, oracle
 
 
 def run_cli(capsys, *argv):
@@ -142,6 +142,19 @@ class TestCount:
         proc = run_capped(f"print(counting.potent_count(3, {p}, {p - 1}))")
         assert proc.returncode == 0 and proc.stderr == ""
         assert int(proc.stdout) == weak_sum_n3(p, p)
+        # k = 10^18 does not divide p - 1: the semisimple solutions may also
+        # carry an irreducible quadratic or cubic factor of x^k - 1
+        proc = run_capped(f"print(counting.potent_count(3, {p}, {big}))")
+        assert proc.returncode == 0 and proc.stderr == ""
+        linear = 1 + math.gcd(big, p - 1)  # 0 and the k-th roots of unity in F_p
+        quadratic = (math.gcd(big, p**2 - 1) - linear + 1) // 2
+        cubic = (math.gcd(big, p**3 - 1) - linear + 1) // 3
+        gl3 = math.prod(p**3 - p**i for i in range(3))
+        assert int(proc.stdout) == (
+            weak_sum_n3(linear, p)
+            + quadratic * linear * gl3 // ((p**2 - 1) * (p - 1))
+            + cubic * gl3 // (p**3 - 1)
+        )
 
     def test_record_too_long_to_print_refused_in_own_words(self):
         # C(k, 2) of a 4299-digit k passes Python's int-to-str digit limit
@@ -219,12 +232,13 @@ class TestVerify:
         assert "value=340" in out
         assert "verdict=pass" in out
 
-    def test_potent_formula_unavailable_reports_oracle(self, capsys):
+    def test_potent_non_split_passes_without_polynomial(self, capsys):
+        # x^3 - x = x (x - 1)^2 over F_2: the count is no M-polynomial in q,
+        # and formula and scan still agree
         code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "2", "--potent", "2")
         assert code == 0
-        assert "verdict=oracle-only" in out
-        assert "value=11" in out
-        assert "provenance=oracle" in out
+        assert out == "verify n=2 p=2 k=2 scanned=16 value=11 verdict=pass provenance=both\n"
+        assert err.startswith("scan ") and len(err.splitlines()) == 1
 
     def test_scan_timing_goes_to_stderr(self, capsys):
         _, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "2", "--all-subsets")
@@ -335,27 +349,36 @@ class TestBound:
         assert "source=computed" in out
         assert "provenance=formula" in out
 
-    def test_matrix_computed_count_oracle_fallback(self, capsys):
+    def test_matrix_computed_count_non_split(self, capsys):
         code, out, err = run_cli(
             capsys, "bound", "--kind", "matrix", "--n", "2", "--p", "2", "--k", "2"
         )
         assert code == 0
         assert "value=11" in out
-        assert "provenance=oracle" in out
-        assert err.startswith("note: ") and len(err.splitlines()) == 1
+        assert "provenance=formula" in out
+        assert err == ""
 
-    def test_oracle_fallback_budget_refusal_is_one_line(self, capsys, monkeypatch):
-        # the fallback scan refuses its 2^4 matrices before the note that
-        # the closed form does not apply is written
+    def test_matrix_computed_count_never_scans(self, capsys, monkeypatch):
+        # neither the scan budget nor the scan itself takes part
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
         monkeypatch.setattr(oracle, "_chunks", lambda *a: pytest.fail("a scan started"))
         code, out, err = run_cli(
             capsys, "bound", "--kind", "matrix", "--n", "2", "--p", "2", "--k", "2"
         )
-        assert code == 5
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "required 16" in err
+        assert code == 0 and err == ""
+        assert "value=11" in out
+
+    @pytest.mark.parametrize(
+        "n, p, k", [(2, 263, 5), (3, 101, 3), (4, 3, 3), (10, 2, 6), (12, 5, 3)]
+    )
+    def test_matrix_computed_count_past_the_oracle(self, capsys, n, p, k):
+        # a field past the scan's 257, shapes past its budget, and large n
+        code, out, err = run_cli(
+            capsys, "bound", "--kind", "matrix", "--n", str(n), "--p", str(p), "--k", str(k)
+        )
+        assert code == 0 and err == ""
+        assert f" value={counting.potent_count(n, p, k)} " in out
+        assert "verdict=holds provenance=formula" in out
 
     def test_ring_single_prime(self, capsys):
         code, out, _ = run_cli(
@@ -521,8 +544,10 @@ class TestParserPlumbing:
             "        ['count', '--mode', 'm', '--n', '3', '--k', '2', '--q', '5'],\n"
             "        ['table', '--n-max', '4'],\n"
             "        ['bound', '--kind', 'matrix', '--n', '4', '--p', '5', '--k', '2'],\n"
+            "        ['bound', '--kind', 'matrix', '--n', '2', '--p', '2', '--k', '2'],\n"
+            "        ['bound', '--kind', 'matrix', '--n', '4', '--p', '3', '--k', '3'],\n"
             "    )]\n"
-            "assert codes == [0, 0, 0], codes\n"
+            "assert codes == [0, 0, 0, 0, 0], codes\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 """Counting formulas: compositions, group orders, class sizes, M/E counts."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from eigencount.counting import (
     MAX_SHAPE,
-    UnsupportedField,
+    _nilpotent_count,
     class_size_poly,
     count_e_poly,
     count_m_poly,
@@ -57,6 +59,68 @@ def class_size(parts, q):
 def composition_sum(n, k, strict, q):
     comps = strict_compositions(n, k) if strict else weak_compositions(n, k)
     return sum(class_size(parts, q) for parts in comps)
+
+
+# By-definition reference for potent counts: A^(k+1) = A holds exactly when
+# the minimal polynomial of A divides x (x^k' - 1)^e, e the p-part of k.  So
+# a solution's conjugacy class is fixed by a Jordan type lambda_phi for each
+# irreducible factor phi of degree d, with parts at most e (at most 1 for
+# phi = x), and its centralizer is the product of the centralizers of
+# nilpotents of those types over F_(p^d).  The sum of |GL_n| / |centralizer|
+# is taken in exact fractions, factor by factor and partition by partition.
+
+
+def partitions(m, top):
+    """Nonincreasing tuples of parts in 1..top summing to m."""
+    return [
+        c[::-1]
+        for size in range(m + 1)
+        for c in itertools.combinations_with_replacement(range(1, top + 1), size)
+        if sum(c) == m
+    ]
+
+
+def nilpotent_centralizer(parts, q):
+    """Macdonald, ch. II (1.6): q^(sum lambda'_i^2) prod_i prod_{j <= m_i} (1 - q^-j)."""
+    conj = [sum(1 for x in parts if x > i) for i in range(max(parts, default=0))]
+    order = Fraction(q) ** sum(c * c for c in conj)
+    for i in set(parts):
+        for j in range(1, parts.count(i) + 1):
+            order *= 1 - Fraction(1, q**j)
+    return order
+
+
+def factor_degrees(p, k):
+    """Degrees of the irreducible factors of x^k - 1 over F_p, p not dividing
+    k: the sizes of the orbits of multiplication by p on Z/k."""
+    seen, degrees = set(), []
+    for r in range(k):
+        if r not in seen:
+            orbit = {r * p**i % k for i in range(k)}
+            seen |= orbit
+            degrees.append(len(orbit))
+    return degrees
+
+
+def potent_reference(n, p, k):
+    e = 1
+    while k % (p * e) == 0:
+        e *= p
+    slots = [(1, 1)] + [(d, e) for d in factor_degrees(p, k // e) if d <= n]
+
+    def classes(i, left):  # sum of 1 / |centralizer| over slots i, i+1, ...
+        if i == len(slots):
+            return Fraction(left == 0)
+        d, top = slots[i]
+        return sum(
+            (classes(i + 1, left - d * m) / nilpotent_centralizer(parts, p**d)
+             for m in range(left // d + 1) for parts in partitions(m, top)),
+            Fraction(0),
+        )
+
+    total = classes(0, n) * gl_order(n, p)
+    assert total.denominator == 1
+    return int(total)
 
 
 class TestCompositions:
@@ -274,8 +338,50 @@ class TestPotentCount:
 
     @pytest.mark.parametrize("n,p,k", [(2, 3, 3), (2, 2, 2), (1, 7, 4)])
     def test_unsupported_when_k_does_not_divide(self, n, p, k):
-        with pytest.raises(UnsupportedField):
-            potent_count(n, p, k)
+        # shapes with k not dividing p-1, once refused, now answer
+        assert potent_count(n, p, k) == {(2, 3, 3): 22, (2, 2, 2): 11, (1, 7, 4): 3}[n, p, k]
+
+    @pytest.mark.parametrize(
+        "n,p,k,count",
+        [
+            (2, 2, 2, 11), (3, 2, 2, 163), (2, 3, 3, 22), (2, 3, 6, 55),
+            (4, 2, 4, 14137), (2, 5, 3, 52), (2, 11, 4, 509), (3, 2, 7, 106),
+        ],
+    )
+    def test_oracle_values(self, n, p, k, count):
+        # repeated factors (p | k) and non-linear ones (k not dividing p-1),
+        # each value counted by an exhaustive scan
+        assert potent_count(n, p, k) == count
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+    def test_nilpotent_sum_is_fine_herstein(self, q):
+        # with the index unbounded, the Jordan-type sum counts every nilpotent
+        for m in range(1, 7):
+            assert _nilpotent_count(m, m, q) == q ** (m * m - m), m
+            assert _nilpotent_count(m, 1, q) == 1  # N = 0 only
+
+    def test_split_shapes_are_m_counts(self):
+        # k | p-1: the solutions are the diagonalizable matrices with spectrum
+        # inside {0} and the k-th roots of unity
+        for p in (2, 3, 5, 7, 11, 13):
+            for k in (k for k in range(1, 13) if (p - 1) % k == 0):
+                for n in (n for n in range(1, 14) if min(n, k + 1) * n**3 <= MAX_SHAPE):
+                    assert potent_count(n, p, k) == count_m_poly(n, k + 1)(p), (n, p, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+        k=st.integers(1, 30),
+    )
+    def test_matches_class_sum_reference(self, n, p, k):
+        assert potent_count(n, p, k) == potent_reference(n, p, k)
+
+    def test_reference_agrees_with_split_and_oracle_values(self):
+        assert potent_reference(2, 7, 3) == 340
+        assert potent_reference(2, 2, 2) == 11
+        assert potent_reference(4, 2, 4) == 14137
+        assert potent_reference(2, 11, 4) == 509
 
 
 class TestSpectrumValidation:

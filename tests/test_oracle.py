@@ -601,10 +601,21 @@ class TestPotentCounts:
 
     def test_oracle_only_case_char_divides_k(self):
         # x^3 = x over F_2 admits non-diagonalizable solutions: the 8
-        # idempotents plus the 3 conjugates of the transvection
+        # idempotents plus the 3 conjugates of the transvection; the scan
+        # alone used to count this case
         assert count_potent(2, F2, 2).count == 11
-        with pytest.raises(counting.UnsupportedField):
-            counting.potent_count(2, 2, 2)
+        assert counting.potent_count(2, 2, 2) == 11
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(
+            [(n, p) for n in (1, 2, 3) for p in (2, 3, 5, 7) if p ** (n * n) <= 1 << 20]
+        ),
+        k=st.integers(1, 12),
+    )
+    def test_formula_matches_scan_for_every_k(self, shape, k):
+        n, p = shape
+        assert counting.potent_count(n, p, k) == count_potent(n, PrimeField(p), k).count
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
