@@ -16,8 +16,9 @@ for n, p in [(2, 2), (2, 3), (3, 2)]:
     field = oracle.PrimeField(p)
     for size in range(1, min(n + 1, p) + 1):
         for alphas in itertools.combinations(range(p), size):
-            m_scan = oracle.count_m(n, field, alphas)
-            e_scan = oracle.count_e(n, field, alphas)
+            # one scan: the annihilated matrices, then those of them that
+            # have every alpha as an eigenvalue
+            m_scan, e_scan = oracle.count_spectrum(n, field, alphas)
             m_formula = count_m_poly(n, size)(p)
             e_formula = count_e_poly(n, size)(p)
             tag = "ok" if (m_scan.count, e_scan.count) == (m_formula, e_formula) else "MISMATCH"

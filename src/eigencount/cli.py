@@ -50,14 +50,15 @@ class Emitter:
         self._csv = None
 
     def emit(
-        self, command: str, params: dict[str, str], *, mark: str = "",
+        self, command: str, params: dict[str, object], *, mark: str = "",
         polynomial=None, value=None, verdict=None, provenance=None,
     ):
         """One record: the command, its parameters, then the fields that are
-        not None, as strings, in _FIELDS order.  ``mark`` prefixes the text
-        line only."""
+        not None, all as strings, the fields in _FIELDS order.  ``mark``
+        prefixes the text line only."""
         given = zip(_FIELDS, (polynomial, value, verdict, provenance))
         try:
+            params = {name: str(v) for name, v in params.items()}
             fields = {name: str(v) for name, v in given if v is not None}
         except ValueError:  # an integer past Python's int-to-str digit limit
             limit = sys.get_int_max_str_digits()
@@ -221,17 +222,14 @@ def _cmd_verify(args, emitter: Emitter) -> int:
             itertools.combinations(range(fld.p), size) for size in sizes
         )
         num_spectra = sum(math.comb(fld.p, size) for size in sizes)
-    # an M and an E scan per spectrum, all refused up front if over budget
+    # an M and an E scan per spectrum, all refused up front if over budget;
+    # one pass yields both counts
     oracle._scan_size(args.n, fld.p, budget, args.force, args.jobs, scans=2 * num_spectra)
-    counts = (
-        ("m", counting.count_m_poly, oracle.count_m),
-        ("e", counting.count_e_poly, oracle.count_e),
-    )
     ok = True
     for alphas in spectra:
-        for mode, formula_poly, oracle_count in counts:
+        reports = oracle.count_spectrum(args.n, fld, alphas, **scan)
+        for mode, formula_poly, rep in zip("me", (counting.count_m_poly, counting.count_e_poly), reports):
             poly = formula_poly(args.n, len(alphas))
-            rep = oracle_count(args.n, fld, alphas, **scan)
             params = {
                 "mode": mode, "n": str(args.n), "p": str(fld.p),
                 "spectrum": _spectrum_text(alphas),
@@ -275,8 +273,8 @@ def _cmd_bound(args, emitter: Emitter) -> int:
             "source": "explicit",
         }
 
-    params["lhs"] = str(verdict.lhs_certificate)
-    params["rhs"] = str(verdict.rhs_certificate)
+    params["lhs"] = verdict.lhs_certificate
+    params["rhs"] = verdict.rhs_certificate
     emitter.emit(
         "bound", params,
         value=count, verdict="holds" if verdict.holds else "violated", provenance=provenance,

@@ -2,10 +2,11 @@
 
 Every count here comes from scanning matrices and testing the defining
 condition directly: annihilation by the prescribed linear factors for
-spectrum counts, singularity of every A - alpha*I for exact spectra,
-A^(k+1) = A for potency, commutation and invertibility for centralizers,
-explicit conjugation for orbits.  Nothing is shared with the closed-form
-counting path, so agreement between the two is evidence, not tautology.
+spectrum counts, every alpha an eigenvalue (its spectral projector
+nonzero) for exact spectra, A^(k+1) = A for potency, commutation and
+invertibility for centralizers, explicit conjugation for orbits.
+Nothing is shared with the closed-form counting path, so agreement
+between the two is evidence, not tautology.
 
 A full scan enumerates all p^(n*n) matrices.  Matrix number t has entry
 digits of t in base p, least significant digit first, row-major; the scan
@@ -28,12 +29,17 @@ A^(k+1) - A is A^k (A e_j) - A e_j, with A^k formed by binary powering in
 O(log k) products.  A matrix is zero exactly when all its columns are, so
 this is the definition itself; only the matrices whose columns so far
 vanish go on to the next column, so column 0 does nearly all the work.
-Exact spectra then refine the annihilated matrices, as an int64
-(B', n, n) batch, by batched Gauss-Jordan elimination mod p, which also
-gives invertibility and inverses for centralizers and orbits.  Every
-count sums a per-chunk hit function over the index range.  Scans above
-the budget (default 2^26 matrices) are refused unless forced, and shapes
-whose p^(n*n) overflows the int64 index always.
+Exact spectra then refine the annihilated matrices on the same planes:
+on them alpha is an eigenvalue exactly when prod over beta != alpha of
+(A - beta*I), a nonzero multiple of the projector onto its eigenspace,
+is nonzero, tested column by column the same way.  One pass therefore
+yields both the M and the E count of a spectrum (count_spectrum).
+Batched Gauss-Jordan elimination mod p on int64 (B, n, n) batches gives
+invertibility and inverses for centralizers and orbits only.  Every count
+sums a per-chunk hit function over the index range.  Scans above the
+budget (default 2^26 matrices) are refused unless forced, and shapes
+whose p^(n*n) overflows the int64 index always; the budget counts a
+spectrum's M and E count as two scans, though one pass yields both.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ __all__ = [
     "DuplicateAlpha",
     "count_m",
     "count_e",
+    "count_spectrum",
     "count_potent",
     "centralizer_size",
     "orbit_size",
@@ -270,21 +277,52 @@ def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 # kept at module level so the worker pool can pickle them
 
 
+def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
+    """Column j of prod(A - beta*I) mod p for planes a of shape (n, n, B),
+    as v <- (A - beta*I) v from v = e_j."""
+    v = a[:, j].copy()  # A e_j
+    v[j] += p - betas[0]
+    v = _reduce(v, p)
+    for beta in betas[1:]:
+        w = _matvec(a, v)
+        w += (p - beta) * v
+        v = _reduce(w, p)
+    return v
+
+
 def _annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
     """Entry planes of the matrices annihilated by prod(A - alpha*I), tested
-    column by column: column j is v <- (A - alpha*I) v from v = e_j, and only
-    the matrices whose columns so far vanish go on to the next."""
+    column by column; only the matrices whose columns so far vanish go on
+    to the next."""
     n = math.isqrt(len(planes))
     for j in range(n):
+        v = _column(planes.reshape(n, n, -1), j, alphas, p)
+        planes = planes.take(np.flatnonzero(~v.any(axis=0)), axis=1)
+    return planes
+
+
+def _exact(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
+    """Entry planes of the matrices, among the annihilated ones in planes,
+    that have every alpha as an eigenvalue.
+
+    On such a matrix prod over beta != alpha of (A - beta*I) is a nonzero
+    multiple of the projector onto the alpha-eigenspace (Lagrange
+    interpolation), so alpha occurs exactly when that product is nonzero.
+    It is tested column by column: a matrix with a nonzero column is
+    settled, and only the others go on to the next column.  With one alpha
+    the product is empty and every annihilated matrix has it.
+    """
+    n = math.isqrt(len(planes))
+    for alpha in alphas if len(alphas) > 1 else ():
+        others = [beta for beta in alphas if beta != alpha]
         a = planes.reshape(n, n, -1)
-        v = a[:, j].copy()  # A e_j
-        v[j] += p - alphas[0]
-        v = _reduce(v, p)
-        for alpha in alphas[1:]:
-            w = _matvec(a, v)
-            w += (p - alpha) * v
-            v = _reduce(w, p)
-        planes = planes[:, ~v.any(axis=0)]
+        vanishes = ~_column(a, 0, others, p).any(axis=0)  # every column so far zero
+        pending = np.flatnonzero(vanishes)
+        for j in range(1, n):
+            nonzero = _column(a.take(pending, axis=2), j, others, p).any(axis=0)
+            vanishes[pending[nonzero]] = False
+            pending = pending[~nonzero]
+        planes = planes.take(np.flatnonzero(~vanishes), axis=1)
     return planes
 
 
@@ -293,13 +331,13 @@ def _hits_m(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
 
 
 def _hits_e(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
-    """Annihilated matrices for which every A - alpha*I is singular."""
-    mats = _matrices(_annihilated(planes, alphas, p))
-    eye = np.eye(mats.shape[1], dtype=np.int64)
-    for a in alphas:
-        invertible, _ = _gauss_jordan(mats - a * eye, p)
-        mats = mats[~invertible]
-    return len(mats)
+    return _exact(_annihilated(planes, alphas, p), alphas, p).shape[1]
+
+
+def _hits_spectrum(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
+    """M and E hits from one annihilation of the chunk."""
+    annihilated = _annihilated(planes, alphas, p)
+    return annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
 
 
 def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
@@ -317,8 +355,8 @@ def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
             base = _mul(base, base, p)
     for j in range(n):
         column = a[:, j]
-        agree = (_reduce(_matvec(power, column), p) == column).all(axis=0)
-        a, power = a[..., agree], power[..., agree]
+        agree = np.flatnonzero((_reduce(_matvec(power, column), p) == column).all(axis=0))
+        a, power = a.take(agree, axis=2), power.take(agree, axis=2)
     return a.shape[-1]
 
 
@@ -330,13 +368,19 @@ def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
     return int(invertible.sum())
 
 
-def _scan_range(task) -> int:
+def _total(hits):
+    """The sum of per-piece hits: ints, or tuples of ints added entrywise."""
+    hits = list(hits)
+    return tuple(map(sum, zip(*hits))) if isinstance(hits[0], tuple) else sum(hits)
+
+
+def _scan_range(task):
     """Sum the hits in matrix index range [start, stop); worker entry point."""
     hit, n, p, payload, start, stop = task
-    return sum(hit(planes, payload, p) for planes in _chunks(start, stop, n, p))
+    return _total(hit(planes, payload, p) for planes in _chunks(start, stop, n, p))
 
 
-def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
+def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int):
     """Sum the hits over all matrices on at most jobs worker processes,
     clamped to the cores and to the chunks so none starts without work."""
     size = _chunk_layout(n, p)[2]
@@ -350,15 +394,25 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> int:
     step = -(-chunks // workers) * size
     tasks = [(hit, n, p, payload, s, min(s + step, total)) for s in range(0, total, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_scan_range, tasks))
+        return _total(pool.map(_scan_range, tasks))
 
 
-def _count(n, field, spec, hit, payload, budget, force, jobs) -> OracleCountReport:
-    total = _scan_size(n, field.p, budget, force, jobs)
+def _count(n, field, specs, hit, payload, budget, force, jobs) -> list[OracleCountReport]:
+    """One scan, refused unless the budget covers one scan per spec, and a
+    report per spec: hit returns one count, or a tuple of one per spec."""
+    total = _scan_size(n, field.p, budget, force, jobs, scans=len(specs))
     t0 = time.perf_counter()
     hits = _run_scan(hit, n, field.p, payload, total, jobs)
     seconds = time.perf_counter() - t0
-    return OracleCountReport(n, field.p, spec, count=hits, scanned=total, seconds=seconds)
+    counts = hits if isinstance(hits, tuple) else (hits,)
+    return [
+        OracleCountReport(n, field.p, spec, count=count, scanned=total, seconds=seconds)
+        for spec, count in zip(specs, counts)
+    ]
+
+
+def _spec(mode: str, alphas: tuple[int, ...]) -> str:
+    return mode + ":{" + ",".join(map(str, alphas)) + "}"
 
 
 def count_m(
@@ -376,8 +430,7 @@ def count_m(
     prescribed set.
     """
     alphas = _check_alphas(field, alphas)
-    spec = "m:{" + ",".join(map(str, alphas)) + "}"
-    return _count(n, field, spec, _hits_m, alphas, budget, force, jobs)
+    return _count(n, field, [_spec("m", alphas)], _hits_m, alphas, budget, force, jobs)[0]
 
 
 def count_e(
@@ -391,13 +444,33 @@ def count_e(
 ) -> OracleCountReport:
     """Exhaustively count diagonalizable matrices with spectrum exactly alphas.
 
-    The annihilation test is refined by requiring A - alpha*I to be
-    singular for every prescribed alpha, i.e. each one really occurs as an
-    eigenvalue.
+    The annihilated matrices are refined by requiring each prescribed
+    alpha really to occur as an eigenvalue, by the projector test.
     """
     alphas = _check_alphas(field, alphas)
-    spec = "e:{" + ",".join(map(str, alphas)) + "}"
-    return _count(n, field, spec, _hits_e, alphas, budget, force, jobs)
+    return _count(n, field, [_spec("e", alphas)], _hits_e, alphas, budget, force, jobs)[0]
+
+
+def count_spectrum(
+    n: int,
+    field: PrimeField,
+    alphas: Sequence[int],
+    *,
+    budget: int = DEFAULT_BUDGET,
+    force: bool = False,
+    jobs: int = 1,
+) -> tuple[OracleCountReport, OracleCountReport]:
+    """The count_m and count_e reports of one spectrum, from one scan.
+
+    Each matrix is annihilated once and the survivors refined, so this
+    costs about what count_e does.  The budget still counts two scans, an
+    M and an E, as if each ran on its own; both reports carry the time of
+    the one scan.
+    """
+    alphas = _check_alphas(field, alphas)
+    specs = [_spec("m", alphas), _spec("e", alphas)]
+    m, e = _count(n, field, specs, _hits_spectrum, alphas, budget, force, jobs)
+    return m, e
 
 
 def count_potent(
@@ -411,13 +484,12 @@ def count_potent(
 ) -> OracleCountReport:
     """Exhaustively count matrices with A^(k+1) = A.
 
-    Valid for every p and k, including fields without k-th roots of unity
-    where the closed form does not apply; this count is then the only
-    authority.
+    Valid for every p and k, including fields without k-th roots of unity;
+    it checks counting.potent_count, which shares none of its logic.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _count(n, field, f"potent:k={k}", _hits_potent, k, budget, force, jobs)
+    return _count(n, field, [f"potent:k={k}"], _hits_potent, k, budget, force, jobs)[0]
 
 
 # ----------------------------------------------------------------------

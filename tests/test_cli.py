@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 from conftest import run_python
@@ -245,21 +246,54 @@ class TestVerify:
         assert "millis" not in out and "ms" not in out
         assert "matrices" in err
 
-    def test_mismatch_exits_4(self, capsys, monkeypatch):
-        real = oracle.count_m
+    @staticmethod
+    def skew_spectrum(monkeypatch, which):
+        """Make oracle.count_spectrum report one too many matrices in its
+        M (which=0) or E (which=1) count."""
+        real = oracle.count_spectrum
 
         def skewed(n, field, alphas, **kwargs):
-            report = real(n, field, alphas, **kwargs)
-            report.count += 1
-            return report
+            reports = real(n, field, alphas, **kwargs)
+            reports[which].count += 1
+            return reports
 
-        monkeypatch.setattr(oracle, "count_m", skewed)
+        monkeypatch.setattr(oracle, "count_spectrum", skewed)
+
+    def test_mismatch_exits_4(self, capsys, monkeypatch):
+        self.skew_spectrum(monkeypatch, 0)
         code, out, _ = run_cli(
             capsys, "verify", "--n", "2", "--p", "2", "--spectrum", "0,1"
         )
         assert code == 4
-        assert "verdict=fail" in out
-        assert "formula=8" in out and "oracle=9" in out
+        m, e = out.splitlines()
+        assert "mode=m" in m and "verdict=fail" in m
+        assert "formula=8" in m and "oracle=9" in m
+        assert "mode=e" in e and "verdict=pass" in e
+
+    def test_exact_spectrum_mismatch_exits_4(self, capsys, monkeypatch):
+        self.skew_spectrum(monkeypatch, 1)
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "2", "--p", "2", "--spectrum", "0,1"
+        )
+        assert code == 4
+        m, e = out.splitlines()
+        assert "mode=m" in m and "verdict=pass" in m
+        assert "mode=e" in e and "verdict=fail" in e
+        assert "formula=6" in e and "oracle=7" in e
+
+    def test_one_pool_per_spectrum(self, capsys, monkeypatch, recording_pool):
+        # chunks of 81 matrices give every scan enough work for two workers
+        pools = recording_pool.workers
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oracle, "_CHUNK", 81)
+        argv = ("verify", "--n", "3", "--p", "3")
+        code, out, _ = run_cli(capsys, *argv, "--spectrum", "0,1", "--jobs", "2")
+        assert code == 0 and out.count("verdict=pass") == 2
+        assert pools == [2]
+        code, out, _ = run_cli(capsys, *argv, "--all-subsets", "--jobs", "2")
+        # 3 + 3 + 1 spectra, an M and an E record each
+        assert code == 0 and out.count("verdict=pass") == 14
+        assert pools == [2] * 8
 
     def test_budget_exceeded_exits_5(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
@@ -436,6 +470,21 @@ class TestBound:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "size limit" in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("shape", [("25", "29", "7"), ("19", "2", "32")])
+    def test_certificate_past_digit_limit_is_one_line_exit_2(self, capsys, shape, fmt):
+        # the certificates have more digits than Python converts to text
+        n, p, k = shape
+        code, out, err = run_cli(
+            capsys, "bound", "--kind", "matrix", "--n", n, "--p", p, "--k", k, "--format", fmt
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: the record is too long to print: a number in it has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ]
 
     @pytest.mark.parametrize("count", [("--count", "1"), ()])
     def test_library_refusal_is_one_line_exit_2(self, capsys, count):

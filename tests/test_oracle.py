@@ -1,6 +1,5 @@
 """Brute-force oracle: batch kernels, exhaustive counts, orbit geometry."""
 
-import concurrent.futures
 import itertools
 import math
 import os
@@ -20,17 +19,21 @@ from eigencount.oracle import (
     _annihilated,
     _chunk_layout,
     _chunks,
+    _exact,
     _gauss_jordan,
     _hits_e,
     _hits_m,
     _hits_potent,
+    _hits_spectrum,
     _matrices,
     _plane_dtype,
+    _scan_range,
     block_diag_rep,
     centralizer_size,
     count_e,
     count_m,
     count_potent,
+    count_spectrum,
     orbit_size,
 )
 
@@ -408,6 +411,75 @@ class TestFirstColumnFilter:
         assert int(proc.stdout) == expected
 
 
+SPECTRUM_SHAPES = [(2, 3), (2, 5), (3, 2), (3, 3), (2, 7)]
+
+
+def spectra(p):
+    """Every nonempty subset of F_p, smallest first."""
+    return [a for size in range(1, p + 1) for a in itertools.combinations(range(p), size)]
+
+
+class TestSpectrumPass:
+    """One annihilation per chunk gives the M and the E count: E refines the
+    annihilated matrices by the projector test, in the planes' own type."""
+
+    @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
+    def test_projector_test_is_the_singularity_definition(self, n, p):
+        planes = decode(0, p ** (n * n), n, p)
+        eye = np.eye(n, dtype=np.int64)
+        for alphas in spectra(p):
+            annihilated = _annihilated(planes, alphas, p)
+            mats = _matrices(annihilated)
+            # every A - alpha*I singular, by Gauss-Jordan on int64 matrices
+            singular = np.ones(len(mats), dtype=bool)
+            for a in alphas:
+                invertible, _ = _gauss_jordan(mats - a * eye, p)
+                singular &= ~invertible
+            exact = _exact(annihilated, alphas, p)
+            assert exact.dtype == _plane_dtype(n, p)
+            assert np.array_equal(_matrices(exact), mats[singular]), alphas
+
+    @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
+    def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch):
+        field = PrimeField(p)
+        # p chunks and two cores, so jobs=2 really starts a pool of two
+        # workers for every spectrum
+        monkeypatch.setattr(oracle, "_CHUNK", p ** (n * n - 1))
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        for alphas in spectra(p):
+            separate = (count_m(n, field, alphas), count_e(n, field, alphas))
+            for jobs in (1, 2):
+                reports = count_spectrum(n, field, alphas, jobs=jobs)
+                assert [(r.spec, r.count, r.scanned) for r in reports] == [
+                    (r.spec, r.count, r.scanned) for r in separate
+                ], (alphas, jobs)
+                assert reports[0].seconds == reports[1].seconds
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        alphas=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True).map(tuple),
+        start=st.integers(0, 5**9 - 1),
+        length=st.integers(1, 3 * 62500),
+    )
+    def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
+        n, p = 3, 5
+        stop = min(start + length, p ** (n * n))
+        both = _scan_range((_hits_spectrum, n, p, alphas, start, stop))
+        m = _scan_range((_hits_m, n, p, alphas, start, stop))
+        e = _scan_range((_hits_e, n, p, alphas, start, stop))
+        assert both == (m, e)
+        assert both == full_batch_hits(_matrices(decode(start, stop, n, p)), alphas, p)
+
+    def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
+        with pytest.raises(BudgetExceeded) as refused:
+            count_spectrum(2, F3, [0, 1], budget=161)
+        assert refused.value.required == 162
+        monkeypatch.undo()
+        m, e = count_spectrum(2, F3, [0, 1], budget=162)
+        assert (m.spec, m.count, e.spec, e.count) == ("m:{0,1}", 14, "e:{0,1}", 12)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
 def test_import_starts_no_blas_threads():
     # numpy's OpenBLAS starts its thread pool at import unless told not to;
@@ -535,26 +607,10 @@ class TestSpectrumCounts:
         with pytest.raises(ValueError, match="int64"):
             count_potent(8, F2, 1, force=True)
 
-    def test_workers_clamped_to_cores_and_chunks(self, monkeypatch):
-        # an in-process stand-in for the pool records how many workers
-        # each scan asks for and their index ranges; no process is started
-        requested, ranges = [], []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                ranges.append([task[4:] for task in tasks])
-                return map(fn, list(tasks))
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_workers_clamped_to_cores_and_chunks(self, monkeypatch, recording_pool):
+        # the stand-in pool records how many workers each scan asks for and
+        # their index ranges
+        requested, ranges = recording_pool.workers, recording_pool.ranges
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         # 5^9 matrices fill 30 chunks: the 3 cores bound the workers
         assert count_m(3, F5, [0, 2, 4], jobs=64).count == counting.count_m_poly(3, 3)(5)
