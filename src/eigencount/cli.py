@@ -243,25 +243,28 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 
 def _cmd_bound(args, emitter: Emitter) -> int:
-    provenance = None
+    provenance, count = None, args.count
     if args.kind == "matrix":
+        if args.factors is not None or args.mode is not None:
+            raise ValueError("--factors and --mode apply to ring bounds only")
         if args.n is None or args.p is None:
             raise ValueError("matrix bounds need --n and --p")
         params = {"kind": "matrix", "n": str(args.n), "p": str(args.p), "k": str(args.k)}
-        if args.count is None:
+        if count is None:
             params["source"], provenance = "computed", "formula"
             count = counting.potent_count(args.n, args.p, args.k)
         else:
-            params["source"], count = "explicit", args.count
+            params["source"] = "explicit"
         verdict = bounds.bound_matrix_ring(args.n, args.p, args.k, count)
     else:
+        if args.n is not None or args.p is not None:
+            raise ValueError("--n and --p apply to matrix bounds only")
         if args.factors is None:
             raise ValueError("ring bounds need --factors")
-        if args.count is None:
+        if count is None:
             raise ValueError("ring bounds need an explicit --count")
         ring = bounds.RingSpec.parse(args.factors)
         mode = args.mode or ("theorem2" if ring.num_primes == 1 else "theorem3")
-        count = args.count
         # certified first: it refuses a ring too large to render
         verdict = bounds.bound_finite_ring(ring, args.k, count, mode)
         params = {

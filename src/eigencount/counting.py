@@ -16,10 +16,11 @@ which eigenvalues were prescribed.
 
 The sums are never formed term by term.  Splitting an n-dimensional space
 into a j-dimensional eigenspace and the rest has U_n / (U_j U_{n-j}) =
-q^(j(n-j)) [n choose j]_q ways, and the Gaussian binomials follow from the
-q-Pascal rule with shifts and additions only, so peeling off one
-eigenvalue at a time yields E(n, 1..n) without dividing polynomials or
-enumerating compositions.  A weak composition is a strict one of its s
+q^(j(n-j)) [n choose j]_q ways, row by row by the q-Pascal rule, so
+peeling off one eigenvalue at a time yields E(n, 1..n) without dividing
+polynomials or enumerating compositions.  It runs on plain integers at
+q = 2^B, B wide enough for every coefficient, read back as base-2^B digits
+(Kronecker substitution).  A weak composition is a strict one of its s
 nonzero parts, so M(n, k) = sum over s of C(k, s) E(n, s), and its cost
 does not grow with k.
 
@@ -157,30 +158,28 @@ def gl_order_poly(n: int) -> IntPoly:
     return poly
 
 
-def _next_gaussian_row(above: tuple[IntPoly, ...]) -> tuple[IntPoly, ...]:
-    """Gaussian binomials [m choose j]_q, j = 0..m, from the row of m-1.
-
-    By the q-Pascal rule [m, j] = [m-1, j-1] + q^j [m-1, j]; the empty
-    row yields the row of m = 0.
-    """
-    m = len(above)
-    return tuple(
-        ONE if j in (0, m) else above[j - 1] + above[j].shift(j) for j in range(m + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _gaussian_row(n: int) -> tuple[IntPoly, ...]:
-    return _next_gaussian_row(_gaussian_row(n - 1) if n else ())
+def _split_rows(n: int, q: int) -> Iterator[list[int]]:
+    """Rows m = 0..n of split sizes at q, row[j] = U_m / (U_j U_(m-j)) =
+    q^(j(m-j)) [m choose j]_q: the ways to split an m-space into a j-space
+    and a complement, each row from the one before by the q-Pascal rule."""
+    power = [q**i for i in range(2 * n + 1)]
+    row = [1]
+    yield row
+    for m in range(1, n + 1):
+        above = [0, *row, 0]
+        row = [power[m - j] * above[j] + power[2 * j] * above[j + 1] for j in range(m + 1)]
+        yield row
 
 
-def _split_size(row: tuple[IntPoly, ...], j: int) -> IntPoly:
-    """U_m / (U_j U_{m-j}) = q^(j(m-j)) [m choose j]_q, given the row of m.
-
-    The number of ways to split an m-dimensional space into a
-    j-dimensional subspace and a complement of dimension m-j.
-    """
-    return row[j].shift(j * (len(row) - 1 - j))
+# Kronecker substitution: the closed forms are built as plain integers at
+# q = 2^bits and read back as base-2^bits digits.  Every packed value on the
+# way is the exact value of its polynomial at that q, so only the final
+# polynomials need their coefficients, all nonnegative, below 2^bits; each
+# caller bounds them by their sum, the value at q = 1.
+def _unpack(value: int, bits: int) -> IntPoly:
+    """The polynomial whose base-2^bits digits make up value."""
+    text = f"{value:b}"
+    return IntPoly(int(text[max(i - bits, 0):i], 2) for i in range(len(text), 0, -bits))
 
 
 def class_size_poly(parts: Sequence[int]) -> IntPoly:
@@ -190,17 +189,15 @@ def class_size_poly(parts: Sequence[int]) -> IntPoly:
     is U_n divided by the product of the U_{n_i}; zero parts contribute a
     factor of one.  The quotient telescopes into the product of the split
     sizes that place each block next to the blocks before it, so no
-    division is needed.
+    division is needed.  Packed: at q = 1 it is a multinomial, <= len(parts)^n.
     """
     parts = tuple(parts)
     if any(p < 0 for p in parts):
         raise ValueError("multiplicities must be nonnegative")
-    size = ONE
-    placed = 0
-    for part in parts:
-        placed += part
-        size = _split_size(_gaussian_row(placed), part) * size
-    return size
+    n = sum(parts)
+    bits = (len(parts) ** n).bit_length() + 1
+    rows = list(_split_rows(n, 1 << bits))
+    return _unpack(math.prod(rows[m][j] for j, m in zip(parts, itertools.accumulate(parts))), bits)
 
 
 @lru_cache(maxsize=None)
@@ -208,21 +205,17 @@ def _strict_sums(n: int, w: int) -> tuple[IntPoly, ...]:
     """E(n, s), s = 1..w: class sizes summed over strict compositions of n.
 
     Peels one eigenvalue at a time: P_1(m) = 1 for m >= 1, and P_s(m) is
-    the sum over 1 <= j <= m - s + 1 of C(m, j) P_{s-1}(m - j), where
-    C(m, j) is the split size of a j-dimensional eigenspace.  The table is
-    filled for m = 0, 1, ..., n in turn, so only the Gaussian row of the
-    current m is held, and the stack depth grows with neither n nor w.
+    the sum over 1 <= j <= m - s + 1 of C(m, j) P_{s-1}(m - j), C(m, j) the
+    split size of a j-dimensional eigenspace, for m = 0..n in turn from one
+    row of split sizes at a time; packed, as E(n, s)(1) = s! S(n, s) <= w^n.
     """
-    sums: list[list[IntPoly]] = [[] for _ in range(w)]  # sums[i][m] = P_{i+1}(m)
-    row: tuple[IntPoly, ...] = ()
-    for m in range(n + 1):
-        row = _next_gaussian_row(row)
-        sums[0].append(ONE if m else ZERO)
+    bits = (w**n).bit_length() + 1
+    sums: list[list[int]] = [[] for _ in range(w)]  # sums[i][m] = P_{i+1}(m) at q = 2^bits
+    for m, row in enumerate(_split_rows(n, 1 << bits)):
+        sums[0].append(1 if m else 0)
         for i in range(1, w if m == n else w - 1):  # P_w is needed only at m = n
-            sums[i].append(sum(
-                (_split_size(row, j) * sums[i - 1][m - j] for j in range(1, m - i + 1)), ZERO
-            ))
-    return tuple(s[-1] for s in sums)
+            sums[i].append(sum(row[j] * sums[i - 1][m - j] for j in range(1, m - i + 1)))
+    return tuple(_unpack(s[-1], bits) for s in sums)
 
 
 def _check_shape(n: int, k: int) -> None:
@@ -331,10 +324,7 @@ def potent_count(n: int, p: int, k: int) -> int:
         raise ValueError("n and k must be positive")
     _check_shape(n, k + 1)
     e = next(p**i for i in itertools.count() if k % p ** (i + 1))  # the p-part of k
-    split = [[1]]  # split[r][j] = |GL_r| / (|GL_j| |GL_(r-j)|), by the q-Pascal rule
-    for r in range(1, n + 1):
-        above = [0, *split[-1], 0]
-        split.append([p ** (r - j) * above[j] + p ** (2 * j) * above[j + 1] for j in range(r + 1)])
+    split = list(_split_rows(n, p))
     total, factors = [1] * (n + 1), {}  # the x part: A = 0 on it; factors[d] = N_d
     for d in range(1, n + 1):
         roots = math.gcd(k // e, p**d - 1)  # the k'-th roots of unity in F_(p^d)

@@ -26,9 +26,10 @@ Spectrum and potent scans test their defining condition on the planes
 one column at a time, by matrix-vector products: column j of
 prod(A - alpha*I) is v <- (A - alpha*I) v from v = e_j, and column j of
 A^(k+1) - A is A^k (A e_j) - A e_j, with A^k formed by binary powering in
-O(log k) products.  A matrix is zero exactly when all its columns are, so
-this is the definition itself; only the matrices whose columns so far
-vanish go on to the next column, so column 0 does nearly all the work.
+O(log k) products, k cut by a period of all n-by-n powers.  A matrix is
+zero exactly when all its columns are, so this is the definition itself;
+only the matrices whose columns so far vanish go on to the next column,
+so column 0 does nearly all the work.
 Exact spectra then refine the annihilated matrices on the same planes:
 on them alpha is an eigenvalue exactly when prod over beta != alpha of
 (A - beta*I), a nonzero multiple of the projector onto its eigenspace,
@@ -360,6 +361,16 @@ def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
     return a.shape[-1]
 
 
+def _potent_exponent(k: int, n: int, p: int) -> int:
+    """An exponent no larger than k with the same solutions of A^(k+1) = A:
+    A is nilpotent on one Fitting part and on the other, of dimension <= n,
+    has semisimple order dividing lcm(p^d - 1, d <= n) and unipotent order
+    dividing any p^e >= n, such as p^n, so the A^i, i >= n, repeat with period
+    dividing their product."""
+    period = math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
+    return n + (k - n) % period if k > n + period else k
+
+
 def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
     """Invertible matrices among those commuting with rep."""
     mats = _matrices(planes)
@@ -489,7 +500,8 @@ def count_potent(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _count(n, field, [f"potent:k={k}"], _hits_potent, k, budget, force, jobs)[0]
+    exponent = _potent_exponent(k, n, field.p)
+    return _count(n, field, [f"potent:k={k}"], _hits_potent, exponent, budget, force, jobs)[0]
 
 
 # ----------------------------------------------------------------------

@@ -106,12 +106,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, power: int) -> IntPoly:
-        """Multiply by q^power."""
-        if power < 0:
-            raise ValueError("shift power must be nonnegative")
-        return IntPoly((0,) * power + self._coeffs)
-
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative exponent")

@@ -241,6 +241,18 @@ class TestVerify:
         assert out == "verify n=2 p=2 k=2 scanned=16 value=11 verdict=pass provenance=both\n"
         assert err.startswith("scan ") and len(err.splitlines()) == 1
 
+    def test_potent_scan_cost_does_not_grow_with_digits_of_k(self):
+        # the scan reduces k by a period of the n-by-n matrix powers, so a
+        # 4001-digit k costs about what a small one does; powering to the
+        # full k would not finish before the child's time cap
+        k = 10**4000 + 7
+        proc = run_capped(f"cli.main(['verify', '--n', '3', '--p', '5', '--potent', str({k})])")
+        assert proc.returncode == 0, proc.stderr
+        value = counting.potent_count(3, 5, k)
+        assert proc.stdout == (
+            f"verify n=3 p=5 k={k} scanned=1953125 value={value} verdict=pass provenance=both\n"
+        )
+
     def test_scan_timing_goes_to_stderr(self, capsys):
         _, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "2", "--all-subsets")
         assert "millis" not in out and "ms" not in out
@@ -454,6 +466,27 @@ class TestBound:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [
+            (("matrix", "--n", "2", "--p", "3", "--k", "1", "--mode", "corollary"), "--mode"),
+            (("matrix", "--n", "2", "--p", "3", "--k", "1", "--factors", "2^4"), "--factors"),
+            (("matrix", "--n", "2", "--p", "3", "--k", "1", "--count", "5", "--mode", "theorem2"),
+             "--mode"),
+            (("ring", "--factors", "2^4", "--k", "1", "--count", "3", "--n", "5", "--p", "7"), "--n"),
+            (("ring", "--factors", "2^4", "--k", "1", "--count", "3", "--n", "5"), "--n"),
+            (("ring", "--factors", "2^4", "--k", "1", "--count", "3", "--p", "7"), "--p"),
+        ],
+    )
+    def test_flags_of_the_other_kind_refused(self, capsys, argv, stray):
+        # a flag that does not apply to --kind is refused, not ignored,
+        # as count refuses --q together with --p
+        code, out, err = run_cli(capsys, "bound", "--kind", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and stray in err and "bounds only" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from eigencount.counting import (
     MAX_SHAPE,
+    _exact_row,
     _nilpotent_count,
+    _split_rows,
+    _strict_sums,
     class_size_poly,
     count_e_poly,
     count_m_poly,
@@ -23,7 +26,7 @@ from eigencount.counting import (
     table_rows,
     validate_spectrum,
 )
-from eigencount.qpoly import IntPoly
+from eigencount.qpoly import ONE, ZERO, IntPoly
 from eigencount.reference import REFERENCE_E_TABLE
 
 
@@ -121,6 +124,53 @@ def potent_reference(n, p, k):
     total = classes(0, n) * gl_order(n, p)
     assert total.denominator == 1
     return int(total)
+
+
+# Polynomial reference for the packed recurrence in eigencount.counting: the
+# same q-Pascal rule and peeling recurrence, on IntPoly by polynomial
+# products, with no integer evaluation and no digit read-back.
+
+
+def times_q_power(poly, power):
+    return IntPoly((0,) * power + poly.coeffs)
+
+
+def gaussian_rows(n):
+    """Rows of Gaussian binomials [m choose j]_q, j = 0..m, for m = 0..n, by
+    [m, j] = [m-1, j-1] + q^j [m-1, j]."""
+    rows = [(ONE,)]
+    for m in range(1, n + 1):
+        above = rows[-1]
+        rows.append(tuple(
+            ONE if j in (0, m) else above[j - 1] + times_q_power(above[j], j) for j in range(m + 1)
+        ))
+    return rows
+
+
+def split_size(row, j):
+    """U_m / (U_j U_{m-j}) = q^(j(m-j)) [m choose j]_q, given the row of m."""
+    return times_q_power(row[j], j * (len(row) - 1 - j))
+
+
+def reference_strict_sums(n, w):
+    """E(n, s), s = 1..w: P_1(m) = [m >= 1] and P_s(m) the sum over j of
+    split_size(m, j) * P_{s-1}(m - j), all as polynomials."""
+    rows = gaussian_rows(n)
+    sums = [[ONE if m else ZERO for m in range(n + 1)]]
+    for i in range(1, w):
+        sums.append([
+            sum((split_size(rows[m], j) * sums[i - 1][m - j] for j in range(1, m - i + 1)), ZERO)
+            for m in range(n + 1)
+        ])
+    return tuple(row[n] for row in sums)
+
+
+def reference_class_size(parts):
+    rows = gaussian_rows(sum(parts))
+    size = ONE
+    for part, placed in zip(parts, itertools.accumulate(parts)):
+        size = size * split_size(rows[placed], part)
+    return size
 
 
 class TestCompositions:
@@ -273,6 +323,49 @@ def test_recurrence_matches_composition_sum(shape, strict):
     # both sides have degree at most n^2 - n, so n^2 points pin the polynomial
     for q in range(2, n * n + 2):
         assert poly(q) == composition_sum(n, k, strict, q), q
+
+
+class TestPackedRecurrence:
+    """The closed forms, built on integers at q = 2^B and read back as
+    base-2^B digits, equal the polynomial recurrence."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), k=st.one_of(st.integers(1, 40), st.integers(1, 10**18)))
+    def test_e_row_equals_polynomial_recurrence(self, n, k):
+        expected = reference_strict_sums(n, min(n, k))
+        assert _strict_sums(n, min(n, k)) == expected
+        assert count_e_poly(n, k) == (expected[-1] if k <= n else ZERO)
+        assert count_m_poly(n, k) == sum(
+            (math.comb(k, s) * e for s, e in enumerate(expected, 1)), ZERO
+        )
+
+    def test_class_sizes_equal_polynomial_products(self):
+        for n in range(1, 9):
+            for s in range(1, n + 1):
+                for parts in strict_compositions(n, s):
+                    assert class_size_poly(parts) == reference_class_size(parts), parts
+        for n in range(5):
+            for parts in weak_compositions(n, 4):
+                assert class_size_poly(parts) == reference_class_size(parts), parts
+        assert class_size_poly(()) == ONE
+
+    def test_split_rows_are_group_order_quotients(self):
+        for q in (2, 3, 7, 1 << 40):
+            for m, row in enumerate(_split_rows(9, q)):
+                assert row == [class_size((j, m - j), q) for j in range(m + 1)], (q, m)
+
+    def test_slots_hold_every_coefficient(self):
+        # each coefficient of E(n, s) stays below 2^(B-1), B = bit_length(w^n) + 1,
+        # so no base-2^B digit ever carries into the next
+        for n in range(1, 20):
+            for w in range(1, n + 1):
+                bits = (w**n).bit_length() + 1
+                for s, e in enumerate(_exact_row(n, w), 1):
+                    assert all(0 <= c < 1 << (bits - 1) for c in e.coeffs), (n, w, s)
+                    # at q = 1, the surjections from n points onto s values
+                    assert e(1) == sum(
+                        (-1) ** j * math.comb(s, j) * (s - j) ** n for j in range(s + 1)
+                    ), (n, w, s)
 
 
 class TestTable:

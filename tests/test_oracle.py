@@ -27,6 +27,7 @@ from eigencount.oracle import (
     _hits_spectrum,
     _matrices,
     _plane_dtype,
+    _potent_exponent,
     _scan_range,
     block_diag_rep,
     centralizer_size,
@@ -335,8 +336,9 @@ class TestFirstColumnFilter:
         k=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 30),
+        lift=st.integers(1, 10**30),
     )
-    def test_filter_keeps_every_accepted_matrix(self, n, p, k, seed, size):
+    def test_filter_keeps_every_accepted_matrix(self, n, p, k, seed, size, lift):
         rng = np.random.default_rng(seed)
         alphas = tuple(rng.permutation(p)[: rng.integers(1, p + 1)].tolist())
         roots = [x for x in range(p) if pow(x, k + 1, p) == x]
@@ -359,6 +361,14 @@ class TestFirstColumnFilter:
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
         assert np.array_equal(_matrices(_annihilated(planes, alphas, p)), mats[annihilated])
         assert _hits_potent(planes, k, p) == potent.sum()
+        # an exponent past n plus a period of the powers A^i, i >= n, and
+        # its reduction accept the same matrices as the whole int64 power
+        period = math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
+        big = n + period + lift
+        reduced = _potent_exponent(big, n, p)
+        assert n <= reduced < n + period and (big - reduced) % period == 0
+        expected = potent_mask(mats, big, p).sum()
+        assert _hits_potent(planes, big, p) == _hits_potent(planes, reduced, p) == expected
 
     @pytest.mark.parametrize(
         "planes, p",

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: ring laws, shifts, text round trips."""
+"""Exact polynomial arithmetic: ring laws, evaluation, text round trips."""
 
 import random
 
@@ -54,14 +54,6 @@ class TestArithmetic:
         a = poly(3, 0, 2)
         b = poly(-1, 7)
         assert (a * b).degree == a.degree + b.degree
-
-    def test_shift_is_multiplication_by_a_power_of_q(self):
-        a = poly(3, 0, -2)
-        for power in range(5):
-            assert a.shift(power) == Q**power * a
-        assert ZERO.shift(3) == ZERO
-        with pytest.raises(ValueError):
-            a.shift(-1)
 
 
 def _random_poly(rng, max_degree=12):
