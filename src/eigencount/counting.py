@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -347,10 +348,14 @@ def potent_count(n: int, p: int, k: int) -> int:
 
 
 def validate_spectrum(p: int, alphas: Sequence[int]) -> tuple[int, ...]:
-    """Check a concrete spectrum: p prime, alphas distinct residues mod p."""
+    """Check a concrete spectrum: p prime, alphas distinct residues mod p,
+    returned as Python ints."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    alphas = tuple(alphas)
+    try:
+        alphas = tuple(map(operator.index, alphas))
+    except TypeError:
+        raise ValueError("spectrum entries must be integers") from None
     if not alphas:
         raise ValueError("spectrum must be nonempty")
     if any(a < 0 or a >= p for a in alphas):

@@ -35,9 +35,11 @@ on them alpha is an eigenvalue exactly when prod over beta != alpha of
 (A - beta*I), a nonzero multiple of the projector onto its eigenspace,
 is nonzero, tested column by column the same way.  One pass therefore
 yields both the M and the E count of a spectrum (count_spectrum).
-Batched Gauss-Jordan elimination mod p on int64 (B, n, n) batches gives
-invertibility and inverses for centralizers and orbits only.  Every count
-sums a per-chunk hit function over the index range.  Scans above the
+Centralizers and orbits invert on the same planes: by the Fitting
+decomposition behind that period, A^period = I for every invertible A and
+A^period is singular for every singular A, so A^(period-1) is the inverse
+exactly where A * A^(period-1) = I.
+Every count sums a per-chunk hit function over the index range.  Scans above the
 budget (default 2^26 matrices) are refused unless forced, and shapes
 whose p^(n*n) overflows the int64 index always; the budget counts a
 spectrum's M and E count as two scans, though one pass yields both.
@@ -63,15 +65,12 @@ finally:
     if _blas_threads_unset:
         del os.environ[_BLAS_THREADS]
 
-from .counting import is_prime
+from .counting import is_prime, validate_spectrum
 
 __all__ = [
     "PrimeField",
     "OracleCountReport",
     "BudgetExceeded",
-    "DuplicateAlpha",
-    "count_m",
-    "count_e",
     "count_spectrum",
     "count_potent",
     "centralizer_size",
@@ -95,10 +94,6 @@ class BudgetExceeded(RuntimeError):
         )
         self.required = required
         self.budget = budget
-
-
-class DuplicateAlpha(ValueError):
-    """A prescribed spectrum contains a repeated value."""
 
 
 class PrimeField:
@@ -136,17 +131,6 @@ class OracleCountReport:
     count: int
     scanned: int
     seconds: float
-
-
-def _check_alphas(field: PrimeField, alphas: Sequence[int]) -> tuple[int, ...]:
-    alphas = tuple(int(a) for a in alphas)
-    if not alphas:
-        raise ValueError("spectrum must be nonempty")
-    if any(a < 0 or a >= field.p for a in alphas):
-        raise ValueError(f"spectrum entries must lie in [0, {field.p})")
-    if len(set(alphas)) != len(alphas):
-        raise DuplicateAlpha(f"repeated value in spectrum {alphas}")
-    return alphas
 
 
 def _scan_size(n: int, p: int, budget: int, force: bool, jobs: int = 1, scans: int = 1) -> int:
@@ -213,12 +197,6 @@ def _chunks(start: int, stop: int, n: int, p: int):
         yield buffer[:, max(start - cs, 0) : end]
 
 
-def _matrices(planes: np.ndarray) -> np.ndarray:
-    """The int64 (B, n, n) batch of the matrices in entry planes."""
-    n = math.isqrt(len(planes))
-    return np.ascontiguousarray(planes.T, dtype=np.int64).reshape(-1, n, n)
-
-
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     """x mod p in place: numpy floor-divides by a scalar several times
     faster than it takes the remainder."""
@@ -244,33 +222,41 @@ def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _reduce(prod, p)
 
 
-def _gauss_jordan(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invertible mask and inverses mod p of an int64 (B, n, n) batch.
+def _period(n: int, p: int) -> int:
+    """A period of the powers A^i, i >= n, of every n-by-n A over F_p.
 
-    Eliminates [A | I] for the whole batch at once.  Column c takes as
-    pivot the first row at or below c with a nonzero entry there; a
-    matrix without one is singular, and its slot in the returned inverses
-    holds no meaning.
+    A is nilpotent on one Fitting part and invertible on the other, of
+    dimension <= n, where its semisimple order divides lcm(p^d - 1, d <= n)
+    and its unipotent order divides any p^e >= n, such as p^n.  So
+    A^(i + period) = A^i for i >= n, and A^period = I when A is invertible.
     """
-    b, n, _ = mats.shape
-    inverse_of = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
-    eye = np.broadcast_to(np.eye(n, dtype=np.int64), mats.shape)
-    work = _reduce(np.concatenate((mats, eye), axis=2), p)
-    invertible = np.ones(b, dtype=bool)
-    batch = np.arange(b)
-    for col in range(n):
-        nonzero = work[:, col:, col] != 0
-        invertible &= nonzero.any(axis=1)
-        pivot = col + nonzero.argmax(axis=1)
-        top = work[:, col].copy()
-        work[:, col] = work[batch, pivot]
-        work[batch, pivot] = top
-        work[:, col] = _reduce(work[:, col] * inverse_of[work[:, col, col]][:, None], p)
-        factors = work[:, :, col].copy()
-        factors[:, col] = 0
-        work -= factors[:, :, None] * work[:, None, col]
-        _reduce(work, p)
-    return invertible, work[:, :, n:]
+    return math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
+
+
+def _power(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """A^k mod p for planes a of shape (n, n, B) and k >= 1, by binary
+    powering in O(log k) products."""
+    power = None
+    while k:
+        if k & 1:
+            power = a if power is None else _mul(power, a, p)
+        k >>= 1
+        if k:
+            a = _mul(a, a, p)
+    return power
+
+
+def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invertible mask and inverses mod p of planes a of shape (n, n, B).
+
+    The inverse is A^(period-1) (_period), and A is invertible exactly where
+    A times it is I: a singular A has a singular A^period.  The inverse
+    planes of a singular matrix hold no meaning.
+    """
+    n = len(a)
+    inverse = _power(a, _period(n, p) - 1, p)
+    eye = np.eye(n, dtype=a.dtype)[:, :, None]
+    return (_mul(a, inverse, p) == eye).all(axis=(0, 1)), inverse
 
 
 # ----------------------------------------------------------------------
@@ -327,14 +313,6 @@ def _exact(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
     return planes
 
 
-def _hits_m(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
-    return _annihilated(planes, alphas, p).shape[1]
-
-
-def _hits_e(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> int:
-    return _exact(_annihilated(planes, alphas, p), alphas, p).shape[1]
-
-
 def _hits_spectrum(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
     """M and E hits from one annihilation of the chunk."""
     annihilated = _annihilated(planes, alphas, p)
@@ -346,14 +324,8 @@ def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
     A^k (A e_j) = A e_j column by column, only the matrices whose columns
     so far agree going on to the next."""
     n = math.isqrt(len(planes))
-    a = base = planes.reshape(n, n, -1)
-    power = None
-    while k:
-        if k & 1:
-            power = base if power is None else _mul(power, base, p)
-        k >>= 1
-        if k:
-            base = _mul(base, base, p)
+    a = planes.reshape(n, n, -1)
+    power = _power(a, k, p)
     for j in range(n):
         column = a[:, j]
         agree = np.flatnonzero((_reduce(_matvec(power, column), p) == column).all(axis=0))
@@ -362,21 +334,18 @@ def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
 
 
 def _potent_exponent(k: int, n: int, p: int) -> int:
-    """An exponent no larger than k with the same solutions of A^(k+1) = A:
-    A is nilpotent on one Fitting part and on the other, of dimension <= n,
-    has semisimple order dividing lcm(p^d - 1, d <= n) and unipotent order
-    dividing any p^e >= n, such as p^n, so the A^i, i >= n, repeat with period
-    dividing their product."""
-    period = math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
+    """An exponent no larger than k with the same solutions of A^(k+1) = A,
+    k cut by the period of the powers A^i, i >= n (_period)."""
+    period = _period(n, p)
     return n + (k - n) % period if k > n + period else k
 
 
 def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
-    """Invertible matrices among those commuting with rep."""
-    mats = _matrices(planes)
-    commuting = (_reduce(mats @ rep, p) == _reduce(rep @ mats, p)).all(axis=(1, 2))
-    invertible, _ = _gauss_jordan(mats[commuting], p)
-    return int(invertible.sum())
+    """Invertible matrices among those commuting with rep, given as planes of shape (n, n, 1)."""
+    n = len(rep)
+    a = planes.reshape(n, n, -1)
+    commuting = (_mul(a, rep, p) == _mul(rep, a, p)).all(axis=(0, 1))
+    return int(_invertible(a.take(np.flatnonzero(commuting), axis=2), p)[0].sum())
 
 
 def _total(hits):
@@ -426,42 +395,6 @@ def _spec(mode: str, alphas: tuple[int, ...]) -> str:
     return mode + ":{" + ",".join(map(str, alphas)) + "}"
 
 
-def count_m(
-    n: int,
-    field: PrimeField,
-    alphas: Sequence[int],
-    *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
-    jobs: int = 1,
-) -> OracleCountReport:
-    """Exhaustively count matrices annihilated by prod(A - alpha*I).
-
-    These are the diagonalizable matrices whose spectrum lies inside the
-    prescribed set.
-    """
-    alphas = _check_alphas(field, alphas)
-    return _count(n, field, [_spec("m", alphas)], _hits_m, alphas, budget, force, jobs)[0]
-
-
-def count_e(
-    n: int,
-    field: PrimeField,
-    alphas: Sequence[int],
-    *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
-    jobs: int = 1,
-) -> OracleCountReport:
-    """Exhaustively count diagonalizable matrices with spectrum exactly alphas.
-
-    The annihilated matrices are refined by requiring each prescribed
-    alpha really to occur as an eigenvalue, by the projector test.
-    """
-    alphas = _check_alphas(field, alphas)
-    return _count(n, field, [_spec("e", alphas)], _hits_e, alphas, budget, force, jobs)[0]
-
-
 def count_spectrum(
     n: int,
     field: PrimeField,
@@ -471,14 +404,15 @@ def count_spectrum(
     force: bool = False,
     jobs: int = 1,
 ) -> tuple[OracleCountReport, OracleCountReport]:
-    """The count_m and count_e reports of one spectrum, from one scan.
+    """The M and E reports of one spectrum, from one scan.
 
-    Each matrix is annihilated once and the survivors refined, so this
-    costs about what count_e does.  The budget still counts two scans, an
-    M and an E, as if each ran on its own; both reports carry the time of
-    the one scan.
+    M counts the matrices annihilated by prod(A - alpha*I), the
+    diagonalizable ones with spectrum inside alphas; E those of them with
+    every alpha an eigenvalue, by the projector test.  The budget still
+    counts two scans, an M and an E, as if each ran on its own; both
+    reports carry the time of the one scan.
     """
-    alphas = _check_alphas(field, alphas)
+    alphas = validate_spectrum(field.p, alphas)
     specs = [_spec("m", alphas), _spec("e", alphas)]
     m, e = _count(n, field, specs, _hits_spectrum, alphas, budget, force, jobs)
     return m, e
@@ -536,6 +470,7 @@ def centralizer_size(
     rep = block_diag_rep(parts, field)
     n, p = len(rep), field.p
     total = _scan_size(n, p, budget, force)
+    rep = rep[:, :, None].astype(_plane_dtype(n, p))
     return _run_scan(_hits_centralizer, n, p, rep, total, 1)
 
 
@@ -554,11 +489,13 @@ def orbit_size(
     rep = block_diag_rep(parts, field)
     n, p = len(rep), field.p
     total = _scan_size(n, p, budget, force)
+    rep = rep[:, :, None].astype(_plane_dtype(n, p))
     digit_weights = p ** np.arange(n * n, dtype=np.int64)
     seen = np.empty(0, dtype=np.int64)
     for planes in _chunks(0, total, n, p):
-        g = _matrices(planes)
-        invertible, g_inv = _gauss_jordan(g, p)
-        conjugates = _reduce(_reduce(g[invertible] @ rep, p) @ g_inv[invertible], p)
-        seen = np.union1d(seen, conjugates.reshape(-1, n * n) @ digit_weights)
+        g = planes.reshape(n, n, -1)
+        invertible, g_inv = _invertible(g, p)
+        keep = np.flatnonzero(invertible)
+        conjugates = _mul(_mul(g.take(keep, axis=2), rep, p), g_inv.take(keep, axis=2), p)
+        seen = np.union1d(seen, digit_weights @ conjugates.reshape(n * n, -1))
     return int(seen.size)

@@ -1,5 +1,6 @@
 """Counting formulas: compositions, group orders, class sizes, M/E counts."""
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -51,7 +52,16 @@ def gl_order(n, q):
 
 
 def class_size(parts, q):
-    """|GL_n(F_q)| / prod |GL_{n_i}(F_q)|, asserting the division is exact."""
+    """|GL_n(F_q)| / prod |GL_{n_i}(F_q)|, asserting the division is exact.
+
+    It depends only on the multiset of nonzero parts, so it is divided out
+    once per multiset and q, however many compositions share it.
+    """
+    return _class_size(tuple(sorted(m for m in parts if m)), q)
+
+
+@functools.cache
+def _class_size(parts, q):
     size, remainder = divmod(
         gl_order(sum(parts), q), math.prod(gl_order(m, q) for m in parts)
     )
@@ -480,6 +490,13 @@ class TestPotentCount:
 class TestSpectrumValidation:
     def test_accepts(self):
         assert validate_spectrum(5, [0, 4, 2]) == (0, 4, 2)
+        spectrum = validate_spectrum(5, iter([True, 3]))
+        assert spectrum == (1, 3) and all(type(a) is int for a in spectrum)
+
+    def test_rejects_non_integers(self):
+        for bad in ([0.5], [1.0], ["1"], [None]):
+            with pytest.raises(ValueError, match="integers"):
+                validate_spectrum(5, bad)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Brute-force oracle: batch kernels, exhaustive counts, orbit geometry."""
 
+import ast
 import itertools
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,25 +16,20 @@ from eigencount import counting, oracle
 from eigencount.oracle import (
     _CHUNK,
     BudgetExceeded,
-    DuplicateAlpha,
     PrimeField,
     _annihilated,
     _chunk_layout,
     _chunks,
     _exact,
-    _gauss_jordan,
-    _hits_e,
-    _hits_m,
     _hits_potent,
     _hits_spectrum,
-    _matrices,
+    _invertible,
     _plane_dtype,
     _potent_exponent,
+    _power,
     _scan_range,
     block_diag_rep,
     centralizer_size,
-    count_e,
-    count_m,
     count_potent,
     count_spectrum,
     orbit_size,
@@ -115,6 +112,42 @@ def decode(start, stop, n, p):
     return np.concatenate([planes.copy() for planes in _chunks(start, stop, n, p)], axis=1)
 
 
+def matrices(planes):
+    """The int64 (B, n, n) batch of the matrices in entry planes."""
+    n = math.isqrt(len(planes))
+    return np.ascontiguousarray(planes.T, dtype=np.int64).reshape(-1, n, n)
+
+
+def planes_of(mats, p):
+    """Entry planes in _plane_dtype of an int64 (B, n, n) batch."""
+    return np.ascontiguousarray(mats.reshape(len(mats), -1).T, dtype=_plane_dtype(mats.shape[1], p))
+
+
+def invert(mats, p):
+    """_invertible on the planes of an int64 (B, n, n) batch, the inverses
+    returned as a batch."""
+    n = mats.shape[1]
+    invertible, inverse = _invertible(planes_of(mats, p).reshape(n, n, -1), p)
+    return invertible, matrices(inverse.reshape(n * n, -1))
+
+
+def det_batch(mats, p):
+    """Determinants mod p of an int64 (B, n, n) batch: det_mod's cofactor
+    expansion along the first row, on the whole batch at once, each minor
+    on the bottom rows and a set of columns computed once."""
+    n = mats.shape[1]
+    minors = {(): np.ones(len(mats), dtype=np.int64)}
+    for row in range(n - 1, -1, -1):
+        minors = {
+            cols: sum(
+                (-1) ** i * mats[:, row, c] * minors[cols[:i] + cols[i + 1 :]]
+                for i, c in enumerate(cols)
+            ) % p
+            for cols in itertools.combinations(range(n), n - row)
+        }
+    return minors[tuple(range(n))]
+
+
 def annihilated_mask(mats, alphas, p):
     """True where the product of (A - alpha*I) over all alphas vanishes, by
     whole int64 matrix products."""
@@ -139,12 +172,12 @@ def pow_batch(mats, exponent, p):
 
 
 def full_batch_hits(mats, alphas, p):
-    """M and E hits of an int64 batch by whole-matrix products."""
+    """M and E hits of an int64 batch by whole-matrix products, each alpha
+    an eigenvalue where det(A - alpha*I) = 0."""
     annihilated = mats[annihilated_mask(mats, alphas, p)]
     exact = annihilated
     for a in alphas:
-        invertible, _ = _gauss_jordan(exact - a * np.eye(mats.shape[1], dtype=np.int64), p)
-        exact = exact[~invertible]
+        exact = exact[det_batch(exact - a * np.eye(mats.shape[1], dtype=np.int64), p) == 0]
     return len(annihilated), len(exact)
 
 
@@ -184,7 +217,7 @@ class TestPrimeField:
 
 class TestFqMatrix:
     """Matrix arithmetic over F_q: the scan decoder _chunks, the int64
-    reference pow_batch and the Gauss-Jordan kernel _gauss_jordan."""
+    reference pow_batch, and _power and _invertible on the planes."""
 
     def test_identity_multiplication(self):
         a = batch([[1, 2], [3, 4]])
@@ -215,20 +248,20 @@ class TestFqMatrix:
 
     def test_rank_zero_and_full(self):
         for n in (1, 2, 3):
-            invertible, _ = _gauss_jordan(np.zeros((1, n, n), dtype=np.int64), 3)
+            invertible, _ = invert(np.zeros((1, n, n), dtype=np.int64), 3)
             assert not invertible.any()
             for p in (2, 5):
-                invertible, inverse = _gauss_jordan(eye(n), p)
+                invertible, inverse = invert(eye(n), p)
                 assert invertible.all()
                 assert np.array_equal(inverse, eye(n))
 
     def test_rank_dependent_rows(self):
-        invertible, _ = _gauss_jordan(batch([[1, 2], [2, 4]]), 5)
+        invertible, _ = invert(batch([[1, 2], [2, 4]]), 5)
         assert not invertible.any()
 
     def test_inverse(self):
         m = batch([[1, 2], [3, 4]])
-        invertible, inverse = _gauss_jordan(m, 5)
+        invertible, inverse = invert(m, 5)
         assert invertible.all()
         assert np.array_equal(m @ inverse % 5, eye(2))
         assert np.array_equal(inverse @ m % 5, eye(2))
@@ -237,7 +270,7 @@ class TestFqMatrix:
         # a singular matrix is flagged, not raised, and leaves its
         # neighbours' inverses intact
         mats = batch([[1, 2], [3, 4]], [[1, 2], [2, 4]], [[0, 1], [1, 0]])
-        invertible, inverse = _gauss_jordan(mats, 5)
+        invertible, inverse = invert(mats, 5)
         assert invertible.tolist() == [True, False, True]
         assert np.array_equal(mats[invertible] @ inverse[invertible] % 5, eye(2, 2))
 
@@ -250,7 +283,7 @@ class TestFqMatrix:
         index = (3 ** np.arange(4)) @ planes
         assert index.tolist() == list(range(81))
         assert decode(7, 8, 2, 3).tolist() == [[1], [2], [0], [0]]
-        mats = _matrices(decode(7, 8, 2, 3))
+        mats = matrices(decode(7, 8, 2, 3))
         assert mats.dtype == np.int64 and mats.tolist() == [[[1, 2], [0, 0]]]
         # the top of the 7x7 binary index range ends at the all-ones matrix
         assert decode(2**49 - 2, 2**49, 7, 2).tolist() == [[0, 1]] + [[1, 1]] * 48
@@ -290,10 +323,32 @@ class TestFqMatrix:
     )
     def test_kernel_matches_cofactor_determinant(self, n, p, seed, size):
         mats = np.random.default_rng(seed).integers(0, p, size=(size, n, n), dtype=np.int64)
-        invertible, inverse = _gauss_jordan(mats, p)
+        invertible, inverse = invert(mats, p)
         expected = [det_mod(m.tolist(), p) != 0 for m in mats]
         assert invertible.tolist() == expected
         assert np.array_equal(inverse[invertible] @ mats[invertible] % p, eye(n, int(invertible.sum())))
+
+    @pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (2, 3), (3, 2)])
+    def test_invertible_over_every_matrix(self, n, p):
+        mats = matrices(decode(0, p ** (n * n), n, p))
+        invertible, inverse = invert(mats, p)
+        assert invertible.tolist() == [det_mod(m.tolist(), p) != 0 for m in mats]
+        assert invertible.sum() == counting.gl_order_poly(n)(p)
+        units = eye(n, int(invertible.sum()))
+        assert np.array_equal(inverse[invertible] @ mats[invertible] % p, units)
+        assert np.array_equal(mats[invertible] @ inverse[invertible] % p, units)
+
+    @pytest.mark.parametrize(
+        "planes, p",
+        [(decode(0, 3**4, 2, 3), 3), (decode(0, 2**9, 3, 2), 2), (boundary_planes(3, 7), 7)],
+        ids=["n2-p3", "n3-p2", "n3-p7"],
+    )
+    def test_power_matches_whole_int64_power(self, planes, p):
+        n = math.isqrt(len(planes))
+        mats = matrices(planes)
+        for k in (*range(1, 9), 10**18):
+            power = _power(planes.reshape(n, n, -1), k, p)
+            assert np.array_equal(matrices(power.reshape(n * n, -1)), pow_batch(mats, k, p)), k
 
     def test_plane_dtype_is_the_narrowest_exact_one(self):
         # over every shape a scan admits, the planes' type holds the largest
@@ -321,11 +376,10 @@ class TestFirstColumnFilter:
     @pytest.mark.parametrize("n, p", [(1, 5), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3)])
     def test_filtered_hits_equal_full_batch(self, n, p):
         planes = decode(0, p ** (n * n), n, p)
-        mats = _matrices(planes)
+        mats = matrices(planes)
         for size in range(1, p + 1):
             for alphas in itertools.combinations(range(p), size):
-                expected = full_batch_hits(mats, alphas, p)
-                assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == expected, alphas
+                assert _hits_spectrum(planes, alphas, p) == full_batch_hits(mats, alphas, p), alphas
         for k in range(1, 9):
             assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum(), k
 
@@ -343,10 +397,13 @@ class TestFirstColumnFilter:
         alphas = tuple(rng.permutation(p)[: rng.integers(1, p + 1)].tolist())
         roots = [x for x in range(p) if pow(x, k + 1, p) == x]
         # random matrices, then conjugates G D G^-1 of diagonal matrices
-        # that pass the annihilation and the potency test
+        # that pass the annihilation and the potency test; G^-1 is
+        # G^(period-1), checked here by its product with G
+        period = math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
         g = rng.integers(0, p, size=(size, n, n))
-        invertible, g_inv = _gauss_jordan(g, p)
-        g, g_inv = g[invertible], g_inv[invertible]
+        g = g[det_batch(g, p) != 0]
+        g_inv = pow_batch(g, period - 1, p)
+        assert np.array_equal(g @ g_inv % p, eye(n, len(g)))
 
         def conjugates(values):
             return (g * rng.choice(values, size=(len(g), 1, n))) @ g_inv % p
@@ -354,16 +411,15 @@ class TestFirstColumnFilter:
         mats = np.concatenate(
             [rng.integers(0, p, size=(size, n, n)), conjugates(alphas), conjugates(roots)]
         )
-        planes = np.ascontiguousarray(mats.reshape(len(mats), -1).T, dtype=_plane_dtype(n, p))
-        assert np.array_equal(_matrices(planes), mats)
+        planes = planes_of(mats, p)
+        assert np.array_equal(matrices(planes), mats)
         annihilated = annihilated_mask(mats, alphas, p)
         potent = potent_mask(mats, k, p)
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
-        assert np.array_equal(_matrices(_annihilated(planes, alphas, p)), mats[annihilated])
+        assert np.array_equal(matrices(_annihilated(planes, alphas, p)), mats[annihilated])
         assert _hits_potent(planes, k, p) == potent.sum()
         # an exponent past n plus a period of the powers A^i, i >= n, and
         # its reduction accept the same matrices as the whole int64 power
-        period = math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
         big = n + period + lift
         reduced = _potent_exponent(big, n, p)
         assert n <= reduced < n + period and (big - reduced) % period == 0
@@ -391,15 +447,13 @@ class TestFirstColumnFilter:
         n = math.isqrt(len(planes))
         assert planes.dtype == _plane_dtype(n, p)
         wide = planes.astype(np.int64)
-        mats = _matrices(planes)
+        mats = matrices(planes)
         for alphas in [(p - 1,), (p - 2, p - 1), (0, p - 1), (0, 1, p - 2, p - 1)]:
             alphas = tuple(dict.fromkeys(alphas))
             expected = mats[annihilated_mask(mats, alphas, p)]
-            assert np.array_equal(_matrices(_annihilated(planes, alphas, p)), expected)
-            assert np.array_equal(_matrices(_annihilated(wide, alphas, p)), expected)
-            assert (_hits_m(planes, alphas, p), _hits_e(planes, alphas, p)) == full_batch_hits(
-                mats, alphas, p
-            )
+            assert np.array_equal(matrices(_annihilated(planes, alphas, p)), expected)
+            assert np.array_equal(matrices(_annihilated(wide, alphas, p)), expected)
+            assert _hits_spectrum(planes, alphas, p) == full_batch_hits(mats, alphas, p)
         for k in (*range(1, 9), p - 1, p, 4 * p + 3, 10**18):
             expected = potent_mask(mats, k, p).sum()
             assert _hits_potent(planes, k, p) == _hits_potent(wide, k, p) == expected
@@ -439,15 +493,14 @@ class TestSpectrumPass:
         eye = np.eye(n, dtype=np.int64)
         for alphas in spectra(p):
             annihilated = _annihilated(planes, alphas, p)
-            mats = _matrices(annihilated)
-            # every A - alpha*I singular, by Gauss-Jordan on int64 matrices
+            mats = matrices(annihilated)
+            # every A - alpha*I singular, by cofactor determinants
             singular = np.ones(len(mats), dtype=bool)
             for a in alphas:
-                invertible, _ = _gauss_jordan(mats - a * eye, p)
-                singular &= ~invertible
+                singular &= det_batch(mats - a * eye, p) == 0
             exact = _exact(annihilated, alphas, p)
             assert exact.dtype == _plane_dtype(n, p)
-            assert np.array_equal(_matrices(exact), mats[singular]), alphas
+            assert np.array_equal(matrices(exact), mats[singular]), alphas
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch):
@@ -456,13 +509,14 @@ class TestSpectrumPass:
         # workers for every spectrum
         monkeypatch.setattr(oracle, "_CHUNK", p ** (n * n - 1))
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        mats = matrices(decode(0, p ** (n * n), n, p))
         for alphas in spectra(p):
-            separate = (count_m(n, field, alphas), count_e(n, field, alphas))
+            m, e = full_batch_hits(mats, alphas, p)
+            spectrum = "{" + ",".join(map(str, alphas)) + "}"
+            separate = [("m:" + spectrum, m, p ** (n * n)), ("e:" + spectrum, e, p ** (n * n))]
             for jobs in (1, 2):
                 reports = count_spectrum(n, field, alphas, jobs=jobs)
-                assert [(r.spec, r.count, r.scanned) for r in reports] == [
-                    (r.spec, r.count, r.scanned) for r in separate
-                ], (alphas, jobs)
+                assert [(r.spec, r.count, r.scanned) for r in reports] == separate, (alphas, jobs)
                 assert reports[0].seconds == reports[1].seconds
 
     @settings(max_examples=25, deadline=None)
@@ -475,10 +529,7 @@ class TestSpectrumPass:
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
         both = _scan_range((_hits_spectrum, n, p, alphas, start, stop))
-        m = _scan_range((_hits_m, n, p, alphas, start, stop))
-        e = _scan_range((_hits_e, n, p, alphas, start, stop))
-        assert both == (m, e)
-        assert both == full_batch_hits(_matrices(decode(start, stop, n, p)), alphas, p)
+        assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunks", scan_started)
@@ -523,7 +574,7 @@ def test_serial_scans_load_no_worker_pool():
         "import sys\n"
         "import eigencount.oracle as oracle\n"
         "assert 'concurrent.futures.process' not in sys.modules\n"
-        "print(oracle.count_m(2, oracle.PrimeField(3), [0, 1]).count)\n"
+        "print(oracle.count_spectrum(2, oracle.PrimeField(3), [0, 1])[0].count)\n"
         "assert 'concurrent.futures.process' not in sys.modules\n"
     )
     proc = run_python(code, timeout=30)
@@ -531,74 +582,110 @@ def test_serial_scans_load_no_worker_pool():
     assert proc.stdout.split() == [str(counting.count_m_poly(2, 2)(3))]
 
 
+
+def package_imports(source):
+    """{module: names taken from it} for the eigencount modules that the
+    source of a module in the package imports anywhere in its code."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, set()) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["eigencount" if node.level else "", node.module]))
+            names = {alias.name for alias in node.names}
+            pairs = [(f"{module}.{n}", set()) for n in names] if module == "eigencount" else [(module, names)]
+        else:
+            continue
+        for module, names in pairs:
+            if module.startswith("eigencount."):
+                found.setdefault(module, set()).update(names)
+    return found
+
+
+def test_oracle_shares_no_counting_logic():
+    # the oracle's agreement with the closed forms is evidence only while it
+    # takes nothing from them but input checks, and they nothing from it
+    def imports(name):
+        return package_imports(Path(oracle.__file__).with_name(f"{name}.py").read_text())
+
+    every_form = "from . import oracle\nimport eigencount.oracle\nfrom .oracle import orbit_size"
+    assert package_imports(every_form) == {"eigencount.oracle": {"orbit_size"}}
+    assert imports("oracle")["eigencount.counting"] == {"is_prime", "validate_spectrum"}
+    assert "eigencount.qpoly" not in imports("oracle") and "eigencount.bounds" not in imports("oracle")
+    for name in ("counting", "qpoly", "bounds"):
+        assert "eigencount.oracle" not in imports(name), name
+
 class TestSpectrumCounts:
     def test_idempotent_matrices_binary(self):
-        assert count_m(2, F2, [0, 1]).count == 8
+        assert count_spectrum(2, F2, [0, 1])[0].count == 8
 
     def test_only_zero_matrix_has_spectrum_zero(self):
         # nilpotent matrices are excluded by the annihilation test
-        assert count_m(2, F3, [0]).count == 1
+        assert count_spectrum(2, F3, [0])[0].count == 1
 
     def test_three_by_three_binary(self):
-        assert count_m(3, F2, [0, 1]).count == 58
+        assert count_spectrum(3, F2, [0, 1])[0].count == 58
 
     def test_exact_spectrum_three_by_three(self):
-        assert count_e(3, F2, [0, 1]).count == 56
+        assert count_spectrum(3, F2, [0, 1])[1].count == 56
 
     def test_exact_spectrum_impossible(self):
-        assert count_e(2, F3, [0, 1, 2]).count == 0
+        assert count_spectrum(2, F3, [0, 1, 2])[1].count == 0
 
     def test_exact_spectrum_two_values_mod5(self):
-        assert count_e(2, F5, [1, 4]).count == 30
+        assert count_spectrum(2, F5, [1, 4])[1].count == 30
 
     def test_report_metadata(self):
-        report = count_m(2, F3, [0, 1])
-        assert report.scanned == 3**4
-        assert report.n == 2 and report.p == 3
-        assert report.spec == "m:{0,1}"
+        m, e = count_spectrum(2, F3, [0, 1])
+        assert m.scanned == e.scanned == 3**4
+        assert m.n == e.n == 2 and m.p == e.p == 3
+        assert (m.spec, e.spec) == ("m:{0,1}", "e:{0,1}")
 
     def test_alpha_order_irrelevant(self):
-        for alphas in itertools.permutations([0, 2, 4]):
-            assert count_m(2, F5, alphas).count == count_m(2, F5, [0, 2, 4]).count
-            assert count_e(2, F5, alphas).count == count_e(2, F5, [0, 2, 4]).count
+        counts = {
+            tuple(r.count for r in count_spectrum(2, F5, alphas))
+            for alphas in itertools.permutations([0, 2, 4])
+        }
+        assert counts == {tuple(r.count for r in count_spectrum(2, F5, [0, 2, 4]))}
 
     def test_duplicate_alpha_rejected(self):
-        with pytest.raises(DuplicateAlpha):
-            count_m(2, F3, [1, 1])
+        with pytest.raises(ValueError, match="distinct"):
+            count_spectrum(2, F3, [1, 1])
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            count_m(2, F3, [])
+            count_spectrum(2, F3, [])
 
     def test_out_of_range_alpha_rejected(self):
         with pytest.raises(ValueError):
-            count_m(2, F3, [3])
+            count_spectrum(2, F3, [3])
 
     def test_budget_guard(self):
+        # an M and an E scan of 3^4 matrices each
         with pytest.raises(BudgetExceeded) as excinfo:
-            count_m(2, F3, [0], budget=10)
-        assert excinfo.value.required == 81
+            count_spectrum(2, F3, [0], budget=10)
+        assert excinfo.value.required == 2 * 81
         assert excinfo.value.budget == 10
         # force overrides
-        assert count_m(2, F3, [0], budget=10, force=True).count == 1
+        assert count_spectrum(2, F3, [0], budget=10, force=True)[0].count == 1
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, monkeypatch, jobs):
         monkeypatch.setattr(oracle, "_chunks", scan_started)
-        for scan in (lambda: count_m(2, F3, [0], jobs=jobs), lambda: count_potent(2, F3, 1, jobs=jobs)):
+        for scan in (lambda: count_spectrum(2, F3, [0], jobs=jobs), lambda: count_potent(2, F3, 1, jobs=jobs)):
             with pytest.raises(ValueError, match="jobs"):
                 scan()
 
     def test_parallel_scan_matches_serial(self):
-        serial = count_m(2, F5, [0, 1]).count
-        parallel = count_m(2, F5, [0, 1], jobs=2).count
+        serial = count_spectrum(2, F5, [0, 1])[0].count
+        parallel = count_spectrum(2, F5, [0, 1], jobs=2)[0].count
         assert serial == parallel == counting.count_m_poly(2, 2)(5)
 
     def test_multi_chunk_scan(self):
         # 5^9 matrices span ~30 scan chunks and several worker ranges
         expected = counting.count_m_poly(3, 3)(5)
-        assert count_m(3, F5, [0, 2, 4]).count == expected
-        assert count_m(3, F5, [0, 2, 4], jobs=4).count == expected
+        assert count_spectrum(3, F5, [0, 2, 4])[0].count == expected
+        assert count_spectrum(3, F5, [0, 2, 4], jobs=4)[0].count == expected
 
     @pytest.mark.parametrize("n, p", [(2, 3), (2, 5), (3, 2)])
     def test_exact_spectrum_matches_plain_python_count(self, n, p):
@@ -606,14 +693,14 @@ class TestSpectrumCounts:
         field = PrimeField(p)
         for size in range(1, p + 1):
             for alphas in itertools.combinations(range(p), size):
-                assert count_e(n, field, alphas).count == reference.get(alphas, 0), alphas
+                assert count_spectrum(n, field, alphas)[1].count == reference.get(alphas, 0), alphas
 
     def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
         # 257^9 > 2^63 - 1: no budget or force can make this scannable.
         # A scan that starts anyway fails here instead of running for ever.
         monkeypatch.setattr(oracle, "_chunks", scan_started)
         with pytest.raises(ValueError, match="int64"):
-            count_m(3, PrimeField(257), [0], force=True)
+            count_spectrum(3, PrimeField(257), [0], force=True)
         with pytest.raises(ValueError, match="int64"):
             count_potent(8, F2, 1, force=True)
 
@@ -623,7 +710,8 @@ class TestSpectrumCounts:
         requested, ranges = recording_pool.workers, recording_pool.ranges
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         # 5^9 matrices fill 30 chunks: the 3 cores bound the workers
-        assert count_m(3, F5, [0, 2, 4], jobs=64).count == counting.count_m_poly(3, 3)(5)
+        m = count_spectrum(3, F5, [0, 2, 4], jobs=64)[0]
+        assert m.count == counting.count_m_poly(3, 3)(5)
         assert requested == [3]
         # its 32 chunks of 62,500 split 11, 11, 10 on chunk boundaries
         size = _chunk_layout(3, 5)[2]
@@ -631,21 +719,25 @@ class TestSpectrumCounts:
         assert ranges == [[(0, 11 * size), (11 * size, 22 * size), (22 * size, 5**9)]]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
         # 23^4 matrices fill 5 chunks, 17^4 fill 2, 5^4 fill 1
-        assert count_m(2, PrimeField(23), [1, 5], jobs=64).count == counting.count_m_poly(2, 2)(23)
-        assert count_e(2, PrimeField(17), [0, 3], jobs=64).count == counting.count_e_poly(2, 2)(17)
-        assert count_m(2, F5, [0, 1], jobs=64).count == counting.count_m_poly(2, 2)(5)
+        m23 = count_spectrum(2, PrimeField(23), [1, 5], jobs=64)[0]
+        e17 = count_spectrum(2, PrimeField(17), [0, 3], jobs=64)[1]
+        m5 = count_spectrum(2, F5, [0, 1], jobs=64)[0]
+        assert m23.count == counting.count_m_poly(2, 2)(23)
+        assert e17.count == counting.count_e_poly(2, 2)(17)
+        assert m5.count == counting.count_m_poly(2, 2)(5)
         assert requested == [3, 5, 2]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
-        assert count_m(2, PrimeField(23), [1, 5], jobs=8).count == counting.count_m_poly(2, 2)(23)
+        m23 = count_spectrum(2, PrimeField(23), [1, 5], jobs=8)[0]
+        assert m23.count == counting.count_m_poly(2, 2)(23)
         assert requested == [3, 5, 2]
 
     def test_m_partitions_into_e_over_subsets(self):
         spectrum = (0, 1, 2)
-        total = count_m(2, F3, spectrum).count
+        total = count_spectrum(2, F3, spectrum)[0].count
         parts = 0
         for size in range(1, len(spectrum) + 1):
             for sub in itertools.combinations(spectrum, size):
-                parts += count_e(2, F3, sub).count
+                parts += count_spectrum(2, F3, sub)[1].count
         assert total == parts
 
 
