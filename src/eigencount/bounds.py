@@ -10,7 +10,6 @@ which keeps tight cases (certificates equal) honest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import prod
 
 from .counting import is_prime
@@ -38,39 +37,76 @@ class ModeMismatch(ValueError):
     """The requested bound mode does not apply to this ring shape."""
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class _Frozen:
+    """An immutable record whose fields are its __slots__: equal to records
+    of its own class with equal fields, hashable, and shown by field."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which validates
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class BoundVerdict(_Frozen):
     """Outcome of one integer-certified comparison.
 
     ``holds`` is defined as lhs <= rhs, with both certificates already
     raised to the (k+1)-th power to clear fractional exponents.
     """
 
-    lhs_certificate: int
-    rhs_certificate: int
+    __slots__ = ("lhs_certificate", "rhs_certificate")
+
+    def __init__(self, lhs_certificate: int, rhs_certificate: int):
+        super().__init__(lhs_certificate, rhs_certificate)
 
     @property
     def holds(self) -> bool:
         return self.lhs_certificate <= self.rhs_certificate
 
 
-@dataclass(frozen=True)
-class RingSpec:
+class RingSpec(_Frozen):
     """A finite ring described by the prime factorization of its cardinality."""
 
-    prime_powers: tuple[tuple[int, int], ...]
+    __slots__ = ("prime_powers",)
 
-    def __post_init__(self):
-        if not self.prime_powers:
+    def __init__(self, prime_powers: tuple[tuple[int, int], ...]):
+        if not prime_powers:
             raise ValueError("ring spec needs at least one prime power")
-        primes = [p for p, _ in self.prime_powers]
+        primes = [p for p, _ in prime_powers]
         if len(set(primes)) != len(primes):
             raise ValueError("primes must be pairwise distinct")
-        for p, r in self.prime_powers:
+        for p, r in prime_powers:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             if r < 1:
                 raise ValueError("exponents must be at least 1")
+        super().__init__(prime_powers)
 
     @property
     def cardinality(self) -> int:

@@ -9,27 +9,31 @@ range, the evaluation point, ``EIGENCOUNT_BUDGET``), and writes records;
 every other refusal is the library's ``ValueError``, reported the same
 way.  Records go to stdout as text, one-JSON-object-per-line, or CSV;
 diagnostics (scan timings, warnings) go to stderr so identical
-invocations produce bit-identical stdout.  Only ``verify`` imports the
-oracle, and with it numpy.
+invocations produce bit-identical stdout.  Each command imports only the
+modules it uses: ``table`` the reference fixture, ``bound`` the bounds,
+``verify`` the oracle and with it numpy, and only the JSON and CSV
+formats their writers.
 
 Exit codes: 0 success, 2 usage error, 3 table mismatch, 4 verification
-mismatch, 5 enumeration budget exceeded, 6 bound violated.  The scan
-budget defaults to 2^26 matrices per invocation and can be overridden
-with the EIGENCOUNT_BUDGET environment variable.
+mismatch, 5 enumeration budget exceeded, 6 bound violated, and 141
+(128 + SIGPIPE) when stdout is closed before the records are written.
+The scan budget defaults to 2^26 matrices per invocation and can be
+overridden with the EIGENCOUNT_BUDGET environment variable.
+
+``run`` is the ``eigencount`` command itself: it flushes stdout and
+stderr and ends the process with os._exit, skipping interpreter teardown.
+``main`` returns its exit code like any function, for callers that go on.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import math
 import os
 import sys
 
-from . import bounds, counting
-from .reference import REFERENCE_BY_NK
+from . import counting
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,6 +41,10 @@ EXIT_TABLE_MISMATCH = 3
 EXIT_VERIFY_MISMATCH = 4
 EXIT_BUDGET = 5
 EXIT_BOUND_VIOLATED = 6
+EXIT_BROKEN_PIPE = 141
+
+# bounds.RING_MODES, spelled out so that building the parser loads no bounds
+_RING_MODES = ("theorem2", "theorem3", "corollary")
 
 _FIELDS = ("polynomial", "value", "verdict", "provenance")
 
@@ -67,12 +75,16 @@ class Emitter:
             ) from None
         if self.fmt == "csv":
             if self._csv is None:
+                import csv
+
                 self._csv = csv.writer(self.stream, lineterminator="\n")
                 self._csv.writerow(["command", "parameters", *_FIELDS])
             pairs = " ".join(f"{k}={v}" for k, v in params.items())
             self._csv.writerow([command, pairs, *(fields.get(name, "") for name in _FIELDS)])
             return
         if self.fmt == "json":
+            import json
+
             line = json.dumps({"command": command, "parameters": params, **fields})
         else:
             pairs = [*params.items(), *fields.items()]
@@ -146,6 +158,8 @@ def _cmd_count(args, emitter: Emitter) -> int:
 
 
 def _cmd_table(args, emitter: Emitter) -> int:
+    from .reference import REFERENCE_BY_NK
+
     if not (3 <= args.n_max <= 8):
         raise ValueError("--n-max must be between 3 and 8")
     mismatches = 0
@@ -243,6 +257,8 @@ def _cmd_verify(args, emitter: Emitter) -> int:
 
 
 def _cmd_bound(args, emitter: Emitter) -> int:
+    from . import bounds
+
     provenance, count = None, args.count
     if args.kind == "matrix":
         if args.factors is not None or args.mode is not None:
@@ -335,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--k", type=int, required=True)
     p_bound.add_argument("--count", type=int, help="potent count; computed if omitted (matrix kind)")
     p_bound.add_argument("--factors", help="ring cardinality as p^r[,p^r...] (ring kind)")
-    p_bound.add_argument("--mode", choices=bounds.RING_MODES, help="ring bound variant")
+    p_bound.add_argument("--mode", choices=_RING_MODES, help="ring bound variant")
     p_bound.set_defaults(handler=_cmd_bound)
     return parser
 
@@ -366,4 +382,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """The ``eigencount`` command: main(), then a flush of stdout and stderr
+    and os._exit with its code, which skips interpreter teardown.  When
+    stdout's reader has gone, the exit status is EXIT_BROKEN_PIPE."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    sys.stderr.flush()
+    os._exit(code)

@@ -37,7 +37,7 @@ import itertools
 import math
 import operator
 from functools import lru_cache
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .qpoly import ONE, ZERO, IntPoly
 

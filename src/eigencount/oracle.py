@@ -43,15 +43,24 @@ Every count sums a per-chunk hit function over the index range.  Scans above the
 budget (default 2^26 matrices) are refused unless forced, and shapes
 whose p^(n*n) overflows the int64 index always; the budget counts a
 spectrum's M and E count as two scans, though one pass yields both.
+
+A parallel scan splits the index range on chunk boundaries into one
+range per process.  The caller scans the first range itself and forks a
+child for each other one.  A child sends its hits back as decimal text on
+a pipe and leaves by os._exit, so it never returns into the caller's code
+and never writes output the caller buffered before the fork.  The caller
+reaps every child, and kills the children still running when it fails or
+is interrupted.  Without os.fork, scans run serially.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 # numpy's OpenBLAS would start a thread pool that these integer kernels
 # never use: import it single-threaded unless the caller chose otherwise,
@@ -260,8 +269,7 @@ def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# the scan driver and its per-chunk hit functions hit(planes, payload, p),
-# kept at module level so the worker pool can pickle them
+# the scan driver and its per-chunk hit functions hit(planes, payload, p)
 
 
 def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
@@ -354,27 +362,88 @@ def _total(hits):
     return tuple(map(sum, zip(*hits))) if isinstance(hits[0], tuple) else sum(hits)
 
 
-def _scan_range(task):
-    """Sum the hits in matrix index range [start, stop); worker entry point."""
-    hit, n, p, payload, start, stop = task
+def _scan_range(hit, n: int, p: int, payload, start: int, stop: int):
+    """Sum the hits in matrix index range [start, stop)."""
     return _total(hit(planes, payload, p) for planes in _chunks(start, stop, n, p))
 
 
-def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int):
-    """Sum the hits over all matrices on at most jobs worker processes,
-    clamped to the cores and to the chunks so none starts without work."""
-    size = _chunk_layout(n, p)[2]
+def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ranges covering matrix indices [0, total), at most one per
+    worker, that split on multiples of the chunk size: each takes
+    ceil(chunks/workers) chunks and the last the rest."""
     chunks = -(-total // size)
-    workers = min(jobs, os.cpu_count() or 1, chunks)
-    if workers <= 1:
-        return _scan_range((hit, n, p, payload, 0, total))
-    # loaded here, so that serial scans never import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     step = -(-chunks // workers) * size
-    tasks = [(hit, n, p, payload, s, min(s + step, total)) for s in range(0, total, step)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return _total(pool.map(_scan_range, tasks))
+    return [(start, min(start + step, total)) for start in range(0, total, step)]
+
+
+def _fork_scan(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int, int]:
+    """Fork a child that scans [start, stop) and writes its hits to a pipe
+    as decimal text; the child's pid and the pipe's read end."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    # the child leaves here whatever happens: it never returns into the
+    # caller's stack, whose exit handlers and buffered output are the caller's
+    status = 1
+    try:
+        os.close(read)
+        hits = _scan_range(hit, n, p, payload, start, stop)
+        os.write(write, " ".join(map(str, hits if isinstance(hits, tuple) else (hits,))).encode())
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int):
+    """Sum the hits over all matrices on at most jobs processes, the caller
+    included, clamped to the cores and to the chunks so none starts
+    without work.  No child outlives the call: each is reaped on success,
+    and killed and reaped when the caller or a child fails."""
+    size = _chunk_layout(n, p)[2]
+    workers = min(jobs, os.cpu_count() or 1, -(-total // size)) if hasattr(os, "fork") else 1
+    first, *others = _ranges(total, size, workers)
+    children = []  # (pid, pipe read end) of each child not yet reaped
+    try:
+        for start, stop in others:
+            children.append(_fork_scan(hit, n, p, payload, start, stop))
+        own = _scan_range(hit, n, p, payload, *first)
+        hits = [own]
+        while children:
+            pid, read = children[-1]
+            text = b""
+            while block := os.read(read, 512):
+                text += block
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop()
+            os.close(read)
+            if status:
+                raise RuntimeError(f"scan worker {pid} failed with exit status {status}")
+            values = tuple(map(int, text.split()))
+            hits.append(values if isinstance(own, tuple) else values[0])
+        return _total(hits)
+    finally:
+        if children:
+            import signal
+
+            for pid, read in children:
+                os.close(read)
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except ProcessLookupError:  # reaped just before the exception
+                    pass
 
 
 def _count(n, field, specs, hit, payload, budget, force, jobs) -> list[OracleCountReport]:
@@ -442,6 +511,15 @@ def count_potent(
 # conjugacy-class geometry for diagonal representatives
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of keys, sorted.  np.unique hashes integer keys
+    in numpy >= 2.3, several times slower than sorting them."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
     """Diagonal int64 matrix with eigenvalue i-1 repeated parts[i-1] times.
 
@@ -497,5 +575,5 @@ def orbit_size(
         invertible, g_inv = _invertible(g, p)
         keep = np.flatnonzero(invertible)
         conjugates = _mul(_mul(g.take(keep, axis=2), rep, p), g_inv.take(keep, axis=2), p)
-        seen = np.union1d(seen, digit_weights @ conjugates.reshape(n * n, -1))
+        seen = _distinct(np.concatenate([seen, digit_weights @ conjugates.reshape(n * n, -1)]))
     return int(seen.size)

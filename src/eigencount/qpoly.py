@@ -12,7 +12,7 @@ rely on.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from collections.abc import Iterable
 
 __all__ = ["IntPoly", "ZERO", "ONE", "Q"]
 

@@ -1,6 +1,5 @@
 """Helpers shared by the test modules."""
 
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -11,38 +10,39 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(code, timeout=60):
-    """Run code in a fresh interpreter that imports eigencount from src/."""
+def python_env():
+    """The environment of a fresh interpreter that imports eigencount from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(code, timeout=60):
+    """Run code in a fresh interpreter that imports eigencount from src/."""
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-c", code], env=python_env(), capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
 @pytest.fixture
-def recording_pool(monkeypatch):
-    """An in-process stand-in for concurrent.futures.ProcessPoolExecutor,
-    which the oracle looks up when a scan starts workers.  Each pool started
-    appends its max_workers to ``workers`` and its tasks' index ranges to
-    ``ranges``, then runs the tasks here; no process is started."""
+def forks(monkeypatch):
+    """The pids of the scan workers forked during the test, recorded by
+    wrapping the real os.fork that the oracle calls; a child returns from
+    the wrapper unrecorded.  At teardown no child of the test's process
+    may be left, running or unreaped."""
+    from eigencount import oracle
 
-    class RecordingPool:
-        workers, ranges = [], []
+    pids = []
+    real_fork = oracle.os.fork
 
-        def __init__(self, max_workers):
-            self.workers.append(max_workers)
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            self.ranges.append([task[4:] for task in tasks])
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return RecordingPool
+    monkeypatch.setattr(oracle.os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

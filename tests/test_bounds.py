@@ -1,5 +1,8 @@
 """Integer-certified bound verdicts for potent counts."""
 
+import copy
+import pickle
+
 import pytest
 
 from eigencount.bounds import (
@@ -136,3 +139,14 @@ def test_verdict_holds_matches_comparison():
     assert BoundVerdict(5, 5).holds
     assert BoundVerdict(4, 5).holds
     assert not BoundVerdict(6, 5).holds
+
+
+@pytest.mark.parametrize(
+    "record", [BoundVerdict(6, 5), RingSpec(((2, 1), (3, 2)))], ids=["verdict", "ring"]
+)
+def test_records_survive_copy_and_pickle(record):
+    for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        with pytest.raises(AttributeError):
+            clone.__setattr__(clone.__slots__[0], None)

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
-from conftest import run_python
+from conftest import python_env, run_python
 
-from eigencount import cli, counting, oracle
+from eigencount import bounds, cli, counting, oracle, reference
 
 
 def run_cli(capsys, *argv):
@@ -201,7 +203,7 @@ class TestTable:
         assert code == 2
 
     def test_mismatch_marked_and_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setitem(cli.REFERENCE_BY_NK, (3, 2), "2q^4+2q^3+2q^2+1")
+        monkeypatch.setitem(reference.REFERENCE_BY_NK, (3, 2), "2q^4+2q^3+2q^2+1")
         code, out, err = run_cli(capsys, "table", "--n-max", "3")
         assert code == 3
         assert out.startswith("! ")
@@ -293,19 +295,49 @@ class TestVerify:
         assert "mode=e" in e and "verdict=fail" in e
         assert "formula=6" in e and "oracle=7" in e
 
-    def test_one_pool_per_spectrum(self, capsys, monkeypatch, recording_pool):
-        # chunks of 81 matrices give every scan enough work for two workers
-        pools = recording_pool.workers
+    def test_one_pool_per_spectrum(self, capsys, monkeypatch, forks):
+        # chunks of 81 matrices give every scan enough work for two
+        # processes: the caller and one forked worker
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(oracle, "_CHUNK", 81)
         argv = ("verify", "--n", "3", "--p", "3")
         code, out, _ = run_cli(capsys, *argv, "--spectrum", "0,1", "--jobs", "2")
         assert code == 0 and out.count("verdict=pass") == 2
-        assert pools == [2]
+        assert len(forks) == 1
         code, out, _ = run_cli(capsys, *argv, "--all-subsets", "--jobs", "2")
         # 3 + 3 + 1 spectra, an M and an E record each
         assert code == 0 and out.count("verdict=pass") == 14
-        assert pools == [2] * 8
+        assert len(forks) == 8
+
+    def test_forked_workers_write_none_of_the_callers_output(self):
+        # stdout is a pipe, so the line printed before the scan is still in
+        # the buffer each worker inherits: a worker must leave without
+        # flushing it.  A real fork loads no process-pool module.
+        code = (
+            "import sys\n"
+            "from eigencount import cli, oracle\n"
+            "oracle.os.cpu_count = lambda: 2\n"
+            "forks, real_fork = [], oracle.os.fork\n"
+            "def fork():\n"
+            "    pid = real_fork()\n"
+            "    forks.extend([pid] if pid else [])\n"
+            "    return pid\n"
+            "oracle.os.fork = fork\n"
+            "print('before the scan')\n"
+            "code = cli.main(['verify', '--n', '2', '--p', '17', '--spectrum', '0,1', '--jobs', JOBS])\n"
+            "pools = {'concurrent.futures', 'multiprocessing'} & sys.modules.keys()\n"
+            "print(len(forks), sorted(pools), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        outs = []
+        for jobs in (1, 2):
+            # 17^4 matrices fill 2 chunks: --jobs 2 forks one worker
+            proc = run_python(code.replace("JOBS", repr(str(jobs))))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count("before the scan") == 1
+            assert proc.stderr.splitlines()[-1] == f"{jobs - 1} []"
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_budget_exceeded_exits_5(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "10")
@@ -615,6 +647,64 @@ class TestParserPlumbing:
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["table", "--bogus"]) == 2
+
+    def test_each_command_loads_only_what_it_uses(self):
+        # typing and re are left out: a site hook may load them first
+        proc = run_python(
+            "import io, sys\n"
+            "from eigencount import cli\n"
+            "heavy = {'numpy', 'eigencount.oracle', 'eigencount.bounds', 'dataclasses',\n"
+            "         'inspect', 'concurrent.futures', 'multiprocessing'}\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert cli.main(['count', '--mode', 'm', '--n', '3', '--k', '2', '--q', '5']) == 0\n"
+            "assert cli.main(['table', '--n-max', '4']) == 0\n"
+            "loaded = sorted(heavy & sys.modules.keys())\n"
+            "before = set(sys.modules)\n"
+            "assert cli.main(['bound', '--kind', 'matrix', '--n', '4', '--p', '5', '--k', '2']) == 0\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(loaded, sorted(set(sys.modules) - before))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] ['eigencount.bounds']\n"
+
+    def test_ring_modes_are_the_bounds_own(self):
+        assert cli._RING_MODES == bounds.RING_MODES
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (["count", "--mode", "m", "--n", "2", "--k", "2"], 0,
+             "count mode=m n=2 k=2 polynomial=q^2+q+2 provenance=formula\n", ""),
+            (["count", "--mode", "m", "--n", "2"], 2,
+             "", "error: --k is required unless --alphas is given\n"),
+            (["table", "--n-max", "3", "--format", "csv"], 0,
+             "command,parameters,polynomial,value,verdict,provenance\n"
+             "table,n=3 k=2,2q^4+2q^3+2q^2,,match,formula\n"
+             "table,n=3 k=3,q^6+2q^5+2q^4+q^3,,match,formula\n", ""),
+        ],
+    )
+    def test_command_flushes_before_it_exits(self, argv, code, out, err):
+        # run() ends the process by os._exit, after flushing both streams
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigencount", *argv], env=python_env(),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    def test_closed_stdout_exits_141_without_traceback(self):
+        # the pipe's reader is gone before the command starts, so every
+        # write to stdout fails
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "eigencount", "table", "--n-max", "8"],
+                env=python_env(), stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == ""
 
     def test_formula_commands_do_not_import_numpy(self):
         proc = run_python(

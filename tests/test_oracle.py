@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from eigencount.oracle import (
     _plane_dtype,
     _potent_exponent,
     _power,
+    _ranges,
+    _run_scan,
     _scan_range,
     block_diag_rep,
     centralizer_size,
@@ -505,8 +508,8 @@ class TestSpectrumPass:
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch):
         field = PrimeField(p)
-        # p chunks and two cores, so jobs=2 really starts a pool of two
-        # workers for every spectrum
+        # p chunks and two cores, so jobs=2 really forks a worker for
+        # every spectrum
         monkeypatch.setattr(oracle, "_CHUNK", p ** (n * n - 1))
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         mats = matrices(decode(0, p ** (n * n), n, p))
@@ -528,7 +531,7 @@ class TestSpectrumPass:
     def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
-        both = _scan_range((_hits_spectrum, n, p, alphas, start, stop))
+        both = _scan_range(_hits_spectrum, n, p, alphas, start, stop)
         assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
@@ -568,19 +571,73 @@ def test_import_starts_no_blas_threads():
 
 
 def test_serial_scans_load_no_worker_pool():
-    # the pool's modules (multiprocessing, socket) load only for a scan
-    # that starts workers
+    # scans fork their workers: no scan loads a process pool's modules
     code = (
         "import sys\n"
         "import eigencount.oracle as oracle\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n"
         "print(oracle.count_spectrum(2, oracle.PrimeField(3), [0, 1])[0].count)\n"
-        "assert 'concurrent.futures.process' not in sys.modules\n"
+        "assert not {'concurrent.futures', 'multiprocessing'} & sys.modules.keys()\n"
     )
     proc = run_python(code, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(counting.count_m_poly(2, 2)(3))]
 
+
+
+def two_process_scan(hit):
+    """_run_scan of hit over the 17^4 matrices of n = 2, p = 17: two chunks
+    on two cores, the first scanned by the caller, the second by one
+    forked worker."""
+    return _run_scan(hit, 2, 17, None, 17**4, 2)
+
+
+class TestForkedScans:
+    """No worker outlives a scan: a failing worker is reported and reaped,
+    and a failing caller kills and reaps its workers."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+
+    def test_hits_come_back_from_the_worker(self, forks):
+        def hit(planes, payload, p):
+            return planes.shape[1], int(planes.sum())
+
+        assert two_process_scan(hit) == (17**4, 4 * 17**3 * (16 * 17 // 2))
+        assert len(forks) == 1
+
+    def test_failing_worker_is_reported_and_reaped(self, forks, capfd):
+        caller = os.getpid()
+
+        def hit(planes, payload, p):
+            if os.getpid() != caller:
+                raise ArithmeticError("the worker fails")
+            return planes.shape[1]
+
+        with pytest.raises(RuntimeError, match="exit status 1"):
+            two_process_scan(hit)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "ArithmeticError: the worker fails" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("error", [ArithmeticError, KeyboardInterrupt])
+    def test_failing_caller_kills_and_reaps_its_worker(self, forks, error):
+        # the worker would run for a minute; the caller fails at once
+        caller = os.getpid()
+
+        def hit(planes, payload, p):
+            if os.getpid() == caller:
+                raise error("the caller fails")
+            time.sleep(60)
+
+        t0 = time.perf_counter()
+        with pytest.raises(error, match="the caller fails"):
+            two_process_scan(hit)
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def package_imports(source):
@@ -704,19 +761,17 @@ class TestSpectrumCounts:
         with pytest.raises(ValueError, match="int64"):
             count_potent(8, F2, 1, force=True)
 
-    def test_workers_clamped_to_cores_and_chunks(self, monkeypatch, recording_pool):
-        # the stand-in pool records how many workers each scan asks for and
-        # their index ranges
-        requested, ranges = recording_pool.workers, recording_pool.ranges
+    def test_workers_clamped_to_cores_and_chunks(self, monkeypatch, forks):
+        # a scan on w processes forks w - 1 workers: the caller is the other
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-        # 5^9 matrices fill 30 chunks: the 3 cores bound the workers
+        # 5^9 matrices fill 32 chunks: the 3 cores bound the processes
         m = count_spectrum(3, F5, [0, 2, 4], jobs=64)[0]
         assert m.count == counting.count_m_poly(3, 3)(5)
-        assert requested == [3]
+        assert len(forks) == 2
         # its 32 chunks of 62,500 split 11, 11, 10 on chunk boundaries
         size = _chunk_layout(3, 5)[2]
         assert size == 62500
-        assert ranges == [[(0, 11 * size), (11 * size, 22 * size), (22 * size, 5**9)]]
+        assert _ranges(5**9, size, 3) == [(0, 11 * size), (11 * size, 22 * size), (22 * size, 5**9)]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
         # 23^4 matrices fill 5 chunks, 17^4 fill 2, 5^4 fill 1
         m23 = count_spectrum(2, PrimeField(23), [1, 5], jobs=64)[0]
@@ -725,11 +780,25 @@ class TestSpectrumCounts:
         assert m23.count == counting.count_m_poly(2, 2)(23)
         assert e17.count == counting.count_e_poly(2, 2)(17)
         assert m5.count == counting.count_m_poly(2, 2)(5)
-        assert requested == [3, 5, 2]
+        assert len(forks) == 2 + 4 + 1
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
         m23 = count_spectrum(2, PrimeField(23), [1, 5], jobs=8)[0]
         assert m23.count == counting.count_m_poly(2, 2)(23)
-        assert requested == [3, 5, 2]
+        assert len(forks) == 7
+
+    def test_ranges_split_on_chunk_boundaries(self):
+        # at most one range per process, each of ceil(chunks/workers) chunks
+        # and the last of the rest, so a worker never starts without work
+        assert _ranges(625, 625, 1) == [(0, 625)]
+        assert _ranges(83521, 63869, 2) == [(0, 63869), (63869, 83521)]
+        assert _ranges(5 * 100, 100, 5) == [(s, s + 100) for s in range(0, 500, 100)]
+        assert _ranges(4 * 100 - 1, 100, 3) == [(0, 200), (200, 399)]
+        for total, size, workers in [(5**9, 62500, 3), (3**9, 81, 2), (7**4, 2401, 4)]:
+            ranges = _ranges(total, size, workers)
+            assert ranges[0][0] == 0 and ranges[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+            assert all(start % size == 0 for start, _ in ranges)
+            assert len(ranges) <= workers
 
     def test_m_partitions_into_e_over_subsets(self):
         spectrum = (0, 1, 2)
