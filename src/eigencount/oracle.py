@@ -15,8 +15,9 @@ range be split into contiguous pieces for parallel workers.  Each chunk
 of matrices is decoded into entry planes: an integer array of shape
 (n*n, B) whose row i*n + j holds entry (i, j) of every matrix.  A chunk
 is a whole number of runs of p^j matrices that differ only in their low
-j digits, so one template holds those digits and each chunk fills in the
-rest by broadcast, into one buffer reused across a range.  Entries are
+j digits, so one template holds those digits, written by broadcasting
+arange(p) in the planes' type, and each chunk fills in the rest by
+broadcast, into one buffer reused across a range.  Entries are
 reduced mod p after each product, so no intermediate reaches (n+1)*p^2,
 and the planes are the narrowest of int8/int16/int32 that holds it.
 Within the default budget that is int8 or int16, except int32 at n=1
@@ -25,8 +26,12 @@ for p >= 131; forced shapes such as (2, 257) take int32 too.
 Spectrum and potent scans test their defining condition on the planes
 one column at a time, by matrix-vector products: column j of
 prod(A - alpha*I) is v <- (A - alpha*I) v from v = e_j, and column j of
-A^(k+1) - A is A^k (A e_j) - A e_j, with A^k formed by binary powering in
-O(log k) products, k cut by a period of all n-by-n powers.  A matrix is
+A^(k+1) - A is A^k (A e_j) - A e_j, k first cut by a period of all n-by-n
+powers.  A^k (A e_j) is k matvecs v <- A v from v = A e_j while
+k <= n*(k.bit_length() + k.bit_count() - 2) + 1, the matvec cost of
+binary powering: its k.bit_length() + k.bit_count() - 2 products take
+about n matvecs each, and one more applies A^k.  Past that, as for large
+period-cut exponents, A^k is formed by binary powering.  A matrix is
 zero exactly when all its columns are, so this is the definition itself;
 only the matrices whose columns so far vanish go on to the next column,
 so column 0 does nearly all the work.
@@ -187,15 +192,17 @@ def _chunks(start: int, stop: int, n: int, p: int):
     into one _plane_dtype buffer of shape (n*n, size) that each chunk overwrites.
 
     Chunks are aligned to multiples of size.  The low j digits repeat in
-    every run of p^j matrices, so they are written once; per chunk only the
-    higher digits, constant over each run, are filled in by broadcast.
+    every run of p^j matrices, so they are written once, as a template:
+    digit d < j of index t is (t // p^d) % p, so row d viewed as
+    (size / p^(d+1), p, p^d) takes the value i at [:, i, :], broadcast from
+    arange(p) in the planes' type.  Per chunk only the higher digits,
+    constant over each run, are filled in by broadcast.
     """
     j, run, size = _chunk_layout(n, p)
     buffer = np.empty((n * n, size), dtype=_plane_dtype(n, p))
-    low = np.arange(run)
+    digits = np.arange(p, dtype=buffer.dtype)[:, None]
     for d in range(j):
-        buffer[d].reshape(-1, run)[:] = low % p
-        low //= p
+        buffer[d].reshape(-1, p, p**d)[:] = digits
     for cs in range(start - start % size, stop, size):
         end = min(stop, cs + size) - cs
         runs = -(-end // run)
@@ -327,17 +334,36 @@ def _hits_spectrum(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple
     return annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
 
 
+def _by_matvecs(k: int, n: int) -> bool:
+    """Whether A^k (A e_j) costs no more as k matvecs than by binary powering.
+
+    Binary powering forms A^k in k.bit_length() - 1 squarings and
+    k.bit_count() - 1 further products, each about n matvecs, and then
+    takes one matvec by A^k."""
+    return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
+
+
 def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
-    """Matrices with A^(k+1) = A: A^k by binary powering, then
-    A^k (A e_j) = A e_j column by column, only the matrices whose columns
-    so far agree going on to the next."""
+    """Matrices with A^(k+1) = A, tested as A^k (A e_j) = A e_j column by
+    column, only the matrices whose columns so far agree going on to the
+    next.  A^k (A e_j) is k matvecs from v = A e_j on (n, B) vectors, or one
+    matvec by A^k formed by binary powering where that is cheaper
+    (_by_matvecs), as for large period-reduced exponents."""
     n = math.isqrt(len(planes))
     a = planes.reshape(n, n, -1)
-    power = _power(a, k, p)
+    power = None if _by_matvecs(k, n) else _power(a, k, p)
     for j in range(n):
         column = a[:, j]
-        agree = np.flatnonzero((_reduce(_matvec(power, column), p) == column).all(axis=0))
-        a, power = a.take(agree, axis=2), power.take(agree, axis=2)
+        if power is None:
+            v = column
+            for _ in range(k):
+                v = _reduce(_matvec(a, v), p)
+        else:
+            v = _reduce(_matvec(power, column), p)
+        agree = np.flatnonzero((v == column).all(axis=0))
+        a = a.take(agree, axis=2)
+        if power is not None:
+            power = power.take(agree, axis=2)
     return a.shape[-1]
 
 
@@ -520,6 +546,17 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _scan_index(planes: np.ndarray, p: int) -> np.ndarray:
+    """The int64 scan index of each matrix in entry planes of shape (n*n, B),
+    digit d of it in row d, by Horner steps from the top digit on one int64
+    row: no step exceeds the index itself, which _scan_size keeps in int64."""
+    index = planes[-1].astype(np.int64)
+    for row in planes[-2::-1]:
+        index *= p
+        index += row
+    return index
+
+
 def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
     """Diagonal int64 matrix with eigenvalue i-1 repeated parts[i-1] times.
 
@@ -568,12 +605,11 @@ def orbit_size(
     n, p = len(rep), field.p
     total = _scan_size(n, p, budget, force)
     rep = rep[:, :, None].astype(_plane_dtype(n, p))
-    digit_weights = p ** np.arange(n * n, dtype=np.int64)
     seen = np.empty(0, dtype=np.int64)
     for planes in _chunks(0, total, n, p):
         g = planes.reshape(n, n, -1)
         invertible, g_inv = _invertible(g, p)
         keep = np.flatnonzero(invertible)
         conjugates = _mul(_mul(g.take(keep, axis=2), rep, p), g_inv.take(keep, axis=2), p)
-        seen = _distinct(np.concatenate([seen, digit_weights @ conjugates.reshape(n * n, -1)]))
+        seen = _distinct(np.concatenate([seen, _scan_index(conjugates.reshape(n * n, -1), p)]))
     return int(seen.size)

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from eigencount.oracle import (
     BudgetExceeded,
     PrimeField,
     _annihilated,
+    _by_matvecs,
     _chunk_layout,
     _chunks,
     _exact,
@@ -30,6 +32,7 @@ from eigencount.oracle import (
     _power,
     _ranges,
     _run_scan,
+    _scan_index,
     _scan_range,
     block_diag_rep,
     centralizer_size,
@@ -353,6 +356,21 @@ class TestFqMatrix:
             power = _power(planes.reshape(n, n, -1), k, p)
             assert np.array_equal(matrices(power.reshape(n * n, -1)), pow_batch(mats, k, p)), k
 
+    @pytest.mark.parametrize("n, p", [(1, 257), (2, 3), (3, 5), (4, 2), (7, 2), (3, 127)])
+    def test_scan_index_inverts_the_decode(self, n, p):
+        # on random unaligned ranges and on the last chunk, where (3, 127)
+        # comes closest to the int64 top: 127^9 is about 8.6e18
+        total = p ** (n * n)
+        size = _chunk_layout(n, p)[2]
+        rng = np.random.default_rng(1000 * n + p)
+        ranges = [((total - 1) // size * size, total)]
+        for start in rng.integers(0, total, size=5).tolist():
+            ranges.append((start, min(total, start + int(rng.integers(1, 3 * size)))))
+        for start, stop in ranges:
+            index = np.concatenate([_scan_index(planes, p) for planes in _chunks(start, stop, n, p)])
+            assert index.dtype == np.int64
+            assert np.array_equal(index, np.arange(start, stop)), (start, stop)
+
     def test_plane_dtype_is_the_narrowest_exact_one(self):
         # over every shape a scan admits, the planes' type holds the largest
         # intermediate of the kernels, a matvec sum plus the annihilation
@@ -461,6 +479,36 @@ class TestFirstColumnFilter:
             expected = potent_mask(mats, k, p).sum()
             assert _hits_potent(planes, k, p) == _hits_potent(wide, k, p) == expected
 
+    @pytest.mark.parametrize("n, p", [(1, 257), (2, 3), (2, 5), (3, 2)])
+    def test_potent_paths_straddle_the_crossover(self, n, p):
+        # k matvecs while they cost no more than binary powering; past
+        # k = 31 binary powering always costs less for n <= 3 (at most
+        # 3*(6 + 6 - 2) + 1 = 31 matvecs for a 6-bit k).  Every k up to 3 past
+        # the last matvec one, on every matrix
+        last = max(k for k in range(1, 32) if _by_matvecs(k, n))
+        assert last == {1: 3, 2: 11, 3: 19}[n]
+        ks = range(1, last + 4)
+        assert {_by_matvecs(k, n) for k in ks} == {True, False}
+        planes = decode(0, p ** (n * n), n, p)
+        mats = matrices(planes)
+        for k in ks:
+            assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum(), k
+
+    def test_small_exponents_skip_binary_powering(self, monkeypatch):
+        exponents = []
+        power = oracle._power
+
+        def recording_power(a, k, p):
+            exponents.append(k)
+            return power(a, k, p)
+
+        monkeypatch.setattr(oracle, "_power", recording_power)
+        for k in (3, 4):
+            assert count_potent(3, F5, k).count == counting.potent_count(3, 5, k)
+        assert exponents == []
+        assert count_potent(3, F5, 10**18).count == counting.potent_count(3, 5, 10**18)
+        assert exponents and set(exponents) == {_potent_exponent(10**18, 3, 5)}
+
     def test_huge_k_answers_at_once(self):
         # binary powering costs O(log k) squarings; a loop linear in k
         # would not finish before the timeout
@@ -476,6 +524,52 @@ class TestFirstColumnFilter:
             rows = [list(entries[:2]), list(entries[2:])]
             expected += power_mod(rows, k + 1, 3) == rows
         assert int(proc.stdout) == expected
+
+
+def decode_buffer(n, p):
+    """Bytes of the buffer _chunks decodes into: n*n * size * itemsize."""
+    return n * n * _chunk_layout(n, p)[2] * np.dtype(_plane_dtype(n, p)).itemsize
+
+
+def traced_peak(work):
+    """The peak bytes traced while work() runs.  numpy reports its array
+    buffers to tracemalloc, so the peak repeats exactly from run to run."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        work()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Peak memory of the oracle's kernels, in multiples of the decode
+    buffer (decode_buffer).  A scan keeps the buffer and a
+    few (n, B) vectors; one more (n, n, B) temporary adds a whole buffer,
+    and an int64 copy of the planes eight, so either exceeds its bound."""
+
+    @pytest.mark.parametrize(
+        "hit, payload, bound",
+        [(None, None, 1.05), (_hits_potent, 3, 2.25), (_hits_potent, 4, 2.25),
+         (_hits_spectrum, (0, 1, 2), 2.25)],
+        ids=["decode", "potent-k3", "potent-k4", "spectrum-012"],
+    )
+    def test_scan_peak_over_two_chunks(self, hit, payload, bound):
+        n, p = 3, 5
+        size = _chunk_layout(n, p)[2]
+        buffer = decode_buffer(n, p)
+        if hit is None:
+            peak = traced_peak(lambda: all(planes.size for planes in _chunks(0, 2 * size, n, p)))
+        else:
+            peak = traced_peak(lambda: _scan_range(hit, n, p, payload, 0, 2 * size))
+        assert peak <= bound * buffer, peak / buffer
+
+    def test_orbit_peak(self):
+        # inversion by powering holds a few (n, n, B) products at once
+        buffer = decode_buffer(3, 3)
+        peak = traced_peak(lambda: orbit_size((1, 2), F3))
+        assert peak <= 5.5 * buffer, peak / buffer
 
 
 SPECTRUM_SHAPES = [(2, 3), (2, 5), (3, 2), (3, 3), (2, 7)]
