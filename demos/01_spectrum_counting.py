@@ -7,6 +7,7 @@ count (spectrum contained in a set vs spectrum exactly a set).  Everything
 is an exact polynomial in the field size q.
 """
 
+import itertools
 import math
 
 from eigencount import (
@@ -52,7 +53,9 @@ print()
 print("=== spectrum inside k values: choose the s values that occur ===")
 print("M(2,k) = sum over s of C(k,s) E(2,s); its cost does not grow with k")
 for k in (1, 2, 3, 10**6):
-    via_e = sum((math.comb(k, s) * count_e_poly(2, s) for s in (1, 2)), IntPoly())
+    # coefficient by coefficient, on the plain-integer coefficient tuples
+    terms = [[math.comb(k, s) * c for c in count_e_poly(2, s).coeffs] for s in (1, 2)]
+    via_e = IntPoly(map(sum, itertools.zip_longest(*terms, fillvalue=0)))
     print(f"  k={k}: count_m_poly = {count_m_poly(2, k)}   sum = {via_e}")
 
 print()

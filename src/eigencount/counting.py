@@ -19,9 +19,10 @@ into a j-dimensional eigenspace and the rest has U_n / (U_j U_{n-j}) =
 q^(j(n-j)) [n choose j]_q ways, row by row by the q-Pascal rule, so
 peeling off one eigenvalue at a time yields E(n, 1..n) without dividing
 polynomials or enumerating compositions.  It runs on plain integers at
-q = 2^B, B wide enough for every coefficient, read back as base-2^B digits
-(Kronecker substitution).  A weak composition is a strict one of its s
-nonzero parts, so M(n, k) = sum over s of C(k, s) E(n, s), and its cost
+q = 2^B, B wide enough for every coefficient, read back as balanced
+base-2^B digits (Kronecker substitution), as is U_n itself.  A weak
+composition is a strict one of its s nonzero parts, so M(n, k) = sum over
+s of C(k, s) E(n, s), summed on plain-integer coefficients, and its cost
 does not grow with k.
 
 Potent counts, A^(k+1) = A over F_p for any k, join nilpotent primary
@@ -39,7 +40,7 @@ import operator
 from functools import lru_cache
 from collections.abc import Iterator, Sequence
 
-from .qpoly import ONE, ZERO, IntPoly
+from .qpoly import ZERO, IntPoly
 
 __all__ = [
     "strict_compositions",
@@ -149,14 +150,13 @@ def gl_order_poly(n: int) -> IntPoly:
     """Order of the invertible n-by-n matrices as a polynomial in q.
 
     q^(n(n-1)/2) * (q-1)(q^2-1)...(q^n-1); the empty product makes the
-    0-by-0 case the constant 1.
+    0-by-0 case the constant 1.  Packed at B = n + 2: the coefficients
+    alternate in sign, and their absolute values sum to at most 2^n, the
+    value at q = 1 of the same product with every -1 made +1.
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
-    poly = IntPoly.monomial(n * (n - 1) // 2)
-    for i in range(1, n + 1):
-        poly = poly * (IntPoly.monomial(i) - ONE)
-    return poly
+    return _unpack(_gl_order(n, 1 << (n + 2)), n + 2)
 
 
 def _split_rows(n: int, q: int) -> Iterator[list[int]]:
@@ -173,14 +173,25 @@ def _split_rows(n: int, q: int) -> Iterator[list[int]]:
 
 
 # Kronecker substitution: the closed forms are built as plain integers at
-# q = 2^bits and read back as base-2^bits digits.  Every packed value on the
-# way is the exact value of its polynomial at that q, so only the final
-# polynomials need their coefficients, all nonnegative, below 2^bits; each
-# caller bounds them by their sum, the value at q = 1.
+# q = 2^bits and read back as balanced base-2^bits digits, each in
+# [-2^(bits-1), 2^(bits-1)), a high digit borrowing from the next place.
+# Every packed value on the way is the exact value of its polynomial at that
+# q, so only the final polynomials need every coefficient's absolute value
+# below 2^(bits-1); each caller bounds them by their absolute sum, which for
+# nonnegative coefficients is the value at q = 1.
 def _unpack(value: int, bits: int) -> IntPoly:
-    """The polynomial whose base-2^bits digits make up value."""
-    text = f"{value:b}"
-    return IntPoly(int(text[max(i - bits, 0):i], 2) for i in range(len(text), 0, -bits))
+    """The polynomial whose balanced base-2^bits digits make up value."""
+    sign = -1 if value < 0 else 1
+    text = f"{abs(value):b}"
+    # digits of |value| from top up borrow; for a negative value a digit of
+    # 2^(bits-1) stays, as it negates to -2^(bits-1), inside the range
+    top = (1 << (bits - 1)) + (value < 0)
+    coeffs, carry = [], 0
+    for i in range(len(text), 0, -bits):
+        digit = int(text[max(i - bits, 0):i], 2) + carry
+        carry = digit >= top
+        coeffs.append(sign * (digit - (carry << bits)))
+    return IntPoly(coeffs + [sign] * carry)
 
 
 def class_size_poly(parts: Sequence[int]) -> IntPoly:
@@ -240,9 +251,14 @@ def count_m_poly(n: int, k: int) -> IntPoly:
     """Count of diagonalizable matrices with spectrum inside a fixed k-set.
 
     Sum of class sizes over the weak compositions of n into k parts, i.e.
-    the sum over s of C(k, s) E(n, s): choose the s values that occur.
+    the sum over s of C(k, s) E(n, s): choose the s values that occur,
+    summed coefficient by coefficient.
     """
-    return sum((math.comb(k, s) * e for s, e in enumerate(_exact_row(n, k), 1)), ZERO)
+    total: list[int] = []
+    for s, e in enumerate(_exact_row(n, k), 1):
+        c = math.comb(k, s)
+        total = [a + c * b for a, b in itertools.zip_longest(total, e.coeffs, fillvalue=0)]
+    return IntPoly(total)
 
 
 def count_e_poly(n: int, k: int) -> IntPoly:

@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +9,36 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# Coefficient-tuple arithmetic: the tests' own reference for polynomial
+# identities, since IntPoly is only a record.  A tuple is indexed by power
+# and kept canonical as in IntPoly.coeffs: no trailing zeros, and the zero
+# polynomial is empty.
+
+
+def canonical(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(*polys):
+    return canonical(map(sum, itertools.zip_longest(*polys, fillvalue=0)))
+
+
+def poly_scale(c, poly):
+    return canonical(c * x for x in poly)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return canonical(out)
 
 
 def python_env():
