@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 
@@ -185,14 +184,23 @@ def _cmd_table(args, emitter: Emitter) -> int:
 # verify
 
 
+def _scan_line(what: str, rep):
+    """The stderr line of a command's one scan, from one of its reports."""
+    _diag(f"scan {what} n={rep.n} p={rep.p}: {rep.scanned} matrices in {int(rep.seconds * 1000)} ms")
+
+
+def _spectra(args, p: int):
+    """The spectra to verify, anew on each call: the one given, or each nonempty
+    subset of F_p with at most n+1 elements (larger ones add no information)."""
+    if args.spectrum is not None:
+        return [counting.validate_spectrum(p, _parse_int_list(args.spectrum, "spectrum"))]
+    sizes = range(1, min(args.n + 1, p) + 1)
+    return itertools.chain.from_iterable(itertools.combinations(range(p), size) for size in sizes)
+
+
 def _verify_record(emitter: Emitter, rep, params: dict[str, str], poly, formula) -> bool:
-    """Print the scan line and one verify record comparing the oracle's
-    count with ``formula``, the value at p of ``poly`` when there is one;
-    False on a mismatch."""
-    _diag(
-        f"scan {rep.spec} n={rep.n} p={rep.p}: {rep.scanned} matrices in "
-        f"{int(rep.seconds * 1000)} ms"
-    )
+    """One verify record comparing the oracle's count with ``formula``, the
+    value at p of ``poly`` when there is one; False on a mismatch."""
     params = {**params, "scanned": str(rep.scanned)}
     equal = formula == rep.count
     if not equal:
@@ -221,28 +229,17 @@ def _cmd_verify(args, emitter: Emitter) -> int:
     if args.potent is not None:
         k = args.potent
         rep = oracle.count_potent(args.n, fld, k, **scan)
+        _scan_line(rep.spec, rep)
         poly = counting.count_m_poly(args.n, k + 1) if (fld.p - 1) % k == 0 else None
         params = {"n": str(args.n), "p": str(fld.p), "k": str(k)}
         ok = _verify_record(emitter, rep, params, poly, counting.potent_count(args.n, fld.p, k))
         return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
-    if args.spectrum is not None:
-        spectra = [counting.validate_spectrum(fld.p, _parse_int_list(args.spectrum, "spectrum"))]
-        num_spectra = 1
-    else:
-        # all nonempty subsets of F_p; sizes beyond n+1 add no new information
-        sizes = range(1, min(args.n + 1, fld.p) + 1)
-        spectra = itertools.chain.from_iterable(
-            itertools.combinations(range(fld.p), size) for size in sizes
-        )
-        num_spectra = sum(math.comb(fld.p, size) for size in sizes)
-    # an M and an E scan per spectrum, all refused up front if over budget;
-    # one pass yields both counts
-    oracle._scan_size(args.n, fld.p, budget, args.force, args.jobs, scans=2 * num_spectra)
+    pairs = oracle.count_spectra(args.n, fld, _spectra(args, fld.p), **scan)
+    _scan_line(f"spectra={len(pairs)}", pairs[0][0])
     ok = True
-    for alphas in spectra:
-        reports = oracle.count_spectrum(args.n, fld, alphas, **scan)
-        for mode, formula_poly, rep in zip("me", (counting.count_m_poly, counting.count_e_poly), reports):
+    for alphas, pair in zip(_spectra(args, fld.p), pairs):
+        for mode, formula_poly, rep in zip("me", (counting.count_m_poly, counting.count_e_poly), pair):
             poly = formula_poly(args.n, len(alphas))
             params = {
                 "mode": mode, "n": str(args.n), "p": str(fld.p),

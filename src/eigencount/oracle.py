@@ -38,16 +38,16 @@ so column 0 does nearly all the work.
 Exact spectra then refine the annihilated matrices on the same planes:
 on them alpha is an eigenvalue exactly when prod over beta != alpha of
 (A - beta*I), a nonzero multiple of the projector onto its eigenspace,
-is nonzero, tested column by column the same way.  One pass therefore
-yields both the M and the E count of a spectrum (count_spectrum).
+is nonzero, tested column by column the same way.  One scan therefore
+yields the M and the E count of every spectrum asked for (count_spectra).
 Centralizers and orbits invert on the same planes: by the Fitting
 decomposition behind that period, A^period = I for every invertible A and
 A^period is singular for every singular A, so A^(period-1) is the inverse
 exactly where A * A^(period-1) = I.
-Every count sums a per-chunk hit function over the index range.  Scans above the
-budget (default 2^26 matrices) are refused unless forced, and shapes
-whose p^(n*n) overflows the int64 index always; the budget counts a
-spectrum's M and E count as two scans, though one pass yields both.
+Every count sums a per-chunk hit function, a tuple with one count per
+spec, over the index range.  Scans above the budget (default 2^26
+matrices) are refused unless forced, and shapes whose p^(n*n) overflows
+the int64 index always; the budget counts an M and an E scan per spectrum.
 
 A parallel scan splits the index range on chunk boundaries into one
 range per process.  The caller scans the first range itself and forks a
@@ -64,7 +64,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 # numpy's OpenBLAS would start a thread pool that these integer kernels
@@ -85,7 +85,7 @@ __all__ = [
     "PrimeField",
     "OracleCountReport",
     "BudgetExceeded",
-    "count_spectrum",
+    "count_spectra",
     "count_potent",
     "centralizer_size",
     "orbit_size",
@@ -147,22 +147,22 @@ class OracleCountReport:
     seconds: float
 
 
-def _scan_size(n: int, p: int, budget: int, force: bool, jobs: int = 1, scans: int = 1) -> int:
-    """The p^(n*n) matrices of a scan shape, after refusing scans not to run.
-
-    The budget covers ``scans`` scans of that shape together, so a caller
-    about to run several can refuse them all before the first one.
-    """
+def _scan_size(n: int, p: int, jobs: int = 1) -> int:
+    """The p^(n*n) matrices of a scan shape, refusing those no budget admits:
+    as p >= 2, n*n >= 63 overflows the int64 index before any power is formed."""
     if n < 1:
         raise ValueError("dimension must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    total = p ** (n * n)
-    if total > _INDEX_MAX:
+    if n * n >= 63 or p ** (n * n) > _INDEX_MAX:
         raise ValueError(f"{p}^{n * n} matrices overflow the int64 scan index")
-    if not force and scans * total > budget:
-        raise BudgetExceeded(scans * total, budget)
-    return total
+    return p ** (n * n)
+
+
+def _charge(required: int, budget: int, force: bool) -> None:
+    """Refuse to scan required matrices in all over budget, unless forced."""
+    if not force and required > budget:
+        raise BudgetExceeded(required, budget)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +276,7 @@ def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# the scan driver and its per-chunk hit functions hit(planes, payload, p)
+# the scan driver and its hit functions hit(planes, payload, p), one count per spec
 
 
 def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
@@ -328,10 +328,13 @@ def _exact(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
     return planes
 
 
-def _hits_spectrum(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
-    """M and E hits from one annihilation of the chunk."""
-    annihilated = _annihilated(planes, alphas, p)
-    return annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
+def _hits_spectra(planes: np.ndarray, spectra: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
+    """M and E hits of each spectrum in turn, from one annihilation each."""
+    hits = []
+    for alphas in spectra:
+        annihilated = _annihilated(planes, alphas, p)
+        hits += annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
+    return tuple(hits)
 
 
 def _by_matvecs(k: int, n: int) -> bool:
@@ -343,7 +346,7 @@ def _by_matvecs(k: int, n: int) -> bool:
     return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
 
 
-def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
+def _hits_potent(planes: np.ndarray, k: int, p: int) -> tuple[int]:
     """Matrices with A^(k+1) = A, tested as A^k (A e_j) = A e_j column by
     column, only the matrices whose columns so far agree going on to the
     next.  A^k (A e_j) is k matvecs from v = A e_j on (n, B) vectors, or one
@@ -364,7 +367,7 @@ def _hits_potent(planes: np.ndarray, k: int, p: int) -> int:
         a = a.take(agree, axis=2)
         if power is not None:
             power = power.take(agree, axis=2)
-    return a.shape[-1]
+    return (a.shape[-1],)
 
 
 def _potent_exponent(k: int, n: int, p: int) -> int:
@@ -374,21 +377,20 @@ def _potent_exponent(k: int, n: int, p: int) -> int:
     return n + (k - n) % period if k > n + period else k
 
 
-def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> int:
+def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
     """Invertible matrices among those commuting with rep, given as planes of shape (n, n, 1)."""
     n = len(rep)
     a = planes.reshape(n, n, -1)
     commuting = (_mul(a, rep, p) == _mul(rep, a, p)).all(axis=(0, 1))
-    return int(_invertible(a.take(np.flatnonzero(commuting), axis=2), p)[0].sum())
+    return (int(_invertible(a.take(np.flatnonzero(commuting), axis=2), p)[0].sum()),)
 
 
-def _total(hits):
-    """The sum of per-piece hits: ints, or tuples of ints added entrywise."""
-    hits = list(hits)
-    return tuple(map(sum, zip(*hits))) if isinstance(hits[0], tuple) else sum(hits)
+def _total(hits) -> tuple[int, ...]:
+    """The entrywise sum of per-piece hit tuples."""
+    return tuple(map(sum, zip(*hits)))
 
 
-def _scan_range(hit, n: int, p: int, payload, start: int, stop: int):
+def _scan_range(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int, ...]:
     """Sum the hits in matrix index range [start, stop)."""
     return _total(hit(planes, payload, p) for planes in _chunks(start, stop, n, p))
 
@@ -421,7 +423,8 @@ def _fork_scan(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int
     try:
         os.close(read)
         hits = _scan_range(hit, n, p, payload, start, stop)
-        os.write(write, " ".join(map(str, hits if isinstance(hits, tuple) else (hits,))).encode())
+        with open(write, "wb") as pipe:  # writes every byte, however many
+            pipe.write(" ".join(map(str, hits)).encode())
         status = 0
     except Exception:
         import traceback
@@ -432,7 +435,7 @@ def _fork_scan(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int
         os._exit(status)
 
 
-def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int):
+def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> tuple[int, ...]:
     """Sum the hits over all matrices on at most jobs processes, the caller
     included, clamped to the cores and to the chunks so none starts
     without work.  No child outlives the call: each is reaped on success,
@@ -444,20 +447,16 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int):
     try:
         for start, stop in others:
             children.append(_fork_scan(hit, n, p, payload, start, stop))
-        own = _scan_range(hit, n, p, payload, *first)
-        hits = [own]
+        hits = [_scan_range(hit, n, p, payload, *first)]
         while children:
             pid, read = children[-1]
-            text = b""
-            while block := os.read(read, 512):
-                text += block
+            text = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop()
             os.close(read)
             if status:
                 raise RuntimeError(f"scan worker {pid} failed with exit status {status}")
-            values = tuple(map(int, text.split()))
-            hits.append(values if isinstance(own, tuple) else values[0])
+            hits.append(tuple(map(int, text.split())))
         return _total(hits)
     finally:
         if children:
@@ -472,45 +471,44 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int):
                     pass
 
 
-def _count(n, field, specs, hit, payload, budget, force, jobs) -> list[OracleCountReport]:
-    """One scan, refused unless the budget covers one scan per spec, and a
-    report per spec: hit returns one count, or a tuple of one per spec."""
-    total = _scan_size(n, field.p, budget, force, jobs, scans=len(specs))
+def _count(n, field, specs, hit, payload, total, jobs) -> list[OracleCountReport]:
+    """A report per spec from one scan of the total matrices."""
     t0 = time.perf_counter()
-    hits = _run_scan(hit, n, field.p, payload, total, jobs)
+    counts = _run_scan(hit, n, field.p, payload, total, jobs)
     seconds = time.perf_counter() - t0
-    counts = hits if isinstance(hits, tuple) else (hits,)
     return [
         OracleCountReport(n, field.p, spec, count=count, scanned=total, seconds=seconds)
         for spec, count in zip(specs, counts)
     ]
 
 
-def _spec(mode: str, alphas: tuple[int, ...]) -> str:
-    return mode + ":{" + ",".join(map(str, alphas)) + "}"
-
-
-def count_spectrum(
+def count_spectra(
     n: int,
     field: PrimeField,
-    alphas: Sequence[int],
+    spectra: Iterable[Sequence[int]],
     *,
     budget: int = DEFAULT_BUDGET,
     force: bool = False,
     jobs: int = 1,
-) -> tuple[OracleCountReport, OracleCountReport]:
-    """The M and E reports of one spectrum, from one scan.
+) -> list[tuple[OracleCountReport, OracleCountReport]]:
+    """The M and E reports of each spectrum in turn, all from one scan.
 
     M counts the matrices annihilated by prod(A - alpha*I), the
     diagonalizable ones with spectrum inside alphas; E those of them with
-    every alpha an eigenvalue, by the projector test.  The budget still
-    counts two scans, an M and an E, as if each ran on its own; both
-    reports carry the time of the one scan.
+    every alpha an eigenvalue, by the projector test.  Each chunk is tested
+    for every spectrum, so the budget counts an M and an E scan for each.
+    An overflowing shape, or one whose single scan is over budget, is
+    refused before the spectra are listed, so they may come lazily.
     """
-    alphas = validate_spectrum(field.p, alphas)
-    specs = [_spec("m", alphas), _spec("e", alphas)]
-    m, e = _count(n, field, specs, _hits_spectrum, alphas, budget, force, jobs)
-    return m, e
+    total = _scan_size(n, field.p, jobs)
+    if not force and total > budget:
+        raise BudgetExceeded(2 * total * sum(1 for _ in spectra), budget)
+    spectra = list(spectra)
+    _charge(2 * len(spectra) * total, budget, force)  # before each spectrum is checked
+    spectra = [validate_spectrum(field.p, alphas) for alphas in spectra]
+    specs = [mode + ":{" + ",".join(map(str, alphas)) + "}" for alphas in spectra for mode in "me"]
+    reports = _count(n, field, specs, _hits_spectra, spectra, total, jobs)
+    return list(zip(reports[::2], reports[1::2]))
 
 
 def count_potent(
@@ -529,8 +527,10 @@ def count_potent(
     """
     if k < 1:
         raise ValueError("k must be positive")
+    total = _scan_size(n, field.p, jobs)  # bounds n before the period's lcm of n terms
+    _charge(total, budget, force)
     exponent = _potent_exponent(k, n, field.p)
-    return _count(n, field, [f"potent:k={k}"], _hits_potent, exponent, budget, force, jobs)[0]
+    return _count(n, field, [f"potent:k={k}"], _hits_potent, exponent, total, jobs)[0]
 
 
 # ----------------------------------------------------------------------
@@ -584,9 +584,10 @@ def centralizer_size(
     """Count invertible matrices commuting with the block-diagonal rep."""
     rep = block_diag_rep(parts, field)
     n, p = len(rep), field.p
-    total = _scan_size(n, p, budget, force)
+    total = _scan_size(n, p)
+    _charge(total, budget, force)
     rep = rep[:, :, None].astype(_plane_dtype(n, p))
-    return _run_scan(_hits_centralizer, n, p, rep, total, 1)
+    return _run_scan(_hits_centralizer, n, p, rep, total, 1)[0]
 
 
 def orbit_size(
@@ -603,7 +604,8 @@ def orbit_size(
     """
     rep = block_diag_rep(parts, field)
     n, p = len(rep), field.p
-    total = _scan_size(n, p, budget, force)
+    total = _scan_size(n, p)
+    _charge(total, budget, force)
     rep = rep[:, :, None].astype(_plane_dtype(n, p))
     seen = np.empty(0, dtype=np.int64)
     for planes in _chunks(0, total, n, p):

@@ -48,11 +48,12 @@ def python_env():
     return env
 
 
-def run_python(code, timeout=60):
-    """Run code in a fresh interpreter that imports eigencount from src/."""
+def run_python(code, timeout=60, env=None):
+    """Run code in a fresh interpreter that imports eigencount from src/,
+    with the variables in env added to its environment."""
     return subprocess.run(
-        [sys.executable, "-c", code], env=python_env(), capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, "-c", code], env={**python_env(), **(env or {})}, capture_output=True,
+        text=True, timeout=timeout,
     )
 
 

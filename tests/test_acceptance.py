@@ -53,7 +53,7 @@ def test_criterion_1_reference_table(capsys):
         # oracle adjudication hook at q=2 for the binary-checkable row
         assert rows[(3, 2)] == str(
             IntPoly([0, 0, 2, 2, 2])
-        ) and oracle.count_spectrum(3, oracle.PrimeField(2), [0, 1])[1].count == (
+        ) and oracle.count_spectra(3, oracle.PrimeField(2), [[0, 1]])[0][1].count == (
             counting.count_e_poly(3, 2)(2)
         )
     print()
@@ -63,15 +63,19 @@ def test_criterion_2_formula_oracle_grid():
     with criterion("2 formula-oracle equivalence grid", 180.0):
         comparisons = 0
         for n, p in GRID:
-            field = oracle.PrimeField(p)
-            for size in range(1, min(n + 1, p) + 1):
-                for alphas in itertools.combinations(range(p), size):
-                    m_formula = counting.count_m_poly(n, size)(p)
-                    e_formula = counting.count_e_poly(n, size)(p)
-                    m_scan, e_scan = oracle.count_spectrum(n, field, alphas)
-                    assert m_scan.count == m_formula, (n, p, alphas, "m")
-                    assert e_scan.count == e_formula, (n, p, alphas, "e")
-                    comparisons += 2
+            spectra = [
+                alphas
+                for size in range(1, min(n + 1, p) + 1)
+                for alphas in itertools.combinations(range(p), size)
+            ]
+            # every spectrum of the shape from one scan
+            pairs = oracle.count_spectra(n, oracle.PrimeField(p), spectra)
+            for alphas, (m_scan, e_scan) in zip(spectra, pairs, strict=True):
+                m_formula = counting.count_m_poly(n, len(alphas))(p)
+                e_formula = counting.count_e_poly(n, len(alphas))(p)
+                assert m_scan.count == m_formula, (n, p, alphas, "m")
+                assert e_scan.count == e_formula, (n, p, alphas, "e")
+                comparisons += 2
         assert comparisons == 2 * (3 + 7 + 25 + 63 + 3 + 7 + 3)
     print()
 
@@ -81,11 +85,11 @@ def test_criterion_3_anchored_values():
         F2, F3, F7 = (oracle.PrimeField(p) for p in (2, 3, 7))
         # idempotents of M_2(F_2)
         assert counting.count_m_poly(2, 2)(2) == 8
-        assert oracle.count_spectrum(2, F2, [0, 1])[0].count == 8
+        assert oracle.count_spectra(2, F2, [[0, 1]])[0][0].count == 8
         assert oracle.count_potent(2, F2, 1).count == 8
         # exact spectrum {0,1} in M_3(F_2)
         assert counting.count_e_poly(3, 2)(2) == 56
-        assert oracle.count_spectrum(3, F2, [0, 1])[1].count == 56
+        assert oracle.count_spectra(3, F2, [[0, 1]])[0][1].count == 56
         # 4-potents of M_2(F_7)
         assert counting.potent_count(2, 7, 3) == 340
         assert oracle.count_potent(2, F7, 3).count == 340
@@ -106,7 +110,7 @@ def test_criterion_4_eigenvalue_anonymity():
         assert expected == 32
         spectra = list(itertools.combinations(range(5), 2))
         assert len(spectra) == 10
-        counts = {oracle.count_spectrum(2, field, s)[0].count for s in spectra}
+        counts = {m.count for m, _ in oracle.count_spectra(2, field, spectra)}
         assert counts == {32}
     print()
 

@@ -1,12 +1,15 @@
 """Command-line contract: outputs, exit codes, formats, determinism."""
 
+import ast
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from conftest import python_env, run_python
@@ -20,18 +23,35 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_capped(statement):
+def run_capped(statement, env=None):
     """Run one statement with cli and counting imported, in a child whose
     address space is capped at 2 GiB and whose run is cut at 20 s, so a
     build that should not start fails fast instead of filling the
-    machine's memory; the statement's value is the exit code."""
+    machine's memory; the statement's value is the exit code.  The
+    variables in env are added to the child's environment."""
     return run_python(
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
         "from eigencount import cli, counting\n"
         f"sys.exit({statement})\n",
         timeout=20,
+        env=env,
     )
+
+
+def budget_refusal(required, budget=oracle.DEFAULT_BUDGET):
+    """The error line of a verify refused over budget."""
+    return (
+        f"error: scanning needs {required} matrices but the budget is {budget}; raise the budget "
+        f"or force the scan (budget {budget}, required {required}; set EIGENCOUNT_BUDGET or "
+        "pass --force)\n"
+    )
+
+
+def subset_scans(n, p):
+    """The M and E scans the budget counts for verify --all-subsets: two per
+    nonempty subset of F_p with at most n+1 elements."""
+    return 2 * sum(math.comb(p, size) for size in range(1, min(n + 1, p) + 1))
 
 
 def weak_sum_n3(k, q):
@@ -262,16 +282,17 @@ class TestVerify:
 
     @staticmethod
     def skew_spectrum(monkeypatch, which):
-        """Make oracle.count_spectrum report one too many matrices in its
-        M (which=0) or E (which=1) count."""
-        real = oracle.count_spectrum
+        """Make oracle.count_spectra report one too many matrices in the M
+        (which=0) or E (which=1) count of every spectrum."""
+        real = oracle.count_spectra
 
-        def skewed(n, field, alphas, **kwargs):
-            reports = real(n, field, alphas, **kwargs)
-            reports[which].count += 1
-            return reports
+        def skewed(*args, **kwargs):
+            pairs = real(*args, **kwargs)
+            for pair in pairs:
+                pair[which].count += 1
+            return pairs
 
-        monkeypatch.setattr(oracle, "count_spectrum", skewed)
+        monkeypatch.setattr(oracle, "count_spectra", skewed)
 
     def test_mismatch_exits_4(self, capsys, monkeypatch):
         self.skew_spectrum(monkeypatch, 0)
@@ -295,7 +316,7 @@ class TestVerify:
         assert "mode=e" in e and "verdict=fail" in e
         assert "formula=6" in e and "oracle=7" in e
 
-    def test_one_pool_per_spectrum(self, capsys, monkeypatch, forks):
+    def test_one_fork_per_command(self, capsys, monkeypatch, forks):
         # chunks of 81 matrices give every scan enough work for two
         # processes: the caller and one forked worker
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
@@ -305,9 +326,21 @@ class TestVerify:
         assert code == 0 and out.count("verdict=pass") == 2
         assert len(forks) == 1
         code, out, _ = run_cli(capsys, *argv, "--all-subsets", "--jobs", "2")
-        # 3 + 3 + 1 spectra, an M and an E record each
+        # 3 + 3 + 1 spectra, an M and an E record each, from one scan
         assert code == 0 and out.count("verdict=pass") == 14
-        assert len(forks) == 8
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "scope, what",
+        [(("--spectrum", "0,1"), "spectra=1"), (("--all-subsets",), "spectra=7"),
+         (("--potent", "2"), "potent:k=2")],
+    )
+    def test_one_scan_line_per_command(self, capsys, scope, what, jobs):
+        code, out, err = run_cli(capsys, "verify", "--n", "2", "--p", "3", *scope, "--jobs", jobs)
+        assert code == 0 and "verdict=pass" in out
+        [line] = err.splitlines()
+        assert re.fullmatch(rf"scan {re.escape(what)} n=2 p=3: 81 matrices in \d+ ms", line), line
 
     def test_forked_workers_write_none_of_the_callers_output(self):
         # stdout is a pipe, so the line printed before the scan is still in
@@ -395,6 +428,46 @@ class TestVerify:
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run_cli(capsys, *argv)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, env, code, err",
+        [
+            # listing the C(257, 4) ~ 1.8e8 subsets first would pass the cap
+            (("--n", "3", "--p", "257", "--all-subsets"), None, 2,
+             "error: 257^9 matrices overflow the int64 scan index\n"),
+            # one scan over budget: the subsets are counted, not listed
+            (("--n", "3", "--p", "101", "--all-subsets"), None, 5,
+             budget_refusal(subset_scans(3, 101) * 101**9)),
+            (("--n", "2", "--p", "257", "--all-subsets"), None, 5,
+             budget_refusal(subset_scans(2, 257) * 257**4)),
+            # one scan fits, the 117,569 spectra's do not
+            (("--n", "2", "--p", "89", "--all-subsets"), None, 5,
+             budget_refusal(subset_scans(2, 89) * 89**4)),
+            (("--n", "3", "--p", "7", "--spectrum", "0,1"), None, 5, budget_refusal(2 * 7**9)),
+            # the command line checks --spectrum before the oracle's budget
+            (("--n", "4", "--p", "7", "--spectrum", "0,0"), None, 2,
+             "error: spectrum entries must be pairwise distinct\n"),
+            (("--n", "2", "--p", "3", "--spectrum", "0,1"), {"EIGENCOUNT_BUDGET": "161"}, 5,
+             budget_refusal(162, 161)),
+            (("--n", "2", "--p", "3", "--spectrum", "0,1"), {"EIGENCOUNT_BUDGET": "162"}, 0, None),
+        ],
+    )
+    def test_refusals_come_before_the_spectra_are_listed(self, argv, env, code, err):
+        proc = run_capped(f"cli.main(['verify', *{argv!r}])", env=env)
+        assert proc.returncode == code, proc.stderr
+        if err is None:
+            assert proc.stdout.count("verdict=pass") == 2
+            assert proc.stderr.startswith("scan spectra=1 n=2 p=3: 81 matrices in ")
+        else:
+            assert (proc.stdout, proc.stderr) == ("", err)
+
+    @pytest.mark.parametrize("scope", [("--potent", "1"), ("--spectrum", "0"), ("--all-subsets",)])
+    def test_huge_dimension_refused_at_once(self, scope):
+        # n*n >= 63 overflows the index for every p: refused before
+        # 2^(n*n), the period of the n-by-n powers or any subset is formed
+        proc = run_capped(f"cli.main(['verify', '--n', '100000', '--p', '2', *{scope!r}])")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: 2^10000000000 matrices overflow the int64 scan index\n"
 
     def test_int64_overflowing_shape_refused_even_forced(self):
         # 257^9 matrices: a scan would run for ever and overflow the index
@@ -638,6 +711,31 @@ class TestFormats:
             assert stream.getvalue() == text, fmt
 
 
+def private_reads(source):
+    """The underscore-prefixed names of eigencount modules that source
+    reads, as module.name: names imported from such a module, and
+    attributes of a name bound to one.  Dunder names are left out."""
+    modules, reads = {}, set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = ".".join(filter(None, ["eigencount" if node.level else "", node.module]))
+        for alias in node.names:
+            if module == "eigencount":
+                modules[alias.asname or alias.name] = alias.name
+            elif module.startswith("eigencount.") and alias.name.startswith("_"):
+                reads.add(f"{module.removeprefix('eigencount.')}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ):
+            reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
 class TestParserPlumbing:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
@@ -669,6 +767,18 @@ class TestParserPlumbing:
 
     def test_ring_modes_are_the_bounds_own(self):
         assert cli._RING_MODES == bounds.RING_MODES
+
+    def test_cli_reads_no_private_name_of_the_library(self):
+        # the command line goes through each module's public names only
+        assert private_reads(Path(cli.__file__).read_text()) == set()
+        reach = (
+            "from . import oracle\n"
+            "from eigencount import qpoly as q\n"
+            "from .counting import _unpack, is_prime\n"
+            "def f():\n"
+            "    return oracle._scan_size(1, 2, 3), oracle.count_potent, q._x, q.__name__\n"
+        )
+        assert private_reads(reach) == {"oracle._scan_size", "qpoly._x", "counting._unpack"}
 
     @pytest.mark.parametrize(
         "argv, code, out, err",

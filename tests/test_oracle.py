@@ -25,7 +25,7 @@ from eigencount.oracle import (
     _chunks,
     _exact,
     _hits_potent,
-    _hits_spectrum,
+    _hits_spectra,
     _invertible,
     _plane_dtype,
     _potent_exponent,
@@ -37,7 +37,7 @@ from eigencount.oracle import (
     block_diag_rep,
     centralizer_size,
     count_potent,
-    count_spectrum,
+    count_spectra,
     orbit_size,
 )
 
@@ -208,6 +208,12 @@ def boundary_planes(n, p):
 
 def scan_started(*args):
     raise AssertionError("a scan started that should have been refused")
+
+
+def one_spectrum(n, field, alphas, **scan):
+    """The M and E reports of one spectrum, from count_spectra."""
+    [pair] = count_spectra(n, field, [alphas], **scan)
+    return pair
 
 
 class TestPrimeField:
@@ -398,11 +404,11 @@ class TestFirstColumnFilter:
     def test_filtered_hits_equal_full_batch(self, n, p):
         planes = decode(0, p ** (n * n), n, p)
         mats = matrices(planes)
-        for size in range(1, p + 1):
-            for alphas in itertools.combinations(range(p), size):
-                assert _hits_spectrum(planes, alphas, p) == full_batch_hits(mats, alphas, p), alphas
+        # every spectrum on the same planes, an M and an E hit each
+        expected = [hit for alphas in spectra(p) for hit in full_batch_hits(mats, alphas, p)]
+        assert _hits_spectra(planes, spectra(p), p) == tuple(expected)
         for k in range(1, 9):
-            assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum(), k
+            assert _hits_potent(planes, k, p) == (potent_mask(mats, k, p).sum(),), k
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -438,13 +444,13 @@ class TestFirstColumnFilter:
         potent = potent_mask(mats, k, p)
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
         assert np.array_equal(matrices(_annihilated(planes, alphas, p)), mats[annihilated])
-        assert _hits_potent(planes, k, p) == potent.sum()
+        assert _hits_potent(planes, k, p) == (potent.sum(),)
         # an exponent past n plus a period of the powers A^i, i >= n, and
         # its reduction accept the same matrices as the whole int64 power
         big = n + period + lift
         reduced = _potent_exponent(big, n, p)
         assert n <= reduced < n + period and (big - reduced) % period == 0
-        expected = potent_mask(mats, big, p).sum()
+        expected = (potent_mask(mats, big, p).sum(),)
         assert _hits_potent(planes, big, p) == _hits_potent(planes, reduced, p) == expected
 
     @pytest.mark.parametrize(
@@ -474,9 +480,9 @@ class TestFirstColumnFilter:
             expected = mats[annihilated_mask(mats, alphas, p)]
             assert np.array_equal(matrices(_annihilated(planes, alphas, p)), expected)
             assert np.array_equal(matrices(_annihilated(wide, alphas, p)), expected)
-            assert _hits_spectrum(planes, alphas, p) == full_batch_hits(mats, alphas, p)
+            assert _hits_spectra(planes, [alphas], p) == full_batch_hits(mats, alphas, p)
         for k in (*range(1, 9), p - 1, p, 4 * p + 3, 10**18):
-            expected = potent_mask(mats, k, p).sum()
+            expected = (potent_mask(mats, k, p).sum(),)
             assert _hits_potent(planes, k, p) == _hits_potent(wide, k, p) == expected
 
     @pytest.mark.parametrize("n, p", [(1, 257), (2, 3), (2, 5), (3, 2)])
@@ -492,7 +498,7 @@ class TestFirstColumnFilter:
         planes = decode(0, p ** (n * n), n, p)
         mats = matrices(planes)
         for k in ks:
-            assert _hits_potent(planes, k, p) == potent_mask(mats, k, p).sum(), k
+            assert _hits_potent(planes, k, p) == (potent_mask(mats, k, p).sum(),), k
 
     def test_small_exponents_skip_binary_powering(self, monkeypatch):
         exponents = []
@@ -552,7 +558,7 @@ class TestWorkingSet:
     @pytest.mark.parametrize(
         "hit, payload, bound",
         [(None, None, 1.05), (_hits_potent, 3, 2.25), (_hits_potent, 4, 2.25),
-         (_hits_spectrum, (0, 1, 2), 2.25)],
+         (_hits_spectra, [(0, 1, 2)], 2.25)],
         ids=["decode", "potent-k3", "potent-k4", "spectrum-012"],
     )
     def test_scan_peak_over_two_chunks(self, hit, payload, bound):
@@ -600,21 +606,23 @@ class TestSpectrumPass:
             assert np.array_equal(matrices(exact), mats[singular]), alphas
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
-    def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch):
+    def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch, forks):
         field = PrimeField(p)
-        # p chunks and two cores, so jobs=2 really forks a worker for
-        # every spectrum
+        # p chunks and two cores, so jobs=2 really forks a worker: one for
+        # all the spectra of the shape
         monkeypatch.setattr(oracle, "_CHUNK", p ** (n * n - 1))
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         mats = matrices(decode(0, p ** (n * n), n, p))
+        separate = []
         for alphas in spectra(p):
             m, e = full_batch_hits(mats, alphas, p)
             spectrum = "{" + ",".join(map(str, alphas)) + "}"
-            separate = [("m:" + spectrum, m, p ** (n * n)), ("e:" + spectrum, e, p ** (n * n))]
-            for jobs in (1, 2):
-                reports = count_spectrum(n, field, alphas, jobs=jobs)
-                assert [(r.spec, r.count, r.scanned) for r in reports] == separate, (alphas, jobs)
-                assert reports[0].seconds == reports[1].seconds
+            separate += [("m:" + spectrum, m, p ** (n * n)), ("e:" + spectrum, e, p ** (n * n))]
+        for jobs in (1, 2):
+            reports = [r for pair in count_spectra(n, field, spectra(p), jobs=jobs) for r in pair]
+            assert [(r.spec, r.count, r.scanned) for r in reports] == separate, jobs
+            assert len({r.seconds for r in reports}) == 1
+        assert len(forks) == 1
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -625,17 +633,45 @@ class TestSpectrumPass:
     def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
-        both = _scan_range(_hits_spectrum, n, p, alphas, start, stop)
+        both = _scan_range(_hits_spectra, n, p, [alphas], start, stop)
         assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunks", scan_started)
         with pytest.raises(BudgetExceeded) as refused:
-            count_spectrum(2, F3, [0, 1], budget=161)
+            one_spectrum(2, F3, [0, 1], budget=161)
         assert refused.value.required == 162
+        # per spectrum, though one scan tests them all
+        with pytest.raises(BudgetExceeded) as refused:
+            count_spectra(2, F3, [[0, 1], [2]], budget=323)
+        assert refused.value.required == 324
         monkeypatch.undo()
-        m, e = count_spectrum(2, F3, [0, 1], budget=162)
+        m, e = one_spectrum(2, F3, [0, 1], budget=162)
         assert (m.spec, m.count, e.spec, e.count) == ("m:{0,1}", 14, "e:{0,1}", 12)
+        (m, e), (m2, e2) = count_spectra(2, F3, [[0, 1], [2]], budget=324)
+        assert (m.count, e.count, m2.spec, m2.count, e2.spec, e2.count) == (14, 12, "m:{2}", 1, "e:{2}", 1)
+
+    def test_refused_before_the_spectra_are_listed(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
+        # an overflowing shape takes not one spectrum, even forced
+        with pytest.raises(ValueError, match="int64"):
+            count_spectra(3, PrimeField(257), iter(scan_started, None), force=True)
+        # one scan over budget: the spectra are counted one at a time,
+        # where a list of them would hold 8 MB of pointers
+        def refuse():
+            with pytest.raises(BudgetExceeded) as refused:
+                count_spectra(2, F3, itertools.repeat((0, 1), 10**6), budget=80)
+            assert refused.value.required == 2 * 81 * 10**6
+
+        peak = traced_peak(refuse)
+        assert peak < 10**5, peak
+        # one scan within budget: the spectra are listed, and all of them
+        # refused before any is checked
+        with pytest.raises(BudgetExceeded) as refused:
+            count_spectra(2, F3, [[0, 1], [1, 1]], budget=200)
+        assert refused.value.required == 324
+        with pytest.raises(ValueError, match="distinct"):
+            count_spectra(2, F3, [[0, 1], [1, 1]], budget=400)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -669,7 +705,7 @@ def test_serial_scans_load_no_worker_pool():
     code = (
         "import sys\n"
         "import eigencount.oracle as oracle\n"
-        "print(oracle.count_spectrum(2, oracle.PrimeField(3), [0, 1])[0].count)\n"
+        "print(oracle.count_spectra(2, oracle.PrimeField(3), [[0, 1]])[0][0].count)\n"
         "assert not {'concurrent.futures', 'multiprocessing'} & sys.modules.keys()\n"
     )
     proc = run_python(code, timeout=30)
@@ -706,7 +742,7 @@ class TestForkedScans:
         def hit(planes, payload, p):
             if os.getpid() != caller:
                 raise ArithmeticError("the worker fails")
-            return planes.shape[1]
+            return (planes.shape[1],)
 
         with pytest.raises(RuntimeError, match="exit status 1"):
             two_process_scan(hit)
@@ -768,90 +804,86 @@ def test_oracle_shares_no_counting_logic():
 
 class TestSpectrumCounts:
     def test_idempotent_matrices_binary(self):
-        assert count_spectrum(2, F2, [0, 1])[0].count == 8
+        assert one_spectrum(2, F2, [0, 1])[0].count == 8
 
     def test_only_zero_matrix_has_spectrum_zero(self):
         # nilpotent matrices are excluded by the annihilation test
-        assert count_spectrum(2, F3, [0])[0].count == 1
+        assert one_spectrum(2, F3, [0])[0].count == 1
 
     def test_three_by_three_binary(self):
-        assert count_spectrum(3, F2, [0, 1])[0].count == 58
+        assert one_spectrum(3, F2, [0, 1])[0].count == 58
 
     def test_exact_spectrum_three_by_three(self):
-        assert count_spectrum(3, F2, [0, 1])[1].count == 56
+        assert one_spectrum(3, F2, [0, 1])[1].count == 56
 
     def test_exact_spectrum_impossible(self):
-        assert count_spectrum(2, F3, [0, 1, 2])[1].count == 0
+        assert one_spectrum(2, F3, [0, 1, 2])[1].count == 0
 
     def test_exact_spectrum_two_values_mod5(self):
-        assert count_spectrum(2, F5, [1, 4])[1].count == 30
+        assert one_spectrum(2, F5, [1, 4])[1].count == 30
 
     def test_report_metadata(self):
-        m, e = count_spectrum(2, F3, [0, 1])
+        m, e = one_spectrum(2, F3, [0, 1])
         assert m.scanned == e.scanned == 3**4
         assert m.n == e.n == 2 and m.p == e.p == 3
         assert (m.spec, e.spec) == ("m:{0,1}", "e:{0,1}")
 
     def test_alpha_order_irrelevant(self):
-        counts = {
-            tuple(r.count for r in count_spectrum(2, F5, alphas))
-            for alphas in itertools.permutations([0, 2, 4])
-        }
-        assert counts == {tuple(r.count for r in count_spectrum(2, F5, [0, 2, 4]))}
+        orders = list(itertools.permutations([0, 2, 4]))
+        counts = {(m.count, e.count) for m, e in count_spectra(2, F5, orders)}
+        assert counts == {tuple(r.count for r in one_spectrum(2, F5, [0, 2, 4]))}
 
     def test_duplicate_alpha_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            count_spectrum(2, F3, [1, 1])
+            one_spectrum(2, F3, [1, 1])
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            count_spectrum(2, F3, [])
+            one_spectrum(2, F3, [])
 
     def test_out_of_range_alpha_rejected(self):
         with pytest.raises(ValueError):
-            count_spectrum(2, F3, [3])
+            one_spectrum(2, F3, [3])
 
     def test_budget_guard(self):
         # an M and an E scan of 3^4 matrices each
         with pytest.raises(BudgetExceeded) as excinfo:
-            count_spectrum(2, F3, [0], budget=10)
+            one_spectrum(2, F3, [0], budget=10)
         assert excinfo.value.required == 2 * 81
         assert excinfo.value.budget == 10
         # force overrides
-        assert count_spectrum(2, F3, [0], budget=10, force=True)[0].count == 1
+        assert one_spectrum(2, F3, [0], budget=10, force=True)[0].count == 1
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, monkeypatch, jobs):
         monkeypatch.setattr(oracle, "_chunks", scan_started)
-        for scan in (lambda: count_spectrum(2, F3, [0], jobs=jobs), lambda: count_potent(2, F3, 1, jobs=jobs)):
+        for scan in (lambda: one_spectrum(2, F3, [0], jobs=jobs), lambda: count_potent(2, F3, 1, jobs=jobs)):
             with pytest.raises(ValueError, match="jobs"):
                 scan()
 
     def test_parallel_scan_matches_serial(self):
-        serial = count_spectrum(2, F5, [0, 1])[0].count
-        parallel = count_spectrum(2, F5, [0, 1], jobs=2)[0].count
+        serial = one_spectrum(2, F5, [0, 1])[0].count
+        parallel = one_spectrum(2, F5, [0, 1], jobs=2)[0].count
         assert serial == parallel == counting.count_m_poly(2, 2)(5)
 
     def test_multi_chunk_scan(self):
         # 5^9 matrices span ~30 scan chunks and several worker ranges
         expected = counting.count_m_poly(3, 3)(5)
-        assert count_spectrum(3, F5, [0, 2, 4])[0].count == expected
-        assert count_spectrum(3, F5, [0, 2, 4], jobs=4)[0].count == expected
+        assert one_spectrum(3, F5, [0, 2, 4])[0].count == expected
+        assert one_spectrum(3, F5, [0, 2, 4], jobs=4)[0].count == expected
 
     @pytest.mark.parametrize("n, p", [(2, 3), (2, 5), (3, 2)])
     def test_exact_spectrum_matches_plain_python_count(self, n, p):
         reference = exact_spectrum_counts(n, p)
-        field = PrimeField(p)
-        for size in range(1, p + 1):
-            for alphas in itertools.combinations(range(p), size):
-                assert count_spectrum(n, field, alphas)[1].count == reference.get(alphas, 0), alphas
+        for alphas, (_, e) in zip(spectra(p), count_spectra(n, PrimeField(p), spectra(p))):
+            assert e.count == reference.get(alphas, 0), alphas
 
     def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
         # 257^9 > 2^63 - 1: no budget or force can make this scannable.
         # A scan that starts anyway fails here instead of running for ever.
         monkeypatch.setattr(oracle, "_chunks", scan_started)
         with pytest.raises(ValueError, match="int64"):
-            count_spectrum(3, PrimeField(257), [0], force=True)
+            one_spectrum(3, PrimeField(257), [0], force=True)
         with pytest.raises(ValueError, match="int64"):
             count_potent(8, F2, 1, force=True)
 
@@ -859,7 +891,7 @@ class TestSpectrumCounts:
         # a scan on w processes forks w - 1 workers: the caller is the other
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
         # 5^9 matrices fill 32 chunks: the 3 cores bound the processes
-        m = count_spectrum(3, F5, [0, 2, 4], jobs=64)[0]
+        m = one_spectrum(3, F5, [0, 2, 4], jobs=64)[0]
         assert m.count == counting.count_m_poly(3, 3)(5)
         assert len(forks) == 2
         # its 32 chunks of 62,500 split 11, 11, 10 on chunk boundaries
@@ -868,15 +900,15 @@ class TestSpectrumCounts:
         assert _ranges(5**9, size, 3) == [(0, 11 * size), (11 * size, 22 * size), (22 * size, 5**9)]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
         # 23^4 matrices fill 5 chunks, 17^4 fill 2, 5^4 fill 1
-        m23 = count_spectrum(2, PrimeField(23), [1, 5], jobs=64)[0]
-        e17 = count_spectrum(2, PrimeField(17), [0, 3], jobs=64)[1]
-        m5 = count_spectrum(2, F5, [0, 1], jobs=64)[0]
+        m23 = one_spectrum(2, PrimeField(23), [1, 5], jobs=64)[0]
+        e17 = one_spectrum(2, PrimeField(17), [0, 3], jobs=64)[1]
+        m5 = one_spectrum(2, F5, [0, 1], jobs=64)[0]
         assert m23.count == counting.count_m_poly(2, 2)(23)
         assert e17.count == counting.count_e_poly(2, 2)(17)
         assert m5.count == counting.count_m_poly(2, 2)(5)
         assert len(forks) == 2 + 4 + 1
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
-        m23 = count_spectrum(2, PrimeField(23), [1, 5], jobs=8)[0]
+        m23 = one_spectrum(2, PrimeField(23), [1, 5], jobs=8)[0]
         assert m23.count == counting.count_m_poly(2, 2)(23)
         assert len(forks) == 7
 
@@ -896,11 +928,11 @@ class TestSpectrumCounts:
 
     def test_m_partitions_into_e_over_subsets(self):
         spectrum = (0, 1, 2)
-        total = count_spectrum(2, F3, spectrum)[0].count
+        total = one_spectrum(2, F3, spectrum)[0].count
         parts = 0
         for size in range(1, len(spectrum) + 1):
             for sub in itertools.combinations(spectrum, size):
-                parts += count_spectrum(2, F3, sub)[1].count
+                parts += one_spectrum(2, F3, sub)[1].count
         assert total == parts
 
 
