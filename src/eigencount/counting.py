@@ -363,10 +363,11 @@ def potent_count(n: int, p: int, k: int) -> int:
     return total[n]
 
 
-def validate_spectrum(p: int, alphas: Sequence[int]) -> tuple[int, ...]:
+def validate_spectrum(p: int, alphas: Sequence[int], *, p_is_prime: bool = False) -> tuple[int, ...]:
     """Check a concrete spectrum: p prime, alphas distinct residues mod p,
-    returned as Python ints."""
-    if not is_prime(p):
+    returned as Python ints.  A caller that has already proven p prime,
+    as the oracle's PrimeField has, passes p_is_prime to skip that test."""
+    if not p_is_prime and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     try:
         alphas = tuple(map(operator.index, alphas))

@@ -23,6 +23,13 @@ and the planes are the narrowest of int8/int16/int32 that holds it.
 Within the default budget that is int8 or int16, except int32 at n=1
 for p >= 131; forced shapes such as (2, 257) take int32 too.
 
+A chunk's planes take at most _CHUNK_BYTES, about 120 KiB, whatever the
+shape and type, which is why the bound is in bytes and not in matrices:
+every (n, n, B) temporary of the kernels is then no larger than the
+planes and stays below glibc's default 128 KiB mmap threshold, so it is
+served from the heap and reused chunk after chunk instead of being
+mapped, faulted in and returned to the system each time.
+
 Spectrum and potent scans test their defining condition on the planes
 one column at a time, by matrix-vector products: column j of
 prod(A - alpha*I) is v <- (A - alpha*I) v from v = e_j, and column j of
@@ -32,9 +39,7 @@ k <= n*(k.bit_length() + k.bit_count() - 2) + 1, the matvec cost of
 binary powering: its k.bit_length() + k.bit_count() - 2 products take
 about n matvecs each, and one more applies A^k.  Past that, as for large
 period-cut exponents, A^k is formed by binary powering.  A matrix is
-zero exactly when all its columns are, so this is the definition itself;
-only the matrices whose columns so far vanish go on to the next column,
-so column 0 does nearly all the work.
+zero exactly when all its columns are, so this is the definition itself.
 Exact spectra then refine the annihilated matrices on the same planes:
 on them alpha is an eigenvalue exactly when prod over beta != alpha of
 (A - beta*I), a nonzero multiple of the projector onto its eigenspace,
@@ -44,10 +49,22 @@ Centralizers and orbits invert on the same planes: by the Fitting
 decomposition behind that period, A^period = I for every invertible A and
 A^period is singular for every singular A, so A^(period-1) is the inverse
 exactly where A * A^(period-1) = I.
-Every count sums a per-chunk hit function, a tuple with one count per
-spec, over the index range.  Scans above the budget (default 2^26
-matrices) are refused unless forced, and shapes whose p^(n*n) overflows
-the int64 index always; the budget counts an M and an E scan per spectrum.
+
+Every count comes from one driver, _scan_range, in two stages, for one
+item of the scan at a time (a spectrum, a potent exponent, a
+centralizer's representative).  Stage 1 runs column 0 of the defining
+test on each chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or
+all of F_5) of the matrices pass, and copies their planes into a pool as
+large as a chunk.  When the pool
+would overflow, and at the end of the range, stage 2 settles it at once:
+the remaining columns, then the projector test for exact spectra or
+invertibility for centralizers.  So stage 2 runs on the survivors of many
+chunks together rather than as many small numpy calls per chunk.  The
+next item decodes the range again into the same buffer and refills the
+same pool, so the working set does not grow with the number of spectra.
+Scans above the budget (default 2^26 matrices) are refused unless forced,
+and shapes whose p^(n*n) overflows the int64 index always; the budget
+counts an M and an E scan per spectrum.
 
 A parallel scan splits the index range on chunk boundaries into one
 range per process.  The caller scans the first range itself and forks a
@@ -65,7 +82,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 # numpy's OpenBLAS would start a thread pool that these integer kernels
 # never use: import it single-threaded unless the caller chose otherwise,
@@ -94,7 +110,9 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 1 << 26
-_CHUNK = 1 << 16
+# the most bytes of entry planes in one chunk: with malloc's chunk header a
+# buffer this size still falls below glibc's default 128 KiB mmap threshold
+_CHUNK_BYTES = 120 << 10
 _INDEX_MAX = (1 << 63) - 1
 
 
@@ -135,16 +153,30 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
-@dataclass
 class OracleCountReport:
-    """One exhaustive count with the scan parameters that produced it."""
+    """One exhaustive count with the scan parameters that produced it: a
+    record whose fields are its __slots__, equal to reports with equal
+    fields and shown by field."""
 
-    n: int
-    p: int
-    spec: str
-    count: int
-    scanned: int
-    seconds: float
+    __slots__ = ("n", "p", "spec", "count", "scanned", "seconds")
+
+    def __init__(self, n: int, p: int, spec: str, count: int, scanned: int, seconds: float):
+        self.n, self.p, self.spec = n, p, spec
+        self.count, self.scanned, self.seconds = count, scanned, seconds
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # the fields may be reassigned
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
 
 
 def _scan_size(n: int, p: int, jobs: int = 1) -> int:
@@ -170,46 +202,66 @@ def _charge(required: int, budget: int, force: bool) -> None:
 
 
 def _chunk_layout(n: int, p: int) -> tuple[int, int, int]:
-    """(j, p^j, size) for the largest j <= n*n with p^j <= _CHUNK: matrices
-    differ only in their low j digits within each run of p^j, and a chunk
-    holds size matrices, the most whole runs that fit in _CHUNK."""
+    """(j, p^j, size) for the largest j <= n*n with p^j <= cap, the most
+    matrices whose _plane_dtype planes fit in _CHUNK_BYTES: matrices differ
+    only in their low j digits within each run of p^j, and a chunk holds
+    size matrices, the most whole runs that fit in cap."""
+    cap = _CHUNK_BYTES // (n * n * np.dtype(_plane_dtype(n, p)).itemsize)
     j = 0
-    while j < n * n and p ** (j + 1) <= _CHUNK:
+    while j < n * n and p ** (j + 1) <= cap:
         j += 1
     run = p**j
-    return j, run, run * min(_CHUNK // run, p ** (n * n - j))
+    return j, run, run * min(cap // run, p ** (n * n - j))
+
+
+_PLANE_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32)]
 
 
 def _plane_dtype(n: int, p: int) -> type:
     """The narrowest signed integer type holding (n+1)*p^2, above every
     intermediate of the plane kernels: a matvec or product sum is at most
     n*(p-1)^2, and annihilation adds at most p*(p-1) to it."""
-    return next(t for t in (np.int8, np.int16, np.int32) if np.iinfo(t).max >= (n + 1) * p * p)
+    return next(t for top, t in _PLANE_TYPES if top >= (n + 1) * p * p)
 
 
-def _chunks(start: int, stop: int, n: int, p: int):
-    """Entry planes of matrices start..stop-1, one chunk at a time, decoded
-    into one _plane_dtype buffer of shape (n*n, size) that each chunk overwrites.
+def _decode_buffer(n: int, p: int) -> np.ndarray:
+    """A _plane_dtype buffer of shape (n*n, size) for _chunks, the template
+    of its low j digits written.
 
-    Chunks are aligned to multiples of size.  The low j digits repeat in
-    every run of p^j matrices, so they are written once, as a template:
-    digit d < j of index t is (t // p^d) % p, so row d viewed as
-    (size / p^(d+1), p, p^d) takes the value i at [:, i, :], broadcast from
-    arange(p) in the planes' type.  Per chunk only the higher digits,
-    constant over each run, are filled in by broadcast.
+    The low j digits repeat in every run of p^j matrices, so they are
+    written once: digit d < j of index t is (t // p^d) % p, so row d viewed
+    as (size / p^(d+1), p, p^d) takes the value i at [:, i, :], broadcast
+    from arange(p) in the planes' type.
     """
     j, run, size = _chunk_layout(n, p)
     buffer = np.empty((n * n, size), dtype=_plane_dtype(n, p))
     digits = np.arange(p, dtype=buffer.dtype)[:, None]
     for d in range(j):
         buffer[d].reshape(-1, p, p**d)[:] = digits
+    return buffer
+
+
+def _chunks(start: int, stop: int, n: int, p: int, buffer: np.ndarray | None = None):
+    """Entry planes of matrices start..stop-1, one chunk at a time, decoded
+    into one buffer from _decode_buffer, given or made here, that each
+    chunk overwrites.
+
+    Chunks are aligned to multiples of size.  The buffer holds the low j
+    digits already; per chunk only the higher digits, constant over each
+    run, are filled in, all by one broadcast: digit d >= j of the matrices
+    of run r (index r*p^j onwards) is (r // p^(d-j)) % p.
+    """
+    j, run, size = _chunk_layout(n, p)
+    buffer = _decode_buffer(n, p) if buffer is None else buffer
+    high = buffer[j:].reshape(n * n - j, size // run, run)  # [d - j, r] is constant
+    # p^(d-j), capped where it passes every int64 index and the digit is 0
+    places = np.array([min(p**e, _INDEX_MAX) for e in range(n * n - j)], dtype=np.int64)[:, None]
     for cs in range(start - start % size, stop, size):
         end = min(stop, cs + size) - cs
-        runs = -(-end // run)
-        high = np.arange(cs // run, cs // run + runs, dtype=np.int64)
-        for d in range(j, n * n):
-            buffer[d, : runs * run].reshape(runs, run)[:] = (high % p)[:, None]
-            high //= p
+        if j < n * n:  # else the template holds every digit
+            runs = np.arange(cs // run, cs // run - (-end // run), dtype=np.int64)
+            # cast before broadcasting: a cast while broadcasting is several times slower
+            high[:, : len(runs)] = (runs // places % p).astype(buffer.dtype)[:, :, None]
         yield buffer[:, max(start - cs, 0) : end]
 
 
@@ -276,7 +328,10 @@ def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# the scan driver and its hit functions hit(planes, payload, p), one count per spec
+# the two stages of each scan, a (sift, settle) pair: sift(a, item, p) gives
+# the indices of the matrices of a chunk's planes a, of shape (n, n, B),
+# that pass column 0 of item's test, and settle(planes, item, p) the hit
+# tuple of survivors pooled from several chunks
 
 
 def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
@@ -292,12 +347,12 @@ def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
     return v
 
 
-def _annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
+def _annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int, first: int = 0) -> np.ndarray:
     """Entry planes of the matrices annihilated by prod(A - alpha*I), tested
-    column by column; only the matrices whose columns so far vanish go on
-    to the next."""
+    column by column from column first on, the earlier ones known to
+    vanish; only the matrices whose columns so far vanish go on to the next."""
     n = math.isqrt(len(planes))
-    for j in range(n):
+    for j in range(first, n):
         v = _column(planes.reshape(n, n, -1), j, alphas, p)
         planes = planes.take(np.flatnonzero(~v.any(axis=0)), axis=1)
     return planes
@@ -328,13 +383,15 @@ def _exact(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
     return planes
 
 
-def _hits_spectra(planes: np.ndarray, spectra: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
-    """M and E hits of each spectrum in turn, from one annihilation each."""
-    hits = []
-    for alphas in spectra:
-        annihilated = _annihilated(planes, alphas, p)
-        hits += annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
-    return tuple(hits)
+def _sift_spectrum(a: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
+    """The matrices whose column 0 of prod(A - alpha*I) vanishes."""
+    return np.flatnonzero(~_column(a, 0, alphas, p).any(axis=0))
+
+
+def _settle_spectrum(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
+    """M and E hits among matrices whose column 0 is annihilated."""
+    annihilated = _annihilated(planes, alphas, p, first=1)
+    return annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
 
 
 def _by_matvecs(k: int, n: int) -> bool:
@@ -346,24 +403,40 @@ def _by_matvecs(k: int, n: int) -> bool:
     return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
 
 
-def _hits_potent(planes: np.ndarray, k: int, p: int) -> tuple[int]:
-    """Matrices with A^(k+1) = A, tested as A^k (A e_j) = A e_j column by
-    column, only the matrices whose columns so far agree going on to the
-    next.  A^k (A e_j) is k matvecs from v = A e_j on (n, B) vectors, or one
-    matvec by A^k formed by binary powering where that is cheaper
-    (_by_matvecs), as for large period-reduced exponents."""
+def _potent_power(a: np.ndarray, k: int, p: int) -> np.ndarray | None:
+    """A^k by binary powering where that is cheaper than k matvecs per
+    column (_by_matvecs), else None."""
+    return None if _by_matvecs(k, len(a)) else _power(a, k, p)
+
+
+def _fixed_column(a: np.ndarray, power: np.ndarray | None, j: int, k: int, p: int) -> np.ndarray:
+    """Where A^k (A e_j) = A e_j, A^k (A e_j) being k matvecs from v = A e_j
+    on (n, B) vectors, or one matvec by power = A^k."""
+    column = a[:, j]
+    if power is None:
+        v = column
+        for _ in range(k):
+            v = _reduce(_matvec(a, v), p)
+    else:
+        v = _reduce(_matvec(power, column), p)
+    return (v == column).all(axis=0)
+
+
+def _sift_potent(a: np.ndarray, k: int, p: int) -> np.ndarray:
+    """The matrices with A^k (A e_0) = A e_0."""
+    return np.flatnonzero(_fixed_column(a, _potent_power(a, k, p), 0, k, p))
+
+
+def _settle_potent(planes: np.ndarray, k: int, p: int) -> tuple[int]:
+    """Matrices with A^(k+1) = A among those whose column 0 agrees, tested
+    on the other columns, only the matrices whose columns so far agree
+    going on to the next; A^k is formed again on these few where binary
+    powering is cheaper."""
     n = math.isqrt(len(planes))
     a = planes.reshape(n, n, -1)
-    power = None if _by_matvecs(k, n) else _power(a, k, p)
-    for j in range(n):
-        column = a[:, j]
-        if power is None:
-            v = column
-            for _ in range(k):
-                v = _reduce(_matvec(a, v), p)
-        else:
-            v = _reduce(_matvec(power, column), p)
-        agree = np.flatnonzero((v == column).all(axis=0))
+    power = _potent_power(a, k, p)
+    for j in range(1, n):
+        agree = np.flatnonzero(_fixed_column(a, power, j, k, p))
         a = a.take(agree, axis=2)
         if power is not None:
             power = power.take(agree, axis=2)
@@ -377,12 +450,32 @@ def _potent_exponent(k: int, n: int, p: int) -> int:
     return n + (k - n) % period if k > n + period else k
 
 
-def _hits_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
-    """Invertible matrices among those commuting with rep, given as planes of shape (n, n, 1)."""
-    n = len(rep)
-    a = planes.reshape(n, n, -1)
-    commuting = (_mul(a, rep, p) == _mul(rep, a, p)).all(axis=(0, 1))
-    return (int(_invertible(a.take(np.flatnonzero(commuting), axis=2), p)[0].sum()),)
+def _commuting_column(a: np.ndarray, rep: np.ndarray, j: int, p: int) -> np.ndarray:
+    """Where column j of A*rep equals that of rep*A, for rep given as
+    planes of shape (n, n, 1)."""
+    return (_reduce(_matvec(a, rep[:, j]), p) == _reduce(_matvec(rep, a[:, j]), p)).all(axis=0)
+
+
+def _sift_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> np.ndarray:
+    """The matrices whose column 0 commutes with rep."""
+    return np.flatnonzero(_commuting_column(a, rep, 0, p))
+
+
+def _settle_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
+    """Invertible matrices commuting with rep, among those whose column 0 does."""
+    a = planes.reshape(len(rep), len(rep), -1)
+    for j in range(1, len(rep)):
+        a = a.take(np.flatnonzero(_commuting_column(a, rep, j, p)), axis=2)
+    return (int(_invertible(a, p)[0].sum()),)
+
+
+_SPECTRA = (_sift_spectrum, _settle_spectrum)
+_POTENT = (_sift_potent, _settle_potent)
+_CENTRALIZER = (_sift_centralizer, _settle_centralizer)
+
+
+# ----------------------------------------------------------------------
+# the scan driver
 
 
 def _total(hits) -> tuple[int, ...]:
@@ -390,9 +483,33 @@ def _total(hits) -> tuple[int, ...]:
     return tuple(map(sum, zip(*hits)))
 
 
-def _scan_range(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int, ...]:
-    """Sum the hits in matrix index range [start, stop)."""
-    return _total(hit(planes, payload, p) for planes in _chunks(start, stop, n, p))
+def _scan_range(test, n: int, p: int, items: Sequence, start: int, stop: int) -> tuple[int, ...]:
+    """The hits of each item in turn over matrix index range [start, stop).
+
+    test is a (sift, settle) pair.  For one item at a time, stage 1 sifts
+    every chunk and copies the survivors into one pool of a chunk's size;
+    when they would overflow it, and at the end, stage 2 settles the pool.
+    Each item decodes the range again into the same buffer, so the pool
+    holds one item's survivors and batches them over many chunks, and its
+    memory does not grow with the number of items.
+    """
+    sift, settle = test
+    buffer = _decode_buffer(n, p)
+    pool = np.empty_like(buffer)
+    hits = []
+    for item in items:
+        settled, fill = [], 0
+        for planes in _chunks(start, stop, n, p, buffer):
+            keep = sift(planes.reshape(n, n, -1), item, p)
+            if fill + len(keep) > pool.shape[1]:
+                settled.append(settle(pool[:, :fill], item, p))
+                fill = 0
+            # keep is in range: "clip" skips the bounds check and its extra copy
+            np.take(planes, keep, axis=1, out=pool[:, fill : fill + len(keep)], mode="clip")
+            fill += len(keep)
+        settled.append(settle(pool[:, :fill], item, p))
+        hits += _total(settled)
+    return tuple(hits)
 
 
 def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
@@ -404,7 +521,7 @@ def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, total)) for start in range(0, total, step)]
 
 
-def _fork_scan(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int, int]:
+def _fork_scan(test, n: int, p: int, items: Sequence, start: int, stop: int) -> tuple[int, int]:
     """Fork a child that scans [start, stop) and writes its hits to a pipe
     as decimal text; the child's pid and the pipe's read end."""
     read, write = os.pipe()
@@ -422,7 +539,7 @@ def _fork_scan(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int
     status = 1
     try:
         os.close(read)
-        hits = _scan_range(hit, n, p, payload, start, stop)
+        hits = _scan_range(test, n, p, items, start, stop)
         with open(write, "wb") as pipe:  # writes every byte, however many
             pipe.write(" ".join(map(str, hits)).encode())
         status = 0
@@ -435,7 +552,7 @@ def _fork_scan(hit, n: int, p: int, payload, start: int, stop: int) -> tuple[int
         os._exit(status)
 
 
-def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> tuple[int, ...]:
+def _run_scan(test, n: int, p: int, items: Sequence, total: int, jobs: int) -> tuple[int, ...]:
     """Sum the hits over all matrices on at most jobs processes, the caller
     included, clamped to the cores and to the chunks so none starts
     without work.  No child outlives the call: each is reaped on success,
@@ -446,8 +563,8 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> tuple[int,
     children = []  # (pid, pipe read end) of each child not yet reaped
     try:
         for start, stop in others:
-            children.append(_fork_scan(hit, n, p, payload, start, stop))
-        hits = [_scan_range(hit, n, p, payload, *first)]
+            children.append(_fork_scan(test, n, p, items, start, stop))
+        hits = [_scan_range(test, n, p, items, *first)]
         while children:
             pid, read = children[-1]
             text = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
@@ -471,10 +588,10 @@ def _run_scan(hit, n: int, p: int, payload, total: int, jobs: int) -> tuple[int,
                     pass
 
 
-def _count(n, field, specs, hit, payload, total, jobs) -> list[OracleCountReport]:
+def _count(n, field, specs, test, items, total, jobs) -> list[OracleCountReport]:
     """A report per spec from one scan of the total matrices."""
     t0 = time.perf_counter()
-    counts = _run_scan(hit, n, field.p, payload, total, jobs)
+    counts = _run_scan(test, n, field.p, items, total, jobs)
     seconds = time.perf_counter() - t0
     return [
         OracleCountReport(n, field.p, spec, count=count, scanned=total, seconds=seconds)
@@ -505,9 +622,9 @@ def count_spectra(
         raise BudgetExceeded(2 * total * sum(1 for _ in spectra), budget)
     spectra = list(spectra)
     _charge(2 * len(spectra) * total, budget, force)  # before each spectrum is checked
-    spectra = [validate_spectrum(field.p, alphas) for alphas in spectra]
+    spectra = [validate_spectrum(field.p, alphas, p_is_prime=True) for alphas in spectra]
     specs = [mode + ":{" + ",".join(map(str, alphas)) + "}" for alphas in spectra for mode in "me"]
-    reports = _count(n, field, specs, _hits_spectra, spectra, total, jobs)
+    reports = _count(n, field, specs, _SPECTRA, spectra, total, jobs)
     return list(zip(reports[::2], reports[1::2]))
 
 
@@ -530,20 +647,36 @@ def count_potent(
     total = _scan_size(n, field.p, jobs)  # bounds n before the period's lcm of n terms
     _charge(total, budget, force)
     exponent = _potent_exponent(k, n, field.p)
-    return _count(n, field, [f"potent:k={k}"], _hits_potent, exponent, total, jobs)[0]
+    return _count(n, field, [f"potent:k={k}"], _POTENT, [exponent], total, jobs)[0]
 
 
 # ----------------------------------------------------------------------
 # conjugacy-class geometry for diagonal representatives
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of keys, sorted.  np.unique hashes integer keys
-    in numpy >= 2.3, several times slower than sorting them."""
-    keys = np.sort(keys)
+def _union(seen: np.ndarray, batch: list[np.ndarray]) -> np.ndarray:
+    """The distinct values of seen and the arrays of batch, sorted.
+    np.unique hashes integer keys in numpy >= 2.3, several times slower
+    than sorting them."""
+    keys = np.sort(np.concatenate([seen, *batch]))
     first = np.ones(len(keys), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     return keys[first]
+
+
+def _distinct(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """The distinct int64 keys of all the arrays, sorted.  Arrays wait in a
+    batch that joins the sorted set only once it outnumbers the set, so all
+    the sorts together handle at most three times as many keys as the
+    arrays hold, where joining each array as it comes sorts the whole set
+    every time."""
+    seen, batch, waiting = np.empty(0, dtype=np.int64), [], 0
+    for keys in arrays:
+        batch.append(keys)
+        waiting += len(keys)
+        if waiting > len(seen):
+            seen, batch, waiting = _union(seen, batch), [], 0
+    return _union(seen, batch)
 
 
 def _scan_index(planes: np.ndarray, p: int) -> np.ndarray:
@@ -557,13 +690,9 @@ def _scan_index(planes: np.ndarray, p: int) -> np.ndarray:
     return index
 
 
-def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
-    """Diagonal int64 matrix with eigenvalue i-1 repeated parts[i-1] times.
-
-    Zero parts contribute no rows but still consume their eigenvalue, so
-    the representative matches the composition it came from.  Needs
-    len(parts) <= p distinct eigenvalues.
-    """
+def _checked_parts(parts: Sequence[int], field: PrimeField) -> tuple[int, ...]:
+    """parts as a tuple, checked: nonnegative, summing to a positive
+    dimension, with at most p distinct eigenvalues."""
     parts = tuple(parts)
     if not parts or any(s < 0 for s in parts):
         raise ValueError("parts must be nonnegative with at least one entry")
@@ -571,7 +700,29 @@ def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
         raise ValueError("parts must sum to a positive dimension")
     if len(parts) > field.p:
         raise ValueError(f"{len(parts)} distinct eigenvalues do not fit in F_{field.p}")
+    return parts
+
+
+def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
+    """Diagonal int64 matrix with eigenvalue i-1 repeated parts[i-1] times.
+
+    Zero parts contribute no rows but still consume their eigenvalue, so
+    the representative matches the composition it came from.  Needs
+    len(parts) <= p distinct eigenvalues.
+    """
+    parts = _checked_parts(parts, field)
     return np.diag(np.repeat(np.arange(len(parts), dtype=np.int64), parts))
+
+
+def _representative(parts, field: PrimeField, budget: int, force: bool) -> tuple[np.ndarray, int]:
+    """The block-diagonal rep of parts as planes of shape (n, n, 1), and the
+    p^(n*n) matrices to scan.  The shape is refused before the n-by-n rep
+    is built, which for a huge n would not fit in memory."""
+    parts = _checked_parts(parts, field)
+    n, p = sum(parts), field.p
+    total = _scan_size(n, p)
+    _charge(total, budget, force)
+    return block_diag_rep(parts, field)[:, :, None].astype(_plane_dtype(n, p)), total
 
 
 def centralizer_size(
@@ -582,12 +733,8 @@ def centralizer_size(
     force: bool = False,
 ) -> int:
     """Count invertible matrices commuting with the block-diagonal rep."""
-    rep = block_diag_rep(parts, field)
-    n, p = len(rep), field.p
-    total = _scan_size(n, p)
-    _charge(total, budget, force)
-    rep = rep[:, :, None].astype(_plane_dtype(n, p))
-    return _run_scan(_hits_centralizer, n, p, rep, total, 1)[0]
+    rep, total = _representative(parts, field, budget, force)
+    return _run_scan(_CENTRALIZER, len(rep), field.p, [rep], total, 1)[0]
 
 
 def orbit_size(
@@ -600,18 +747,17 @@ def orbit_size(
     """Size of the conjugacy class of the block-diagonal rep.
 
     Built explicitly: conjugate the representative by every invertible
-    matrix and deduplicate, each conjugate keyed by its scan index.
+    matrix and deduplicate (_distinct), each conjugate keyed by its scan
+    index.
     """
-    rep = block_diag_rep(parts, field)
+    rep, total = _representative(parts, field, budget, force)
     n, p = len(rep), field.p
-    total = _scan_size(n, p)
-    _charge(total, budget, force)
-    rep = rep[:, :, None].astype(_plane_dtype(n, p))
-    seen = np.empty(0, dtype=np.int64)
-    for planes in _chunks(0, total, n, p):
+
+    def conjugate_keys(planes):
         g = planes.reshape(n, n, -1)
         invertible, g_inv = _invertible(g, p)
         keep = np.flatnonzero(invertible)
         conjugates = _mul(_mul(g.take(keep, axis=2), rep, p), g_inv.take(keep, axis=2), p)
-        seen = _distinct(np.concatenate([seen, _scan_index(conjugates.reshape(n * n, -1), p)]))
-    return int(seen.size)
+        return _scan_index(conjugates.reshape(n * n, -1), p)
+
+    return len(_distinct(conjugate_keys(planes) for planes in _chunks(0, total, n, p)))

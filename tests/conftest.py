@@ -57,6 +57,22 @@ def run_python(code, timeout=60, env=None):
     )
 
 
+def run_capped(statement, env=None):
+    """Run one statement with cli and counting imported, in a child whose
+    address space is capped at 2 GiB and whose run is cut at 20 s, so a
+    build that should not start fails fast instead of filling the
+    machine's memory; the statement's value is the exit code.  The
+    variables in env are added to the child's environment."""
+    return run_python(
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+        "from eigencount import cli, counting\n"
+        f"sys.exit({statement})\n",
+        timeout=20,
+        env=env,
+    )
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the scan workers forked during the test, recorded by

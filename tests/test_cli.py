@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import python_env, run_python
+from conftest import python_env, run_capped, run_python
 
 from eigencount import bounds, cli, counting, oracle, reference
 
@@ -21,22 +21,6 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_capped(statement, env=None):
-    """Run one statement with cli and counting imported, in a child whose
-    address space is capped at 2 GiB and whose run is cut at 20 s, so a
-    build that should not start fails fast instead of filling the
-    machine's memory; the statement's value is the exit code.  The
-    variables in env are added to the child's environment."""
-    return run_python(
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
-        "from eigencount import cli, counting\n"
-        f"sys.exit({statement})\n",
-        timeout=20,
-        env=env,
-    )
 
 
 def budget_refusal(required, budget=oracle.DEFAULT_BUDGET):
@@ -316,11 +300,29 @@ class TestVerify:
         assert "mode=e" in e and "verdict=fail" in e
         assert "formula=6" in e and "oracle=7" in e
 
+    @pytest.mark.parametrize("scope", [("--n", "1", "--p", "31", "--all-subsets"),
+                                       ("--n", "2", "--p", "5", "--spectrum", "0,1")])
+    def test_p_tested_for_primality_once(self, capsys, monkeypatch, scope):
+        # the PrimeField proves p prime; the 496 spectra of (1, 31), like
+        # the 33,153 of (1, 257), are checked for their entries alone
+        calls = []
+        is_prime = counting.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(counting, "is_prime", counted)
+        monkeypatch.setattr(oracle, "is_prime", counted)
+        code, out, _ = run_cli(capsys, "verify", *scope)
+        assert code == 0 and "verdict=fail" not in out
+        assert calls == [int(scope[3])]
+
     def test_one_fork_per_command(self, capsys, monkeypatch, forks):
-        # chunks of 81 matrices give every scan enough work for two
-        # processes: the caller and one forked worker
+        # chunks of 81 matrices, 9 int8 entries each, give every scan
+        # enough work for two processes: the caller and one forked worker
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(oracle, "_CHUNK", 81)
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 81 * 9)
         argv = ("verify", "--n", "3", "--p", "3")
         code, out, _ = run_cli(capsys, *argv, "--spectrum", "0,1", "--jobs", "2")
         assert code == 0 and out.count("verdict=pass") == 2
@@ -759,11 +761,14 @@ class TestParserPlumbing:
             "loaded = sorted(heavy & sys.modules.keys())\n"
             "before = set(sys.modules)\n"
             "assert cli.main(['bound', '--kind', 'matrix', '--n', '4', '--p', '5', '--k', '2']) == 0\n"
+            "bound = sorted(set(sys.modules) - before)\n"
+            "assert cli.main(['verify', '--n', '2', '--p', '3', '--spectrum', '0,1']) == 0\n"
             "sys.stdout = sys.__stdout__\n"
-            "print(loaded, sorted(set(sys.modules) - before))\n"
+            "print(loaded, bound, 'dataclasses' in sys.modules)\n"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[] ['eigencount.bounds']\n"
+        # verify loads numpy and the oracle, but its reports need no dataclasses
+        assert proc.stdout == "[] ['eigencount.bounds'] False\n"
 
     def test_ring_modes_are_the_bounds_own(self):
         assert cli._RING_MODES == bounds.RING_MODES

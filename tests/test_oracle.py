@@ -10,22 +10,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_python
+from conftest import run_capped, run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount import counting, oracle
 from eigencount.oracle import (
-    _CHUNK,
+    _CHUNK_BYTES,
+    _POTENT,
+    _SPECTRA,
+    DEFAULT_BUDGET,
     BudgetExceeded,
     PrimeField,
     _annihilated,
     _by_matvecs,
     _chunk_layout,
     _chunks,
+    _distinct,
     _exact,
-    _hits_potent,
-    _hits_spectra,
     _invertible,
     _plane_dtype,
     _potent_exponent,
@@ -206,6 +208,24 @@ def boundary_planes(n, p):
     return mats.T.astype(_plane_dtype(n, p))
 
 
+def plane_bytes(n, p):
+    """The bytes of one matrix's entry planes."""
+    return n * n * np.dtype(_plane_dtype(n, p)).itemsize
+
+
+def two_stage(test, planes, item, p):
+    """The hits of item on entry planes by the scan's two stages on them
+    alone, the survivors of stage 1 settled at once without a pool."""
+    sift, settle = test
+    n = math.isqrt(len(planes))
+    return settle(planes.take(sift(planes.reshape(n, n, -1), item, p), axis=1), item, p)
+
+
+def spectra_hits(planes, spectra, p):
+    """The M and E hits of every spectrum in turn on entry planes (two_stage)."""
+    return tuple(hit for alphas in spectra for hit in two_stage(_SPECTRA, planes, alphas, p))
+
+
 def scan_started(*args):
     raise AssertionError("a scan started that should have been refused")
 
@@ -308,13 +328,12 @@ class TestFqMatrix:
     )
     def test_chunks_are_whole_runs_of_the_index(self, n, p, data):
         # every chunk but a range's first starts at a multiple of the chunk
-        # size, a multiple of p^j up to _CHUNK, and the digits match divmod
+        # size, a multiple of p^j, and the digits match divmod
         total = min(p ** (n * n), (1 << 63) - 1)
-        start = data.draw(st.integers(0, total - 1))
-        stop = data.draw(st.integers(start + 1, min(total, start + 3 * _CHUNK)))
         j, run, size = _chunk_layout(n, p)
-        assert run == p**j and size % run == 0 and size <= _CHUNK
-        assert j == n * n or p * run > _CHUNK
+        assert run == p**j and size % run == 0
+        start = data.draw(st.integers(0, total - 1))
+        stop = data.draw(st.integers(start + 1, min(total, start + 3 * size)))
         position, firsts = start, []
         for planes in _chunks(start, stop, n, p):
             assert planes.dtype == _plane_dtype(n, p) and 0 < planes.shape[1] <= size
@@ -377,6 +396,28 @@ class TestFqMatrix:
             assert index.dtype == np.int64
             assert np.array_equal(index, np.arange(start, stop)), (start, stop)
 
+    def test_chunk_planes_stay_within_the_byte_bound(self):
+        # at every shape a scan admits, forced or within the default budget,
+        # a chunk's planes take at most _CHUNK_BYTES, below glibc's 128 KiB
+        # mmap threshold, and the chunk is the most whole runs of the
+        # largest p^j that fit: one more run, or a p times longer run,
+        # would not
+        shapes = [
+            (n, p)
+            for n in range(1, 8)
+            for p in range(2, 258)
+            if counting.is_prime(p) and p ** (n * n) <= (1 << 63) - 1
+        ]
+        assert _CHUNK_BYTES < 128 << 10
+        assert sum(p ** (n * n) <= DEFAULT_BUDGET for n, p in shapes) == 86
+        for n, p in shapes:
+            j, run, size = _chunk_layout(n, p)
+            matrix_bytes = plane_bytes(n, p)
+            assert run == p**j and size % run == 0, (n, p)
+            assert size * matrix_bytes <= _CHUNK_BYTES, (n, p)
+            assert size == p ** (n * n) or (size + run) * matrix_bytes > _CHUNK_BYTES, (n, p)
+            assert j == n * n or p * run * matrix_bytes > _CHUNK_BYTES, (n, p)
+
     def test_plane_dtype_is_the_narrowest_exact_one(self):
         # over every shape a scan admits, the planes' type holds the largest
         # intermediate of the kernels, a matvec sum plus the annihilation
@@ -406,9 +447,9 @@ class TestFirstColumnFilter:
         mats = matrices(planes)
         # every spectrum on the same planes, an M and an E hit each
         expected = [hit for alphas in spectra(p) for hit in full_batch_hits(mats, alphas, p)]
-        assert _hits_spectra(planes, spectra(p), p) == tuple(expected)
+        assert spectra_hits(planes, spectra(p), p) == tuple(expected)
         for k in range(1, 9):
-            assert _hits_potent(planes, k, p) == (potent_mask(mats, k, p).sum(),), k
+            assert two_stage(_POTENT, planes, k, p) == (potent_mask(mats, k, p).sum(),), k
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -444,14 +485,14 @@ class TestFirstColumnFilter:
         potent = potent_mask(mats, k, p)
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
         assert np.array_equal(matrices(_annihilated(planes, alphas, p)), mats[annihilated])
-        assert _hits_potent(planes, k, p) == (potent.sum(),)
+        assert two_stage(_POTENT, planes, k, p) == (potent.sum(),)
         # an exponent past n plus a period of the powers A^i, i >= n, and
         # its reduction accept the same matrices as the whole int64 power
         big = n + period + lift
         reduced = _potent_exponent(big, n, p)
         assert n <= reduced < n + period and (big - reduced) % period == 0
         expected = (potent_mask(mats, big, p).sum(),)
-        assert _hits_potent(planes, big, p) == _hits_potent(planes, reduced, p) == expected
+        assert two_stage(_POTENT, planes, big, p) == two_stage(_POTENT, planes, reduced, p) == expected
 
     @pytest.mark.parametrize(
         "planes, p",
@@ -480,10 +521,10 @@ class TestFirstColumnFilter:
             expected = mats[annihilated_mask(mats, alphas, p)]
             assert np.array_equal(matrices(_annihilated(planes, alphas, p)), expected)
             assert np.array_equal(matrices(_annihilated(wide, alphas, p)), expected)
-            assert _hits_spectra(planes, [alphas], p) == full_batch_hits(mats, alphas, p)
+            assert spectra_hits(planes, [alphas], p) == full_batch_hits(mats, alphas, p)
         for k in (*range(1, 9), p - 1, p, 4 * p + 3, 10**18):
             expected = (potent_mask(mats, k, p).sum(),)
-            assert _hits_potent(planes, k, p) == _hits_potent(wide, k, p) == expected
+            assert two_stage(_POTENT, planes, k, p) == two_stage(_POTENT, wide, k, p) == expected
 
     @pytest.mark.parametrize("n, p", [(1, 257), (2, 3), (2, 5), (3, 2)])
     def test_potent_paths_straddle_the_crossover(self, n, p):
@@ -498,7 +539,7 @@ class TestFirstColumnFilter:
         planes = decode(0, p ** (n * n), n, p)
         mats = matrices(planes)
         for k in ks:
-            assert _hits_potent(planes, k, p) == (potent_mask(mats, k, p).sum(),), k
+            assert two_stage(_POTENT, planes, k, p) == (potent_mask(mats, k, p).sum(),), k
 
     def test_small_exponents_skip_binary_powering(self, monkeypatch):
         exponents = []
@@ -532,9 +573,53 @@ class TestFirstColumnFilter:
         assert int(proc.stdout) == expected
 
 
-def decode_buffer(n, p):
-    """Bytes of the buffer _chunks decodes into: n*n * size * itemsize."""
-    return n * n * _chunk_layout(n, p)[2] * np.dtype(_plane_dtype(n, p)).itemsize
+class TestPooledDriver:
+    """_scan_range pools the survivors of stage 1 over chunks and settles
+    them when the pool would overflow and at the end of the range; the
+    hits match the whole-matrix int64 references on every range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]),
+        chunk=st.sampled_from([1, 2, 5, 64, 1 << 20]),
+        data=st.data(),
+    )
+    def test_pooled_hits_match_full_batch(self, shape, chunk, data):
+        # at most chunk matrices per chunk, so small values give many chunks
+        # and pool fills; one-matrix ranges; up to 12 spectra in one scan;
+        # k past the last one done by matvecs (3, 11, 19 at n = 1, 2, 3)
+        n, p = shape
+        total = p ** (n * n)
+        start = data.draw(st.integers(0, total - 1), label="start")
+        length = data.draw(st.one_of(st.just(1), st.integers(1, 40 * chunk)), label="length")
+        stop = min(total, start + length)
+        alphas = st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True).map(tuple)
+        spectra = data.draw(st.lists(alphas, min_size=1, max_size=12), label="spectra")
+        ks = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 11, 12, 19, 20, 25, 10**18]),
+                                min_size=1, max_size=3), label="ks")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_CHUNK_BYTES", chunk * plane_bytes(n, p))
+            spectrum_hits = _scan_range(_SPECTRA, n, p, spectra, start, stop)
+            potent_hits = _scan_range(_POTENT, n, p, ks, start, stop)
+        mats = matrices(decode(start, stop, n, p))
+        assert spectrum_hits == tuple(h for alphas in spectra for h in full_batch_hits(mats, alphas, p))
+        assert potent_hits == tuple(int(potent_mask(mats, k, p).sum()) for k in ks)
+
+    def test_pool_settles_when_it_would_overflow_and_at_the_end(self, monkeypatch):
+        # chunks of 9 matrices at (2, 3), every matrix passing stage 1: the
+        # first chunk fills the pool exactly, each later one settles it,
+        # and the last 4 matrices are settled at the end, for each item
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 9 * plane_bytes(2, 3))
+        assert _chunk_layout(2, 3)[2] == 9
+        settled = []
+
+        def settle(planes, item, p):
+            settled.append((item, planes.shape[1]))
+            return planes.shape[1], int(_scan_index(planes, p).sum())
+
+        hits = _scan_range((every_matrix, settle), 2, 3, ["a", "b"], 0, 31)
+        assert hits == (31, sum(range(31))) * 2
+        assert settled == [("a", 9), ("a", 9), ("a", 9), ("a", 4), ("b", 9), ("b", 9), ("b", 9), ("b", 4)]
 
 
 def traced_peak(work):
@@ -549,33 +634,42 @@ def traced_peak(work):
         tracemalloc.stop()
 
 
+def all_subsets(p, largest):
+    """Every nonempty subset of F_p with at most largest elements, as verify
+    --all-subsets lists them for n = largest - 1."""
+    return [a for size in range(1, largest + 1) for a in itertools.combinations(range(p), size)]
+
+
 class TestWorkingSet:
-    """Peak memory of the oracle's kernels, in multiples of the decode
-    buffer (decode_buffer).  A scan keeps the buffer and a
-    few (n, B) vectors; one more (n, n, B) temporary adds a whole buffer,
-    and an int64 copy of the planes eight, so either exceeds its bound."""
+    """Peak bytes of the oracle's kernels.  A scan keeps a chunk's planes,
+    at most _CHUNK_BYTES (about 120 KiB), a pool of the same size and a few
+    (n, B) vectors; one more (n, n, B) temporary adds up to a chunk, an int64
+    copy of the planes eight.  Each bound is below the peak the 2^16-matrix
+    chunks of earlier versions reached at the same shape (decode 590,625 B
+    and potent or spectrum 1,265,625 B at (3, 5), orbit 974,308 B at (3, 3)),
+    and the pool's memory does not grow with the number of spectra."""
 
     @pytest.mark.parametrize(
-        "hit, payload, bound",
-        [(None, None, 1.05), (_hits_potent, 3, 2.25), (_hits_potent, 4, 2.25),
-         (_hits_spectra, [(0, 1, 2)], 2.25)],
-        ids=["decode", "potent-k3", "potent-k4", "spectrum-012"],
+        "n, p, test, items",
+        [(3, 5, None, None), (3, 5, _POTENT, [3]), (3, 5, _POTENT, [4]),
+         (3, 5, _SPECTRA, [(0, 1, 2)]), (2, 13, _SPECTRA, [(0, 1, 2)]),
+         (2, 13, _SPECTRA, all_subsets(13, 3))],
+        ids=["decode", "potent-k3", "potent-k4", "spectrum-012", "n2-p13-spectrum-012",
+             "n2-p13-all-377-subsets"],
     )
-    def test_scan_peak_over_two_chunks(self, hit, payload, bound):
-        n, p = 3, 5
-        size = _chunk_layout(n, p)[2]
-        buffer = decode_buffer(n, p)
-        if hit is None:
-            peak = traced_peak(lambda: all(planes.size for planes in _chunks(0, 2 * size, n, p)))
+    def test_scan_peak_over_two_chunks(self, n, p, test, items):
+        stop = 2 * _chunk_layout(n, p)[2]
+        if test is None:
+            peak = traced_peak(lambda: all(planes.size for planes in _chunks(0, stop, n, p)))
+            assert peak <= 1.05 * _CHUNK_BYTES, peak
         else:
-            peak = traced_peak(lambda: _scan_range(hit, n, p, payload, 0, 2 * size))
-        assert peak <= bound * buffer, peak / buffer
+            peak = traced_peak(lambda: _scan_range(test, n, p, items, 0, stop))
+            assert peak <= 4.5 * _CHUNK_BYTES, peak
 
     def test_orbit_peak(self):
         # inversion by powering holds a few (n, n, B) products at once
-        buffer = decode_buffer(3, 3)
         peak = traced_peak(lambda: orbit_size((1, 2), F3))
-        assert peak <= 5.5 * buffer, peak / buffer
+        assert peak <= 5.5 * _CHUNK_BYTES, peak
 
 
 SPECTRUM_SHAPES = [(2, 3), (2, 5), (3, 2), (3, 3), (2, 7)]
@@ -595,22 +689,22 @@ class TestSpectrumPass:
         planes = decode(0, p ** (n * n), n, p)
         eye = np.eye(n, dtype=np.int64)
         for alphas in spectra(p):
-            annihilated = _annihilated(planes, alphas, p)
-            mats = matrices(annihilated)
+            survivors = _annihilated(planes, alphas, p)
+            mats = matrices(survivors)
             # every A - alpha*I singular, by cofactor determinants
             singular = np.ones(len(mats), dtype=bool)
             for a in alphas:
                 singular &= det_batch(mats - a * eye, p) == 0
-            exact = _exact(annihilated, alphas, p)
-            assert exact.dtype == _plane_dtype(n, p)
-            assert np.array_equal(matrices(exact), mats[singular]), alphas
+            every = _exact(survivors, alphas, p)
+            assert every.dtype == _plane_dtype(n, p)
+            assert np.array_equal(matrices(every), mats[singular]), alphas
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch, forks):
         field = PrimeField(p)
         # p chunks and two cores, so jobs=2 really forks a worker: one for
         # all the spectra of the shape
-        monkeypatch.setattr(oracle, "_CHUNK", p ** (n * n - 1))
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", p ** (n * n - 1) * plane_bytes(n, p))
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
         mats = matrices(decode(0, p ** (n * n), n, p))
         separate = []
@@ -633,7 +727,7 @@ class TestSpectrumPass:
     def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
-        both = _scan_range(_hits_spectra, n, p, [alphas], start, stop)
+        both = _scan_range(_SPECTRA, n, p, [alphas], start, stop)
         assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
@@ -714,11 +808,16 @@ def test_serial_scans_load_no_worker_pool():
 
 
 
-def two_process_scan(hit):
-    """_run_scan of hit over the 17^4 matrices of n = 2, p = 17: two chunks
-    on two cores, the first scanned by the caller, the second by one
-    forked worker."""
-    return _run_scan(hit, 2, 17, None, 17**4, 2)
+def two_process_scan(sift, settle=lambda planes, item, p: (planes.shape[1],)):
+    """_run_scan of (sift, settle) over the 17^4 matrices of n = 2, p = 17:
+    six chunks in two ranges on two cores, the first scanned by the caller,
+    the second by one forked worker."""
+    return _run_scan((sift, settle), 2, 17, [None], 17**4, 2)
+
+
+def every_matrix(a, item, p):
+    """A sift that passes every matrix of a chunk."""
+    return np.arange(a.shape[-1])
 
 
 class TestForkedScans:
@@ -730,22 +829,22 @@ class TestForkedScans:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
 
     def test_hits_come_back_from_the_worker(self, forks):
-        def hit(planes, payload, p):
+        def settle(planes, item, p):
             return planes.shape[1], int(planes.sum())
 
-        assert two_process_scan(hit) == (17**4, 4 * 17**3 * (16 * 17 // 2))
+        assert two_process_scan(every_matrix, settle) == (17**4, 4 * 17**3 * (16 * 17 // 2))
         assert len(forks) == 1
 
     def test_failing_worker_is_reported_and_reaped(self, forks, capfd):
         caller = os.getpid()
 
-        def hit(planes, payload, p):
+        def sift(a, item, p):
             if os.getpid() != caller:
                 raise ArithmeticError("the worker fails")
-            return (planes.shape[1],)
+            return every_matrix(a, item, p)
 
         with pytest.raises(RuntimeError, match="exit status 1"):
-            two_process_scan(hit)
+            two_process_scan(sift)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -756,14 +855,14 @@ class TestForkedScans:
         # the worker would run for a minute; the caller fails at once
         caller = os.getpid()
 
-        def hit(planes, payload, p):
+        def sift(a, item, p):
             if os.getpid() == caller:
                 raise error("the caller fails")
             time.sleep(60)
 
         t0 = time.perf_counter()
         with pytest.raises(error, match="the caller fails"):
-            two_process_scan(hit)
+            two_process_scan(sift)
         assert time.perf_counter() - t0 < 30
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
@@ -890,27 +989,29 @@ class TestSpectrumCounts:
     def test_workers_clamped_to_cores_and_chunks(self, monkeypatch, forks):
         # a scan on w processes forks w - 1 workers: the caller is the other
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
-        # 5^9 matrices fill 32 chunks: the 3 cores bound the processes
+        # 5^9 matrices fill 157 chunks: the 3 cores bound the processes
         m = one_spectrum(3, F5, [0, 2, 4], jobs=64)[0]
         assert m.count == counting.count_m_poly(3, 3)(5)
         assert len(forks) == 2
-        # its 32 chunks of 62,500 split 11, 11, 10 on chunk boundaries
+        # its 156 chunks of 12,500 and one of 3,125 split 53, 53, 51 on
+        # chunk boundaries
         size = _chunk_layout(3, 5)[2]
-        assert size == 62500
-        assert _ranges(5**9, size, 3) == [(0, 11 * size), (11 * size, 22 * size), (22 * size, 5**9)]
+        assert size == 12500
+        assert _ranges(5**9, size, 3) == [(0, 53 * size), (53 * size, 106 * size), (106 * size, 5**9)]
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
-        # 23^4 matrices fill 5 chunks, 17^4 fill 2, 5^4 fill 1
-        m23 = one_spectrum(2, PrimeField(23), [1, 5], jobs=64)[0]
+        # 13^4 matrices fill 3 chunks, 17^4 fill 6, 5^4 fill 1
+        assert [-(-p**4 // _chunk_layout(2, p)[2]) for p in (13, 17, 5)] == [3, 6, 1]
+        m13 = one_spectrum(2, PrimeField(13), [1, 5], jobs=64)[0]
         e17 = one_spectrum(2, PrimeField(17), [0, 3], jobs=64)[1]
         m5 = one_spectrum(2, F5, [0, 1], jobs=64)[0]
-        assert m23.count == counting.count_m_poly(2, 2)(23)
+        assert m13.count == counting.count_m_poly(2, 2)(13)
         assert e17.count == counting.count_e_poly(2, 2)(17)
         assert m5.count == counting.count_m_poly(2, 2)(5)
-        assert len(forks) == 2 + 4 + 1
+        assert len(forks) == 2 + 2 + 5
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
-        m23 = one_spectrum(2, PrimeField(23), [1, 5], jobs=8)[0]
-        assert m23.count == counting.count_m_poly(2, 2)(23)
-        assert len(forks) == 7
+        m13 = one_spectrum(2, PrimeField(13), [1, 5], jobs=8)[0]
+        assert m13.count == counting.count_m_poly(2, 2)(13)
+        assert len(forks) == 9
 
     def test_ranges_split_on_chunk_boundaries(self):
         # at most one range per process, each of ceil(chunks/workers) chunks
@@ -1004,6 +1105,27 @@ class TestOrbitGeometry:
         for parts, field in [((1, 1), F2), ((1, 2), F2), ((1, 2), F3)]:
             assert orbit_size(parts, field) == counting.class_size_poly(parts)(field.p)
 
+    def test_distinct_keys_join_the_set_in_batches(self):
+        # [1] and [5] wait: neither batch outnumbers the set {1, 3}, so
+        # only the join at the end takes them in
+        arrays = [np.array([3, 1, 3]), np.array([1]), np.array([5])]
+        assert _distinct(iter(arrays)).tolist() == [1, 3, 5]
+        assert _distinct(iter([])).tolist() == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2**62), max_size=30), max_size=20))
+    def test_distinct_keys_are_the_sorted_set(self, key_lists):
+        arrays = (np.array(keys, dtype=np.int64) for keys in key_lists)
+        assert _distinct(arrays).tolist() == sorted({k for keys in key_lists for k in keys})
+
+    def test_orbit_keys_batched_over_many_chunks(self, monkeypatch):
+        # 243 chunks of 81 matrices: the batch joins the sorted set many
+        # times, and what waits at the end joins it once more
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 81 * plane_bytes(3, 3))
+        assert _chunk_layout(3, 3)[2] == 81
+        for parts in [(1, 2), (1, 1, 1), (3,)]:
+            assert orbit_size(parts, F3) == counting.class_size_poly(parts)(3), parts
+
     def test_zero_parts_shift_eigenvalues_not_sizes(self):
         assert orbit_size((0, 2), F3) == orbit_size((2,), F3) == 1
         assert centralizer_size((0, 1, 1), F3) == centralizer_size((1, 1), F3)
@@ -1022,6 +1144,16 @@ class TestOrbitGeometry:
             orbit_size((1, 2), big, force=True)
         with pytest.raises(ValueError, match="int64"):
             centralizer_size((1, 2), big, force=True)
+
+    @pytest.mark.parametrize("size", ["orbit_size", "centralizer_size"])
+    def test_huge_parts_refused_before_the_rep_is_built(self, size):
+        # the dense 20000-by-20000 int64 representative alone would take
+        # 3.2 GB, over the child's 2 GiB cap
+        oracle_module = "__import__('eigencount.oracle').oracle"
+        proc = run_capped(f"{oracle_module}.{size}((20000,), {oracle_module}.PrimeField(2))")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        last = proc.stderr.splitlines()[-1]
+        assert last == "ValueError: 2^400000000 matrices overflow the int64 scan index", proc.stderr
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceeded):
