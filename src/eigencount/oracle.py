@@ -52,19 +52,28 @@ exactly where A * A^(period-1) = I.
 
 Every count comes from one driver, _scan_range, in two stages, for one
 item of the scan at a time (a spectrum, a potent exponent, a
-centralizer's representative).  Stage 1 runs column 0 of the defining
-test on each chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or
-all of F_5) of the matrices pass, and copies their planes into a pool as
-large as a chunk.  When the pool
-would overflow, and at the end of the range, stage 2 settles it at once:
-the remaining columns, then the projector test for exact spectra or
-invertibility for centralizers.  So stage 2 runs on the survivors of many
-chunks together rather than as many small numpy calls per chunk.  The
-next item decodes the range again into the same buffer and refills the
-same pool, so the working set does not grow with the number of spectra.
-Scans above the budget (default 2^26 matrices) are refused unless forced,
-and shapes whose p^(n*n) overflows the int64 index always; the budget
-counts an M and an E scan per spectrum.
+centralizer's representative).  A scan kind is a (column, finish) pair:
+column(a, item, j, p) is where column j of the planes passes the kind's
+defining test (_annihilated, _fixed, _commuting), and finish counts the
+hits among matrices whose column 0 passed.  Stage 1 runs column 0 on each
+chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or all of F_5) of
+the matrices pass, and copies their planes into a pool as large as a
+chunk.  When the pool would overflow, and at the end of the range, stage
+2 finishes it at once: _passing runs columns 1..n-1, only the matrices
+whose columns so far pass going on to the next, then the projector test
+counts exact spectra and invertibility centralizers.  So stage 2 runs on
+the survivors of many chunks together rather than as many small numpy
+calls per chunk.  Potent exponents past _by_matvecs finish on whole
+matrices instead: A^k is formed once on the pool and the other columns
+tested by one product, A^k A = A.  Going column by column would mean
+carrying A^k along and compacting it with the planes, and would save
+little: at n=3, p=5 the period cuts k = 10^18 to 1000, 41% of the
+matrices pass column 0 and 96% of those column 1.  The next item decodes
+the range again into the same buffer and refills the same pool, so the
+working set does not grow with the number of spectra.  Scans above the
+budget (default 2^26 matrices) are refused unless forced, and shapes
+whose p^(n*n) overflows the int64 index always; the budget counts an M
+and an E scan per spectrum.
 
 A parallel scan splits the index range on chunk boundaries into one
 range per process.  The caller scans the first range itself and forks a
@@ -283,7 +292,7 @@ def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """A B mod p for planes a and b of shape (n, n, B)."""
+    """A B mod p for planes a of shape (n, n, B) and b of shape (n, m, B)."""
     prod = a[:, 0, None] * b[None, 0]
     for t in range(1, len(a)):
         prod += a[:, t, None] * b[None, t]
@@ -328,10 +337,10 @@ def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# the two stages of each scan, a (sift, settle) pair: sift(a, item, p) gives
-# the indices of the matrices of a chunk's planes a, of shape (n, n, B),
-# that pass column 0 of item's test, and settle(planes, item, p) the hit
-# tuple of survivors pooled from several chunks
+# the scan kinds, each a (column, finish) pair: column(a, item, j, p) is
+# where column j of planes a, of shape (n, n, B), passes item's defining
+# test, and finish(a, item, p) the hit tuple of planes a pooled from
+# several chunks, matrices whose column 0 passed
 
 
 def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
@@ -347,20 +356,23 @@ def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
     return v
 
 
-def _annihilated(planes: np.ndarray, alphas: tuple[int, ...], p: int, first: int = 0) -> np.ndarray:
-    """Entry planes of the matrices annihilated by prod(A - alpha*I), tested
-    column by column from column first on, the earlier ones known to
-    vanish; only the matrices whose columns so far vanish go on to the next."""
-    n = math.isqrt(len(planes))
-    for j in range(first, n):
-        v = _column(planes.reshape(n, n, -1), j, alphas, p)
-        planes = planes.take(np.flatnonzero(~v.any(axis=0)), axis=1)
-    return planes
+def _annihilated(a: np.ndarray, alphas: tuple[int, ...], j: int, p: int) -> np.ndarray:
+    """Where column j of prod(A - alpha*I) vanishes."""
+    return ~_column(a, j, alphas, p).any(axis=0)
 
 
-def _exact(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
-    """Entry planes of the matrices, among the annihilated ones in planes,
-    that have every alpha as an eigenvalue.
+def _passing(a: np.ndarray, column, item, p: int, first: int) -> np.ndarray:
+    """Planes of the matrices of a whose columns first..n-1 pass column's
+    test, the earlier ones known to pass; only the matrices whose columns
+    so far pass go on to the next."""
+    for j in range(first, len(a)):
+        a = a.take(np.flatnonzero(column(a, item, j, p)), axis=2)
+    return a
+
+
+def _exact(a: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
+    """Planes of the matrices, among the annihilated ones in planes a of
+    shape (n, n, B), that have every alpha as an eigenvalue.
 
     On such a matrix prod over beta != alpha of (A - beta*I) is a nonzero
     multiple of the projector onto the alpha-eigenspace (Lagrange
@@ -369,29 +381,23 @@ def _exact(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
     settled, and only the others go on to the next column.  With one alpha
     the product is empty and every annihilated matrix has it.
     """
-    n = math.isqrt(len(planes))
     for alpha in alphas if len(alphas) > 1 else ():
         others = [beta for beta in alphas if beta != alpha]
-        a = planes.reshape(n, n, -1)
         vanishes = ~_column(a, 0, others, p).any(axis=0)  # every column so far zero
         pending = np.flatnonzero(vanishes)
-        for j in range(1, n):
+        for j in range(1, len(a)):
             nonzero = _column(a.take(pending, axis=2), j, others, p).any(axis=0)
             vanishes[pending[nonzero]] = False
             pending = pending[~nonzero]
-        planes = planes.take(np.flatnonzero(~vanishes), axis=1)
-    return planes
+        a = a.take(np.flatnonzero(~vanishes), axis=2)
+    return a
 
 
-def _sift_spectrum(a: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
-    """The matrices whose column 0 of prod(A - alpha*I) vanishes."""
-    return np.flatnonzero(~_column(a, 0, alphas, p).any(axis=0))
-
-
-def _settle_spectrum(planes: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
-    """M and E hits among matrices whose column 0 is annihilated."""
-    annihilated = _annihilated(planes, alphas, p, first=1)
-    return annihilated.shape[1], _exact(annihilated, alphas, p).shape[1]
+def _finish_spectrum(a: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
+    """M and E hits: the annihilated matrices, and those of them with every
+    alpha an eigenvalue."""
+    annihilated = _passing(a, _annihilated, alphas, p, 1)
+    return annihilated.shape[-1], _exact(annihilated, alphas, p).shape[-1]
 
 
 def _by_matvecs(k: int, n: int) -> bool:
@@ -403,44 +409,28 @@ def _by_matvecs(k: int, n: int) -> bool:
     return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
 
 
-def _potent_power(a: np.ndarray, k: int, p: int) -> np.ndarray | None:
-    """A^k by binary powering where that is cheaper than k matvecs per
-    column (_by_matvecs), else None."""
-    return None if _by_matvecs(k, len(a)) else _power(a, k, p)
-
-
-def _fixed_column(a: np.ndarray, power: np.ndarray | None, j: int, k: int, p: int) -> np.ndarray:
-    """Where A^k (A e_j) = A e_j, A^k (A e_j) being k matvecs from v = A e_j
-    on (n, B) vectors, or one matvec by power = A^k."""
+def _fixed(a: np.ndarray, k: int, j: int, p: int) -> np.ndarray:
+    """Where A^k (A e_j) = A e_j: k matvecs from v = A e_j on (n, B) vectors
+    where that is cheaper (_by_matvecs), else one matvec by A^k formed by
+    binary powering."""
     column = a[:, j]
-    if power is None:
+    if _by_matvecs(k, len(a)):
         v = column
         for _ in range(k):
             v = _reduce(_matvec(a, v), p)
     else:
-        v = _reduce(_matvec(power, column), p)
+        v = _reduce(_matvec(_power(a, k, p), column), p)
     return (v == column).all(axis=0)
 
 
-def _sift_potent(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """The matrices with A^k (A e_0) = A e_0."""
-    return np.flatnonzero(_fixed_column(a, _potent_power(a, k, p), 0, k, p))
-
-
-def _settle_potent(planes: np.ndarray, k: int, p: int) -> tuple[int]:
-    """Matrices with A^(k+1) = A among those whose column 0 agrees, tested
-    on the other columns, only the matrices whose columns so far agree
-    going on to the next; A^k is formed again on these few where binary
-    powering is cheaper."""
-    n = math.isqrt(len(planes))
-    a = planes.reshape(n, n, -1)
-    power = _potent_power(a, k, p)
-    for j in range(1, n):
-        agree = np.flatnonzero(_fixed_column(a, power, j, k, p))
-        a = a.take(agree, axis=2)
-        if power is not None:
-            power = power.take(agree, axis=2)
-    return (a.shape[-1],)
+def _finish_potent(a: np.ndarray, k: int, p: int) -> tuple[int]:
+    """Matrices with A^(k+1) = A: column by column where k matvecs are
+    cheaper, else A^k formed once and every other column tested by one
+    product, A^k A = A."""
+    if _by_matvecs(k, len(a)):
+        return (_passing(a, _fixed, k, p, 1).shape[-1],)
+    rest = a[:, 1:]
+    return (int((_mul(_power(a, k, p), rest, p) == rest).all(axis=(0, 1)).sum()),)
 
 
 def _potent_exponent(k: int, n: int, p: int) -> int:
@@ -450,28 +440,20 @@ def _potent_exponent(k: int, n: int, p: int) -> int:
     return n + (k - n) % period if k > n + period else k
 
 
-def _commuting_column(a: np.ndarray, rep: np.ndarray, j: int, p: int) -> np.ndarray:
+def _commuting(a: np.ndarray, rep: np.ndarray, j: int, p: int) -> np.ndarray:
     """Where column j of A*rep equals that of rep*A, for rep given as
     planes of shape (n, n, 1)."""
     return (_reduce(_matvec(a, rep[:, j]), p) == _reduce(_matvec(rep, a[:, j]), p)).all(axis=0)
 
 
-def _sift_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> np.ndarray:
-    """The matrices whose column 0 commutes with rep."""
-    return np.flatnonzero(_commuting_column(a, rep, 0, p))
+def _finish_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
+    """Invertible matrices commuting with rep."""
+    return (int(_invertible(_passing(a, _commuting, rep, p, 1), p)[0].sum()),)
 
 
-def _settle_centralizer(planes: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
-    """Invertible matrices commuting with rep, among those whose column 0 does."""
-    a = planes.reshape(len(rep), len(rep), -1)
-    for j in range(1, len(rep)):
-        a = a.take(np.flatnonzero(_commuting_column(a, rep, j, p)), axis=2)
-    return (int(_invertible(a, p)[0].sum()),)
-
-
-_SPECTRA = (_sift_spectrum, _settle_spectrum)
-_POTENT = (_sift_potent, _settle_potent)
-_CENTRALIZER = (_sift_centralizer, _settle_centralizer)
+_SPECTRA = (_annihilated, _finish_spectrum)
+_POTENT = (_fixed, _finish_potent)
+_CENTRALIZER = (_commuting, _finish_centralizer)
 
 
 # ----------------------------------------------------------------------
@@ -486,29 +468,31 @@ def _total(hits) -> tuple[int, ...]:
 def _scan_range(test, n: int, p: int, items: Sequence, start: int, stop: int) -> tuple[int, ...]:
     """The hits of each item in turn over matrix index range [start, stop).
 
-    test is a (sift, settle) pair.  For one item at a time, stage 1 sifts
-    every chunk and copies the survivors into one pool of a chunk's size;
-    when they would overflow it, and at the end, stage 2 settles the pool.
-    Each item decodes the range again into the same buffer, so the pool
-    holds one item's survivors and batches them over many chunks, and its
-    memory does not grow with the number of items.
+    test is a (column, finish) pair.  For one item at a time, stage 1 runs
+    column 0 of the test on every chunk and copies the passing matrices into
+    one pool of a chunk's size; when they would overflow it, and at the end,
+    stage 2 finishes the pool.  Each item decodes the range again into the
+    same buffer, so the pool holds one item's survivors and batches them
+    over many chunks, and its memory does not grow with the number of items.
     """
-    sift, settle = test
+    column, finish = test
     buffer = _decode_buffer(n, p)
+    # (n*n, B) like the chunk: taking into an (n, n, B) pool raised the peak
+    # RSS of a serial potent scan at (3, 5) by about 0.1 MB
     pool = np.empty_like(buffer)
     hits = []
     for item in items:
-        settled, fill = [], 0
+        finished, fill = [], 0
         for planes in _chunks(start, stop, n, p, buffer):
-            keep = sift(planes.reshape(n, n, -1), item, p)
+            keep = np.flatnonzero(column(planes.reshape(n, n, -1), item, 0, p))
             if fill + len(keep) > pool.shape[1]:
-                settled.append(settle(pool[:, :fill], item, p))
+                finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
                 fill = 0
             # keep is in range: "clip" skips the bounds check and its extra copy
             np.take(planes, keep, axis=1, out=pool[:, fill : fill + len(keep)], mode="clip")
             fill += len(keep)
-        settled.append(settle(pool[:, :fill], item, p))
-        hits += _total(settled)
+        finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
+        hits += _total(finished)
     return tuple(hits)
 
 

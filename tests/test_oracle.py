@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from eigencount import counting, oracle
 from eigencount.oracle import (
+    _CENTRALIZER,
     _CHUNK_BYTES,
     _POTENT,
     _SPECTRA,
@@ -29,6 +30,7 @@ from eigencount.oracle import (
     _distinct,
     _exact,
     _invertible,
+    _passing,
     _plane_dtype,
     _potent_exponent,
     _power,
@@ -215,10 +217,18 @@ def plane_bytes(n, p):
 
 def two_stage(test, planes, item, p):
     """The hits of item on entry planes by the scan's two stages on them
-    alone, the survivors of stage 1 settled at once without a pool."""
-    sift, settle = test
+    alone: the matrices passing column 0 finished at once without a pool."""
+    column, finish = test
     n = math.isqrt(len(planes))
-    return settle(planes.take(sift(planes.reshape(n, n, -1), item, p), axis=1), item, p)
+    a = planes.reshape(n, n, -1)
+    return finish(a.take(np.flatnonzero(column(a, item, 0, p)), axis=2), item, p)
+
+
+def annihilated_planes(planes, alphas, p):
+    """Entry planes of the matrices annihilated by prod(A - alpha*I), every
+    column tested by _passing."""
+    n = math.isqrt(len(planes))
+    return _passing(planes.reshape(n, n, -1), _annihilated, alphas, p, 0).reshape(n * n, -1)
 
 
 def spectra_hits(planes, spectra, p):
@@ -484,7 +494,7 @@ class TestFirstColumnFilter:
         annihilated = annihilated_mask(mats, alphas, p)
         potent = potent_mask(mats, k, p)
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
-        assert np.array_equal(matrices(_annihilated(planes, alphas, p)), mats[annihilated])
+        assert np.array_equal(matrices(annihilated_planes(planes, alphas, p)), mats[annihilated])
         assert two_stage(_POTENT, planes, k, p) == (potent.sum(),)
         # an exponent past n plus a period of the powers A^i, i >= n, and
         # its reduction accept the same matrices as the whole int64 power
@@ -519,8 +529,8 @@ class TestFirstColumnFilter:
         for alphas in [(p - 1,), (p - 2, p - 1), (0, p - 1), (0, 1, p - 2, p - 1)]:
             alphas = tuple(dict.fromkeys(alphas))
             expected = mats[annihilated_mask(mats, alphas, p)]
-            assert np.array_equal(matrices(_annihilated(planes, alphas, p)), expected)
-            assert np.array_equal(matrices(_annihilated(wide, alphas, p)), expected)
+            assert np.array_equal(matrices(annihilated_planes(planes, alphas, p)), expected)
+            assert np.array_equal(matrices(annihilated_planes(wide, alphas, p)), expected)
             assert spectra_hits(planes, [alphas], p) == full_batch_hits(mats, alphas, p)
         for k in (*range(1, 9), p - 1, p, 4 * p + 3, 10**18):
             expected = (potent_mask(mats, k, p).sum(),)
@@ -574,7 +584,7 @@ class TestFirstColumnFilter:
 
 
 class TestPooledDriver:
-    """_scan_range pools the survivors of stage 1 over chunks and settles
+    """_scan_range pools the survivors of stage 1 over chunks and finishes
     them when the pool would overflow and at the end of the range; the
     hits match the whole-matrix int64 references on every range."""
 
@@ -587,7 +597,8 @@ class TestPooledDriver:
     def test_pooled_hits_match_full_batch(self, shape, chunk, data):
         # at most chunk matrices per chunk, so small values give many chunks
         # and pool fills; one-matrix ranges; up to 12 spectra in one scan;
-        # k past the last one done by matvecs (3, 11, 19 at n = 1, 2, 3)
+        # k past the last one done by matvecs (3, 11, 19 at n = 1, 2, 3);
+        # diagonal representatives, scalar ones passing every matrix
         n, p = shape
         total = p ** (n * n)
         start = data.draw(st.integers(0, total - 1), label="start")
@@ -597,29 +608,37 @@ class TestPooledDriver:
         spectra = data.draw(st.lists(alphas, min_size=1, max_size=12), label="spectra")
         ks = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 11, 12, 19, 20, 25, 10**18]),
                                 min_size=1, max_size=3), label="ks")
+        diagonal = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(np.diag)
+        reps = data.draw(st.lists(diagonal, min_size=1, max_size=3), label="reps")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_CHUNK_BYTES", chunk * plane_bytes(n, p))
             spectrum_hits = _scan_range(_SPECTRA, n, p, spectra, start, stop)
             potent_hits = _scan_range(_POTENT, n, p, ks, start, stop)
+            rep_planes = [r[:, :, None].astype(_plane_dtype(n, p)) for r in reps]
+            centralizer_hits = _scan_range(_CENTRALIZER, n, p, rep_planes, start, stop)
         mats = matrices(decode(start, stop, n, p))
         assert spectrum_hits == tuple(h for alphas in spectra for h in full_batch_hits(mats, alphas, p))
         assert potent_hits == tuple(int(potent_mask(mats, k, p).sum()) for k in ks)
+        invertible = det_batch(mats, p) != 0
+        assert centralizer_hits == tuple(
+            int((invertible & (mats @ r % p == r @ mats % p).all(axis=(1, 2))).sum()) for r in reps
+        )
 
     def test_pool_settles_when_it_would_overflow_and_at_the_end(self, monkeypatch):
         # chunks of 9 matrices at (2, 3), every matrix passing stage 1: the
-        # first chunk fills the pool exactly, each later one settles it,
-        # and the last 4 matrices are settled at the end, for each item
+        # first chunk fills the pool exactly, each later one finishes it,
+        # and the last 4 matrices are finished at the end, for each item
         monkeypatch.setattr(oracle, "_CHUNK_BYTES", 9 * plane_bytes(2, 3))
         assert _chunk_layout(2, 3)[2] == 9
-        settled = []
+        finished = []
 
-        def settle(planes, item, p):
-            settled.append((item, planes.shape[1]))
-            return planes.shape[1], int(_scan_index(planes, p).sum())
+        def finish(a, item, p):
+            finished.append((item, a.shape[-1]))
+            return a.shape[-1], int(_scan_index(a.reshape(4, -1), p).sum())
 
-        hits = _scan_range((every_matrix, settle), 2, 3, ["a", "b"], 0, 31)
+        hits = _scan_range((every_matrix, finish), 2, 3, ["a", "b"], 0, 31)
         assert hits == (31, sum(range(31))) * 2
-        assert settled == [("a", 9), ("a", 9), ("a", 9), ("a", 4), ("b", 9), ("b", 9), ("b", 9), ("b", 4)]
+        assert finished == [("a", 9), ("a", 9), ("a", 9), ("a", 4), ("b", 9), ("b", 9), ("b", 9), ("b", 4)]
 
 
 def traced_peak(work):
@@ -689,15 +708,15 @@ class TestSpectrumPass:
         planes = decode(0, p ** (n * n), n, p)
         eye = np.eye(n, dtype=np.int64)
         for alphas in spectra(p):
-            survivors = _annihilated(planes, alphas, p)
+            survivors = annihilated_planes(planes, alphas, p)
             mats = matrices(survivors)
             # every A - alpha*I singular, by cofactor determinants
             singular = np.ones(len(mats), dtype=bool)
             for a in alphas:
                 singular &= det_batch(mats - a * eye, p) == 0
-            every = _exact(survivors, alphas, p)
+            every = _exact(survivors.reshape(n, n, -1), alphas, p)
             assert every.dtype == _plane_dtype(n, p)
-            assert np.array_equal(matrices(every), mats[singular]), alphas
+            assert np.array_equal(matrices(every.reshape(n * n, -1)), mats[singular]), alphas
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch, forks):
@@ -808,16 +827,16 @@ def test_serial_scans_load_no_worker_pool():
 
 
 
-def two_process_scan(sift, settle=lambda planes, item, p: (planes.shape[1],)):
-    """_run_scan of (sift, settle) over the 17^4 matrices of n = 2, p = 17:
+def two_process_scan(column, finish=lambda a, item, p: (a.shape[-1],)):
+    """_run_scan of (column, finish) over the 17^4 matrices of n = 2, p = 17:
     six chunks in two ranges on two cores, the first scanned by the caller,
     the second by one forked worker."""
-    return _run_scan((sift, settle), 2, 17, [None], 17**4, 2)
+    return _run_scan((column, finish), 2, 17, [None], 17**4, 2)
 
 
-def every_matrix(a, item, p):
-    """A sift that passes every matrix of a chunk."""
-    return np.arange(a.shape[-1])
+def every_matrix(a, item, j, p):
+    """A column test that every matrix passes."""
+    return np.ones(a.shape[-1], dtype=bool)
 
 
 class TestForkedScans:
@@ -829,22 +848,22 @@ class TestForkedScans:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
 
     def test_hits_come_back_from_the_worker(self, forks):
-        def settle(planes, item, p):
-            return planes.shape[1], int(planes.sum())
+        def finish(a, item, p):
+            return a.shape[-1], int(a.sum())
 
-        assert two_process_scan(every_matrix, settle) == (17**4, 4 * 17**3 * (16 * 17 // 2))
+        assert two_process_scan(every_matrix, finish) == (17**4, 4 * 17**3 * (16 * 17 // 2))
         assert len(forks) == 1
 
     def test_failing_worker_is_reported_and_reaped(self, forks, capfd):
         caller = os.getpid()
 
-        def sift(a, item, p):
+        def column(a, item, j, p):
             if os.getpid() != caller:
                 raise ArithmeticError("the worker fails")
-            return every_matrix(a, item, p)
+            return every_matrix(a, item, j, p)
 
         with pytest.raises(RuntimeError, match="exit status 1"):
-            two_process_scan(sift)
+            two_process_scan(column)
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -855,14 +874,14 @@ class TestForkedScans:
         # the worker would run for a minute; the caller fails at once
         caller = os.getpid()
 
-        def sift(a, item, p):
+        def column(a, item, j, p):
             if os.getpid() == caller:
                 raise error("the caller fails")
             time.sleep(60)
 
         t0 = time.perf_counter()
         with pytest.raises(error, match="the caller fails"):
-            two_process_scan(sift)
+            two_process_scan(column)
         assert time.perf_counter() - t0 < 30
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
