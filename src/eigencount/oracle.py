@@ -2,9 +2,9 @@
 
 Every count here comes from scanning matrices and testing the defining
 condition directly: annihilation by the prescribed linear factors for
-spectrum counts, every alpha an eigenvalue (its spectral projector
-nonzero) for exact spectra, A^(k+1) = A for potency, commutation and
-invertibility for centralizers, explicit conjugation for orbits.
+spectrum counts, the set of alpha with a nonzero spectral projector for
+exact spectra, A^(k+1) = A for potency, commutation and invertibility
+for centralizers, explicit conjugation for orbits.
 Nothing is shared with the closed-form counting path, so agreement
 between the two is evidence, not tautology.
 
@@ -40,18 +40,19 @@ binary powering: its k.bit_length() + k.bit_count() - 2 products take
 about n matvecs each, and one more applies A^k.  Past that, as for large
 period-cut exponents, A^k is formed by binary powering.  A matrix is
 zero exactly when all its columns are, so this is the definition itself.
-Exact spectra then refine the annihilated matrices on the same planes:
-on them alpha is an eigenvalue exactly when prod over beta != alpha of
-(A - beta*I), a nonzero multiple of the projector onto its eigenspace,
-is nonzero, tested column by column the same way.  One scan therefore
-yields the M and the E count of every spectrum asked for (count_spectra).
+Spectra are scanned together: annihilation over U, their union, then on
+the annihilated matrices alpha is an eigenvalue exactly when prod over
+beta != alpha in U of (A - beta*I), a nonzero multiple of the projector
+onto its eigenspace, is nonzero, tested column by column the same way.
+A histogram of the eigenvalue sets gives each spectrum S its E count,
+the bin of S, and its M count, the bins of the subsets of S.
 Centralizers and orbits invert on the same planes: by the Fitting
 decomposition behind that period, A^period = I for every invertible A and
 A^period is singular for every singular A, so A^(period-1) is the inverse
 exactly where A * A^(period-1) = I.
 
-Every count comes from one driver, _scan_range, in two stages, for one
-item of the scan at a time (a spectrum, a potent exponent, a
+Every count comes from one driver, _scan_range, in two stages, for the
+one item of a scan (the union U with its spectra, a potent exponent, a
 centralizer's representative).  A scan kind is a (column, finish) pair:
 column(a, item, j, p) is where column j of the planes passes the kind's
 defining test (_annihilated, _fixed, _commuting), and finish counts the
@@ -61,16 +62,14 @@ the matrices pass, and copies their planes into a pool as large as a
 chunk.  When the pool would overflow, and at the end of the range, stage
 2 finishes it at once: _passing runs columns 1..n-1, only the matrices
 whose columns so far pass going on to the next, then the projector test
-counts exact spectra and invertibility centralizers.  So stage 2 runs on
-the survivors of many chunks together rather than as many small numpy
-calls per chunk.  Potent exponents past _by_matvecs finish on whole
+makes the histogram of spectra and invertibility counts centralizers.
+So stage 2 runs on the survivors of many chunks together rather than as
+many small numpy calls per chunk.  Potent exponents past _by_matvecs finish on whole
 matrices instead: A^k is formed once on the pool and the other columns
 tested by one product, A^k A = A.  Going column by column would mean
 carrying A^k along and compacting it with the planes, and would save
 little: at n=3, p=5 the period cuts k = 10^18 to 1000, 41% of the
-matrices pass column 0 and 96% of those column 1.  The next item decodes
-the range again into the same buffer and refills the same pool, so the
-working set does not grow with the number of spectra.  Scans above the
+matrices pass column 0 and 96% of those column 1.  Scans above the
 budget (default 2^26 matrices) are refused unless forced, and shapes
 whose p^(n*n) overflows the int64 index always; the budget counts an M
 and an E scan per spectrum.
@@ -86,6 +85,7 @@ is interrupted.  Without os.fork, scans run serially.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -233,35 +233,24 @@ def _plane_dtype(n: int, p: int) -> type:
     return next(t for top, t in _PLANE_TYPES if top >= (n + 1) * p * p)
 
 
-def _decode_buffer(n: int, p: int) -> np.ndarray:
-    """A _plane_dtype buffer of shape (n*n, size) for _chunks, the template
-    of its low j digits written.
+def _chunks(start: int, stop: int, n: int, p: int):
+    """Entry planes of matrices start..stop-1, one chunk at a time, decoded
+    into one _plane_dtype buffer of shape (n*n, size) that each chunk
+    overwrites.
 
-    The low j digits repeat in every run of p^j matrices, so they are
-    written once: digit d < j of index t is (t // p^d) % p, so row d viewed
-    as (size / p^(d+1), p, p^d) takes the value i at [:, i, :], broadcast
-    from arange(p) in the planes' type.
+    Chunks are aligned to multiples of size.  The low j digits repeat in
+    every run of p^j matrices, so they are written once: digit d < j of
+    index t is (t // p^d) % p, so row d viewed as (size / p^(d+1), p, p^d)
+    takes the value i at [:, i, :], broadcast from arange(p) in the planes'
+    type.  Per chunk only the higher digits, constant over each run, are
+    filled in, all by one broadcast: digit d >= j of the matrices of run r
+    (index r*p^j onwards) is (r // p^(d-j)) % p.
     """
     j, run, size = _chunk_layout(n, p)
     buffer = np.empty((n * n, size), dtype=_plane_dtype(n, p))
     digits = np.arange(p, dtype=buffer.dtype)[:, None]
     for d in range(j):
         buffer[d].reshape(-1, p, p**d)[:] = digits
-    return buffer
-
-
-def _chunks(start: int, stop: int, n: int, p: int, buffer: np.ndarray | None = None):
-    """Entry planes of matrices start..stop-1, one chunk at a time, decoded
-    into one buffer from _decode_buffer, given or made here, that each
-    chunk overwrites.
-
-    Chunks are aligned to multiples of size.  The buffer holds the low j
-    digits already; per chunk only the higher digits, constant over each
-    run, are filled in, all by one broadcast: digit d >= j of the matrices
-    of run r (index r*p^j onwards) is (r // p^(d-j)) % p.
-    """
-    j, run, size = _chunk_layout(n, p)
-    buffer = _decode_buffer(n, p) if buffer is None else buffer
     high = buffer[j:].reshape(n * n - j, size // run, run)  # [d - j, r] is constant
     # p^(d-j), capped where it passes every int64 index and the digit is 0
     places = np.array([min(p**e, _INDEX_MAX) for e in range(n * n - j)], dtype=np.int64)[:, None]
@@ -356,9 +345,9 @@ def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
     return v
 
 
-def _annihilated(a: np.ndarray, alphas: tuple[int, ...], j: int, p: int) -> np.ndarray:
-    """Where column j of prod(A - alpha*I) vanishes."""
-    return ~_column(a, j, alphas, p).any(axis=0)
+def _annihilated(a: np.ndarray, item: tuple, j: int, p: int) -> np.ndarray:
+    """Where column j of prod(A - alpha*I) over item's union vanishes."""
+    return ~_column(a, j, item[0], p).any(axis=0)
 
 
 def _passing(a: np.ndarray, column, item, p: int, first: int) -> np.ndarray:
@@ -370,34 +359,44 @@ def _passing(a: np.ndarray, column, item, p: int, first: int) -> np.ndarray:
     return a
 
 
-def _exact(a: np.ndarray, alphas: tuple[int, ...], p: int) -> np.ndarray:
-    """Planes of the matrices, among the annihilated ones in planes a of
-    shape (n, n, B), that have every alpha as an eigenvalue.
-
-    On such a matrix prod over beta != alpha of (A - beta*I) is a nonzero
-    multiple of the projector onto the alpha-eigenspace (Lagrange
-    interpolation), so alpha occurs exactly when that product is nonzero.
-    It is tested column by column: a matrix with a nonzero column is
-    settled, and only the others go on to the next column.  With one alpha
-    the product is empty and every annihilated matrix has it.
-    """
-    for alpha in alphas if len(alphas) > 1 else ():
-        others = [beta for beta in alphas if beta != alpha]
-        vanishes = ~_column(a, 0, others, p).any(axis=0)  # every column so far zero
-        pending = np.flatnonzero(vanishes)
+def _eigenvalue_keys(a: np.ndarray, union: tuple[int, ...], p: int) -> np.ndarray:
+    """The key of each matrix's set of eigenvalues, for planes a of shape
+    (n, n, B) annihilated by prod(A - alpha*I) over the ascending union:
+    its alpha + 1 as base-(p+1) digits, ascending, found by the projector
+    test on every column.  At most n eigenvalues keep it below (p+1)^n."""
+    if len(union) == 1:  # the product is empty: every matrix is alpha*I
+        return np.full(a.shape[-1], union[0] + 1, dtype=np.int64)
+    keys = np.zeros(a.shape[-1], dtype=np.int64)
+    for alpha in union:
+        others = [beta for beta in union if beta != alpha]
+        found = _column(a, 0, others, p).any(axis=0)
         for j in range(1, len(a)):
-            nonzero = _column(a.take(pending, axis=2), j, others, p).any(axis=0)
-            vanishes[pending[nonzero]] = False
-            pending = pending[~nonzero]
-        a = a.take(np.flatnonzero(~vanishes), axis=2)
-    return a
+            found |= _column(a, j, others, p).any(axis=0)
+        keys[found] = keys[found] * (p + 1) + alpha + 1
+    return keys
 
 
-def _finish_spectrum(a: np.ndarray, alphas: tuple[int, ...], p: int) -> tuple[int, int]:
-    """M and E hits: the annihilated matrices, and those of them with every
-    alpha an eigenvalue."""
-    annihilated = _passing(a, _annihilated, alphas, p, 1)
-    return annihilated.shape[-1], _exact(annihilated, alphas, p).shape[-1]
+def _finish_spectra(a: np.ndarray, item: tuple, p: int) -> tuple[int, ...]:
+    """The M and E hits of each ascending spectrum S of item = (union,
+    spectra) in turn: in the histogram of eigenvalue sets, E(S) is the bin
+    of S and M(S) the sum of the bins of its subsets of at most n elements."""
+    union, spectra = item
+    a = _passing(a, _annihilated, item, p, 1)
+    # keys are below (p+1)^n, so the counts are a short array; np.unique
+    # would fault in ~0.4 MB of its own machinery in every process
+    counts = np.bincount(_eigenvalue_keys(a, union, p))
+    histogram = {}
+    for key in np.flatnonzero(counts).tolist():
+        count, alphas = int(counts[key]), []
+        while key:  # its base-(p+1) digits, alpha + 1 each, from the last
+            key, digit = divmod(key, p + 1)
+            alphas.insert(0, digit - 1)
+        histogram[tuple(alphas)] = count
+    hits = []
+    for alphas in spectra:
+        subsets = (s for size in range(1, len(a) + 1) for s in itertools.combinations(alphas, size))
+        hits += sum(histogram.get(s, 0) for s in subsets), histogram.get(alphas, 0)
+    return tuple(hits)
 
 
 def _by_matvecs(k: int, n: int) -> bool:
@@ -451,7 +450,7 @@ def _finish_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
     return (int(_invertible(_passing(a, _commuting, rep, p, 1), p)[0].sum()),)
 
 
-_SPECTRA = (_annihilated, _finish_spectrum)
+_SPECTRA = (_annihilated, _finish_spectra)
 _POTENT = (_fixed, _finish_potent)
 _CENTRALIZER = (_commuting, _finish_centralizer)
 
@@ -465,35 +464,29 @@ def _total(hits) -> tuple[int, ...]:
     return tuple(map(sum, zip(*hits)))
 
 
-def _scan_range(test, n: int, p: int, items: Sequence, start: int, stop: int) -> tuple[int, ...]:
-    """The hits of each item in turn over matrix index range [start, stop).
+def _scan_range(test, n: int, p: int, item, start: int, stop: int) -> tuple[int, ...]:
+    """The hits of item over matrix index range [start, stop).
 
-    test is a (column, finish) pair.  For one item at a time, stage 1 runs
-    column 0 of the test on every chunk and copies the passing matrices into
-    one pool of a chunk's size; when they would overflow it, and at the end,
-    stage 2 finishes the pool.  Each item decodes the range again into the
-    same buffer, so the pool holds one item's survivors and batches them
-    over many chunks, and its memory does not grow with the number of items.
+    test is a (column, finish) pair.  Stage 1 runs column 0 of the test on
+    every chunk and copies the passing matrices into one pool of a chunk's
+    size; when they would overflow it, and at the end, stage 2 finishes the
+    pool, so it batches the survivors of many chunks.
     """
     column, finish = test
-    buffer = _decode_buffer(n, p)
     # (n*n, B) like the chunk: taking into an (n, n, B) pool raised the peak
     # RSS of a serial potent scan at (3, 5) by about 0.1 MB
-    pool = np.empty_like(buffer)
-    hits = []
-    for item in items:
-        finished, fill = [], 0
-        for planes in _chunks(start, stop, n, p, buffer):
-            keep = np.flatnonzero(column(planes.reshape(n, n, -1), item, 0, p))
-            if fill + len(keep) > pool.shape[1]:
-                finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
-                fill = 0
-            # keep is in range: "clip" skips the bounds check and its extra copy
-            np.take(planes, keep, axis=1, out=pool[:, fill : fill + len(keep)], mode="clip")
-            fill += len(keep)
-        finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
-        hits += _total(finished)
-    return tuple(hits)
+    pool = np.empty((n * n, _chunk_layout(n, p)[2]), dtype=_plane_dtype(n, p))
+    finished, fill = [], 0
+    for planes in _chunks(start, stop, n, p):
+        keep = np.flatnonzero(column(planes.reshape(n, n, -1), item, 0, p))
+        if fill + len(keep) > pool.shape[1]:
+            finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
+            fill = 0
+        # keep is in range: "clip" skips the bounds check and its extra copy
+        np.take(planes, keep, axis=1, out=pool[:, fill : fill + len(keep)], mode="clip")
+        fill += len(keep)
+    finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
+    return _total(finished)
 
 
 def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
@@ -505,7 +498,7 @@ def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
     return [(start, min(start + step, total)) for start in range(0, total, step)]
 
 
-def _fork_scan(test, n: int, p: int, items: Sequence, start: int, stop: int) -> tuple[int, int]:
+def _fork_scan(test, n: int, p: int, item, start: int, stop: int) -> tuple[int, int]:
     """Fork a child that scans [start, stop) and writes its hits to a pipe
     as decimal text; the child's pid and the pipe's read end."""
     read, write = os.pipe()
@@ -523,7 +516,7 @@ def _fork_scan(test, n: int, p: int, items: Sequence, start: int, stop: int) -> 
     status = 1
     try:
         os.close(read)
-        hits = _scan_range(test, n, p, items, start, stop)
+        hits = _scan_range(test, n, p, item, start, stop)
         with open(write, "wb") as pipe:  # writes every byte, however many
             pipe.write(" ".join(map(str, hits)).encode())
         status = 0
@@ -536,7 +529,7 @@ def _fork_scan(test, n: int, p: int, items: Sequence, start: int, stop: int) -> 
         os._exit(status)
 
 
-def _run_scan(test, n: int, p: int, items: Sequence, total: int, jobs: int) -> tuple[int, ...]:
+def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[int, ...]:
     """Sum the hits over all matrices on at most jobs processes, the caller
     included, clamped to the cores and to the chunks so none starts
     without work.  No child outlives the call: each is reaped on success,
@@ -547,8 +540,8 @@ def _run_scan(test, n: int, p: int, items: Sequence, total: int, jobs: int) -> t
     children = []  # (pid, pipe read end) of each child not yet reaped
     try:
         for start, stop in others:
-            children.append(_fork_scan(test, n, p, items, start, stop))
-        hits = [_scan_range(test, n, p, items, *first)]
+            children.append(_fork_scan(test, n, p, item, start, stop))
+        hits = [_scan_range(test, n, p, item, *first)]
         while children:
             pid, read = children[-1]
             text = b"".join(iter(lambda: os.read(read, 1 << 16), b""))
@@ -572,10 +565,10 @@ def _run_scan(test, n: int, p: int, items: Sequence, total: int, jobs: int) -> t
                     pass
 
 
-def _count(n, field, specs, test, items, total, jobs) -> list[OracleCountReport]:
+def _count(n, field, specs, test, item, total, jobs) -> list[OracleCountReport]:
     """A report per spec from one scan of the total matrices."""
     t0 = time.perf_counter()
-    counts = _run_scan(test, n, field.p, items, total, jobs)
+    counts = _run_scan(test, n, field.p, item, total, jobs)
     seconds = time.perf_counter() - t0
     return [
         OracleCountReport(n, field.p, spec, count=count, scanned=total, seconds=seconds)
@@ -596,8 +589,10 @@ def count_spectra(
 
     M counts the matrices annihilated by prod(A - alpha*I), the
     diagonalizable ones with spectrum inside alphas; E those of them with
-    every alpha an eigenvalue, by the projector test.  Each chunk is tested
-    for every spectrum, so the budget counts an M and an E scan for each.
+    every alpha an eigenvalue.  The scan's work per matrix grows with the
+    size of the spectra's union, not with their number, but the budget
+    still counts an M and an E scan per spectrum: one scan would admit
+    --all-subsets at (2, 89), a pass of some 26 minutes over 62.7M matrices.
     An overflowing shape, or one whose single scan is over budget, is
     refused before the spectra are listed, so they may come lazily.
     """
@@ -607,8 +602,11 @@ def count_spectra(
     spectra = list(spectra)
     _charge(2 * len(spectra) * total, budget, force)  # before each spectrum is checked
     spectra = [validate_spectrum(field.p, alphas, p_is_prime=True) for alphas in spectra]
+    if not spectra:
+        return []
     specs = [mode + ":{" + ",".join(map(str, alphas)) + "}" for alphas in spectra for mode in "me"]
-    reports = _count(n, field, specs, _SPECTRA, spectra, total, jobs)
+    item = (tuple(sorted(set().union(*spectra))), [tuple(sorted(alphas)) for alphas in spectra])
+    reports = _count(n, field, specs, _SPECTRA, item, total, jobs)
     return list(zip(reports[::2], reports[1::2]))
 
 
@@ -631,7 +629,7 @@ def count_potent(
     total = _scan_size(n, field.p, jobs)  # bounds n before the period's lcm of n terms
     _charge(total, budget, force)
     exponent = _potent_exponent(k, n, field.p)
-    return _count(n, field, [f"potent:k={k}"], _POTENT, [exponent], total, jobs)[0]
+    return _count(n, field, [f"potent:k={k}"], _POTENT, exponent, total, jobs)[0]
 
 
 # ----------------------------------------------------------------------
@@ -718,7 +716,7 @@ def centralizer_size(
 ) -> int:
     """Count invertible matrices commuting with the block-diagonal rep."""
     rep, total = _representative(parts, field, budget, force)
-    return _run_scan(_CENTRALIZER, len(rep), field.p, [rep], total, 1)[0]
+    return _run_scan(_CENTRALIZER, len(rep), field.p, rep, total, 1)[0]
 
 
 def orbit_size(

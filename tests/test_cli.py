@@ -1,7 +1,9 @@
 """Command-line contract: outputs, exit codes, formats, determinism."""
 
+import argparse
 import ast
 import csv
+import functools
 import io
 import json
 import math
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import pytest
 from conftest import python_env, run_capped, run_python
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigencount import bounds, cli, counting, oracle, reference
 
@@ -839,3 +843,105 @@ class TestParserPlumbing:
         )
         assert proc.returncode == 0, proc.stderr
 
+
+def parser_flags():
+    """{subcommand: (its flags' argparse actions, its groups of mutually
+    exclusive actions)} as cli._build_parser() defines them, --help left
+    out."""
+    parser = cli._build_parser()
+    [commands] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return {
+        name: (
+            [a for a in sub._actions if a.option_strings and not isinstance(a, argparse._HelpAction)],
+            [group._group_actions for group in sub._mutually_exclusive_groups],
+        )
+        for name, sub in commands.choices.items()
+    }
+
+
+# the edge values of each flag that takes a free value, a valid one first;
+# with --force every scan stays within 5^9 matrices (n <= 3, p <= 5 prime),
+# n = 8 or more overflows the scan index, and 4300 digits is the most that
+# Python reads as an int.  A flag added without a pool fails the test.
+HUGE = "9" * 4300
+EDGE_VALUES = {
+    "--n": ["2", "3", "1", "0", "-1", "8", "1000000", "1.5"],
+    "--p": ["3", "5", "2", "1", "0", "-1", "4", "x"],
+    "--k": ["2", "1", "3", "0", "-1", "1000000000000000000", HUGE],
+    "--potent": ["2", "1", "4", "0", "-1", "1000000000000000000", HUGE],
+    "--q": ["4", "5", "1", "0", "-1", "6", "1000000000000000003"],
+    "--alphas": ["0,1", "0", "4,2,0", "", "0,0", "-1", "0,,1", "a"],
+    "--spectrum": ["0,1", "0", "4,2,0", "", "0,0", "-1", "0,9", "a"],
+    "--n-max": ["3", "4", "8", "2", "0", "-1", "9"],
+    "--jobs": ["1", "2", "0", "-1"],
+    "--count": ["39", "1", "0", "-1", "1000000000000000000000000000000", HUGE],
+    "--factors": ["2^1", "2^2,3^1", "4^1", "", "2^0", "2^1,2^1", "x^y"],
+}
+
+
+def one_time_in(draw, n):
+    """True one draw in n; False is the simpler value."""
+    return draw(st.sampled_from([False] * (n - 1) + [True]))
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and a draw of its flags, each flag's value one of its
+    choices, one time in ten an invalid one, or from EDGE_VALUES.  A
+    required flag is left out one time in ten; of a mutually exclusive
+    group one flag is given, one time in ten all of them; any other flag
+    is given one time in three."""
+    name = draw(st.sampled_from(sorted(parser_flags())))
+    actions, groups = parser_flags()[name]
+    chosen = set()
+    for group in groups:
+        chosen.update(group if one_time_in(draw, 10) else [draw(st.sampled_from(group))])
+    argv = [name]
+    for action in actions:
+        if any(action in group for group in groups):
+            given = action in chosen
+        elif action.required:
+            given = not one_time_in(draw, 10)
+        else:
+            given = one_time_in(draw, 3)
+        if not given:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            argv.append(flag)
+        elif action.choices:
+            argv += [flag, "bogus" if one_time_in(draw, 10) else draw(st.sampled_from(action.choices))]
+        else:
+            argv += [flag, draw(st.sampled_from(EDGE_VALUES[flag]))]
+    return argv
+
+
+@functools.lru_cache(maxsize=None)
+def capped_main(argv):
+    """cli.main(argv) in run_capped under a small budget, once per command
+    line: hypothesis draws some of them more than once."""
+    return run_capped(f"cli.main({list(argv)!r})", env={"EIGENCOUNT_BUDGET": "100000"})
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(argv=command_lines())
+def test_every_command_line_answers_or_refuses(argv):
+    # the contract: an answer, or a refusal with its documented exit code
+    # and one error line, never a traceback; json and csv output parses
+    proc = capped_main(tuple(argv))
+    assert proc.returncode in {0, 2, 3, 4, 5, 6}, (argv, proc.stderr)
+    assert "Traceback" not in proc.stderr, argv
+    if proc.returncode in (cli.EXIT_USAGE, cli.EXIT_BUDGET):
+        assert proc.stdout == "", argv
+        lines = proc.stderr.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:], (argv, proc.stderr)
+        return
+    assert proc.stdout, argv
+    formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+    fmt = formats[-1] if formats else "text"
+    if fmt == "json":
+        assert all(isinstance(json.loads(line), dict) for line in proc.stdout.splitlines()), argv
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(proc.stdout))
+        assert header == ["command", "parameters", "polynomial", "value", "verdict", "provenance"]
+        assert rows and all(len(row) == len(header) for row in rows), argv

@@ -28,7 +28,7 @@ from eigencount.oracle import (
     _chunk_layout,
     _chunks,
     _distinct,
-    _exact,
+    _eigenvalue_keys,
     _invertible,
     _passing,
     _plane_dtype,
@@ -224,16 +224,23 @@ def two_stage(test, planes, item, p):
     return finish(a.take(np.flatnonzero(column(a, item, 0, p)), axis=2), item, p)
 
 
+def spectra_item(spectra):
+    """The item of a spectrum scan: the ascending union of the spectra, and
+    each spectrum ascending."""
+    return tuple(sorted(set().union(*spectra))), [tuple(sorted(alphas)) for alphas in spectra]
+
+
 def annihilated_planes(planes, alphas, p):
     """Entry planes of the matrices annihilated by prod(A - alpha*I), every
     column tested by _passing."""
     n = math.isqrt(len(planes))
-    return _passing(planes.reshape(n, n, -1), _annihilated, alphas, p, 0).reshape(n * n, -1)
+    return _passing(planes.reshape(n, n, -1), _annihilated, spectra_item([alphas]), p, 0).reshape(n * n, -1)
 
 
 def spectra_hits(planes, spectra, p):
-    """The M and E hits of every spectrum in turn on entry planes (two_stage)."""
-    return tuple(hit for alphas in spectra for hit in two_stage(_SPECTRA, planes, alphas, p))
+    """The M and E hits of every spectrum in turn on entry planes, from one
+    two_stage scan of their union."""
+    return two_stage(_SPECTRA, planes, spectra_item(spectra), p)
 
 
 def scan_started(*args):
@@ -596,9 +603,10 @@ class TestPooledDriver:
     )
     def test_pooled_hits_match_full_batch(self, shape, chunk, data):
         # at most chunk matrices per chunk, so small values give many chunks
-        # and pool fills; one-matrix ranges; up to 12 spectra in one scan;
-        # k past the last one done by matvecs (3, 11, 19 at n = 1, 2, 3);
-        # diagonal representatives, scalar ones passing every matrix
+        # and pool fills; one-matrix ranges; up to 12 spectra in one scan of
+        # their union; k past the last one done by matvecs (3, 11, 19 at
+        # n = 1, 2, 3); diagonal representatives, scalar ones passing every
+        # matrix
         n, p = shape
         total = p ** (n * n)
         start = data.draw(st.integers(0, total - 1), label="start")
@@ -606,28 +614,26 @@ class TestPooledDriver:
         stop = min(total, start + length)
         alphas = st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True).map(tuple)
         spectra = data.draw(st.lists(alphas, min_size=1, max_size=12), label="spectra")
-        ks = data.draw(st.lists(st.sampled_from([1, 2, 3, 4, 11, 12, 19, 20, 25, 10**18]),
-                                min_size=1, max_size=3), label="ks")
-        diagonal = st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(np.diag)
-        reps = data.draw(st.lists(diagonal, min_size=1, max_size=3), label="reps")
+        k = data.draw(st.sampled_from([1, 2, 3, 4, 11, 12, 19, 20, 25, 10**18]), label="k")
+        r = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(np.diag), label="rep")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_CHUNK_BYTES", chunk * plane_bytes(n, p))
-            spectrum_hits = _scan_range(_SPECTRA, n, p, spectra, start, stop)
-            potent_hits = _scan_range(_POTENT, n, p, ks, start, stop)
-            rep_planes = [r[:, :, None].astype(_plane_dtype(n, p)) for r in reps]
+            spectrum_hits = _scan_range(_SPECTRA, n, p, spectra_item(spectra), start, stop)
+            potent_hits = _scan_range(_POTENT, n, p, k, start, stop)
+            rep_planes = r[:, :, None].astype(_plane_dtype(n, p))
             centralizer_hits = _scan_range(_CENTRALIZER, n, p, rep_planes, start, stop)
         mats = matrices(decode(start, stop, n, p))
         assert spectrum_hits == tuple(h for alphas in spectra for h in full_batch_hits(mats, alphas, p))
-        assert potent_hits == tuple(int(potent_mask(mats, k, p).sum()) for k in ks)
+        assert potent_hits == (int(potent_mask(mats, k, p).sum()),)
         invertible = det_batch(mats, p) != 0
-        assert centralizer_hits == tuple(
-            int((invertible & (mats @ r % p == r @ mats % p).all(axis=(1, 2))).sum()) for r in reps
+        assert centralizer_hits == (
+            int((invertible & (mats @ r % p == r @ mats % p).all(axis=(1, 2))).sum()),
         )
 
     def test_pool_settles_when_it_would_overflow_and_at_the_end(self, monkeypatch):
         # chunks of 9 matrices at (2, 3), every matrix passing stage 1: the
         # first chunk fills the pool exactly, each later one finishes it,
-        # and the last 4 matrices are finished at the end, for each item
+        # and the last 4 matrices are finished at the end
         monkeypatch.setattr(oracle, "_CHUNK_BYTES", 9 * plane_bytes(2, 3))
         assert _chunk_layout(2, 3)[2] == 9
         finished = []
@@ -636,9 +642,9 @@ class TestPooledDriver:
             finished.append((item, a.shape[-1]))
             return a.shape[-1], int(_scan_index(a.reshape(4, -1), p).sum())
 
-        hits = _scan_range((every_matrix, finish), 2, 3, ["a", "b"], 0, 31)
-        assert hits == (31, sum(range(31))) * 2
-        assert finished == [("a", 9), ("a", 9), ("a", 9), ("a", 4), ("b", 9), ("b", 9), ("b", 9), ("b", 4)]
+        hits = _scan_range((every_matrix, finish), 2, 3, "a", 0, 31)
+        assert hits == (31, sum(range(31)))
+        assert finished == [("a", 9), ("a", 9), ("a", 9), ("a", 4)]
 
 
 def traced_peak(work):
@@ -666,23 +672,25 @@ class TestWorkingSet:
     copy of the planes eight.  Each bound is below the peak the 2^16-matrix
     chunks of earlier versions reached at the same shape (decode 590,625 B
     and potent or spectrum 1,265,625 B at (3, 5), orbit 974,308 B at (3, 3)),
-    and the pool's memory does not grow with the number of spectra."""
+    and the pool's memory does not grow with the number of spectra, which
+    are one scan of their union."""
 
     @pytest.mark.parametrize(
-        "n, p, test, items",
-        [(3, 5, None, None), (3, 5, _POTENT, [3]), (3, 5, _POTENT, [4]),
-         (3, 5, _SPECTRA, [(0, 1, 2)]), (2, 13, _SPECTRA, [(0, 1, 2)]),
-         (2, 13, _SPECTRA, all_subsets(13, 3))],
+        "n, p, test, item",
+        [(3, 5, None, None), (3, 5, _POTENT, 3), (3, 5, _POTENT, 4),
+         (3, 5, _SPECTRA, spectra_item([(0, 1, 2)])), (2, 13, _SPECTRA, spectra_item([(0, 1, 2)])),
+         (2, 13, _SPECTRA, spectra_item(all_subsets(13, 3))),
+         (3, 5, _SPECTRA, spectra_item(all_subsets(5, 4)))],
         ids=["decode", "potent-k3", "potent-k4", "spectrum-012", "n2-p13-spectrum-012",
-             "n2-p13-all-377-subsets"],
+             "n2-p13-all-377-subsets", "n3-p5-all-30-subsets"],
     )
-    def test_scan_peak_over_two_chunks(self, n, p, test, items):
+    def test_scan_peak_over_two_chunks(self, n, p, test, item):
         stop = 2 * _chunk_layout(n, p)[2]
         if test is None:
             peak = traced_peak(lambda: all(planes.size for planes in _chunks(0, stop, n, p)))
             assert peak <= 1.05 * _CHUNK_BYTES, peak
         else:
-            peak = traced_peak(lambda: _scan_range(test, n, p, items, 0, stop))
+            peak = traced_peak(lambda: _scan_range(test, n, p, item, 0, stop))
             assert peak <= 4.5 * _CHUNK_BYTES, peak
 
     def test_orbit_peak(self):
@@ -699,24 +707,35 @@ def spectra(p):
     return [a for size in range(1, p + 1) for a in itertools.combinations(range(p), size)]
 
 
+def key_set(key, p):
+    """The eigenvalues a key holds: its base-(p+1) digits, each alpha + 1."""
+    alphas = set()
+    while key:
+        key, digit = divmod(key, p + 1)
+        alphas.add(digit - 1)
+    return alphas
+
+
 class TestSpectrumPass:
-    """One annihilation per chunk gives the M and the E count: E refines the
-    annihilated matrices by the projector test, in the planes' own type."""
+    """One annihilation over the union of the spectra per chunk gives every
+    M and E count: the projector test keys each annihilated matrix by its
+    set of eigenvalues, in the planes' own type, and a histogram of the keys
+    gives the counts."""
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_projector_test_is_the_singularity_definition(self, n, p):
         planes = decode(0, p ** (n * n), n, p)
         eye = np.eye(n, dtype=np.int64)
-        for alphas in spectra(p):
-            survivors = annihilated_planes(planes, alphas, p)
+        for union in spectra(p):
+            survivors = annihilated_planes(planes, union, p)
+            assert survivors.dtype == _plane_dtype(n, p)
             mats = matrices(survivors)
-            # every A - alpha*I singular, by cofactor determinants
-            singular = np.ones(len(mats), dtype=bool)
-            for a in alphas:
-                singular &= det_batch(mats - a * eye, p) == 0
-            every = _exact(survivors.reshape(n, n, -1), alphas, p)
-            assert every.dtype == _plane_dtype(n, p)
-            assert np.array_equal(matrices(every.reshape(n * n, -1)), mats[singular]), alphas
+            # the alpha with A - alpha*I singular, by cofactor determinants
+            singular = {a: det_batch(mats - a * eye, p) == 0 for a in range(p)}
+            expected = [{a for a in range(p) if singular[a][i]} for i in range(len(mats))]
+            keys = _eigenvalue_keys(survivors.reshape(n, n, -1), union, p)
+            assert keys.dtype == np.int64 and (keys < (p + 1) ** n).all(), union
+            assert [key_set(key, p) for key in keys.tolist()] == expected, union
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch, forks):
@@ -737,6 +756,29 @@ class TestSpectrumPass:
             assert len({r.seconds for r in reports}) == 1
         assert len(forks) == 1
 
+    # every shape with p^(n*n) <= 2^16, but at n = 1 only the primes up to 61
+    # and 131, the first with int32 planes: a 1-by-1 matrix is always
+    # diagonalizable, and the projector test over all of F_p makes p^2
+    # products per pool, 8 s for the primes up to 257
+    @pytest.mark.parametrize(
+        "n, p",
+        [(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 131)]
+        + [(2, 2), (2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 2), (3, 3), (4, 2)],
+    )
+    def test_histogram_over_the_field_counts_the_potent_scan(self, n, p, monkeypatch, forks):
+        # A^p = A exactly when A is diagonalizable over F_p, that is when it
+        # is annihilated by the product of (A - alpha*I) over all of F_p: two
+        # independent oracle paths, the histogram and the potent column test
+        field = PrimeField(p)
+        # two or three chunks and two cores, so jobs=2 forks a worker for
+        # each scan
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", -(-(p ** (n * n)) // 2) * plane_bytes(n, p))
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+        for jobs in (1, 2):
+            [(m, _)] = count_spectra(n, field, [range(p)], jobs=jobs)
+            assert m.count == count_potent(n, field, p - 1, jobs=jobs).count, jobs
+        assert len(forks) == 2
+
     @settings(max_examples=25, deadline=None)
     @given(
         alphas=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True).map(tuple),
@@ -746,7 +788,7 @@ class TestSpectrumPass:
     def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
-        both = _scan_range(_SPECTRA, n, p, [alphas], start, stop)
+        both = _scan_range(_SPECTRA, n, p, spectra_item([alphas]), start, stop)
         assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
@@ -831,7 +873,7 @@ def two_process_scan(column, finish=lambda a, item, p: (a.shape[-1],)):
     """_run_scan of (column, finish) over the 17^4 matrices of n = 2, p = 17:
     six chunks in two ranges on two cores, the first scanned by the caller,
     the second by one forked worker."""
-    return _run_scan((column, finish), 2, 17, [None], 17**4, 2)
+    return _run_scan((column, finish), 2, 17, None, 17**4, 2)
 
 
 def every_matrix(a, item, j, p):
