@@ -359,44 +359,52 @@ def _passing(a: np.ndarray, column, item, p: int, first: int) -> np.ndarray:
     return a
 
 
+def _set_key(alphas: Sequence[int], union: tuple[int, ...]) -> int:
+    """The key of the eigenvalues alphas, ascending in the ascending union:
+    i + 1 for each union[i] as base-(|U|+1) digits, the first the lowest."""
+    return sum((union.index(alpha) + 1) * (len(union) + 1) ** k for k, alpha in enumerate(alphas))
+
+
 def _eigenvalue_keys(a: np.ndarray, union: tuple[int, ...], p: int) -> np.ndarray:
-    """The key of each matrix's set of eigenvalues, for planes a of shape
-    (n, n, B) annihilated by prod(A - alpha*I) over the ascending union:
-    its alpha + 1 as base-(p+1) digits, ascending, found by the projector
-    test on every column.  At most n eigenvalues keep it below (p+1)^n."""
+    """The _set_key of each matrix's eigenvalues, for planes a of shape
+    (n, n, B) annihilated by prod(A - alpha*I) over the ascending union,
+    found by the projector test on every column."""
     if len(union) == 1:  # the product is empty: every matrix is alpha*I
-        return np.full(a.shape[-1], union[0] + 1, dtype=np.int64)
+        return np.ones(a.shape[-1], dtype=np.int64)
     keys = np.zeros(a.shape[-1], dtype=np.int64)
-    for alpha in union:
-        others = [beta for beta in union if beta != alpha]
+    for i in reversed(range(len(union))):  # Horner steps, the highest digit first
+        others = union[:i] + union[i + 1 :]
         found = _column(a, 0, others, p).any(axis=0)
         for j in range(1, len(a)):
             found |= _column(a, j, others, p).any(axis=0)
-        keys[found] = keys[found] * (p + 1) + alpha + 1
+        keys[found] = keys[found] * (len(union) + 1) + i + 1
     return keys
 
 
 def _finish_spectra(a: np.ndarray, item: tuple, p: int) -> tuple[int, ...]:
-    """The M and E hits of each ascending spectrum S of item = (union,
-    spectra) in turn: in the histogram of eigenvalue sets, E(S) is the bin
-    of S and M(S) the sum of the bins of its subsets of at most n elements."""
-    union, spectra = item
+    """The hits of each report of item = (union, keys, lasts), the keys of
+    report r ending at keys[lasts[r]]: the sum of their bins in the
+    histogram of the annihilated matrices' eigenvalue sets."""
+    union, keys, lasts = item
     a = _passing(a, _annihilated, item, p, 1)
-    # keys are below (p+1)^n, so the counts are a short array; np.unique
-    # would fault in ~0.4 MB of its own machinery in every process
-    counts = np.bincount(_eigenvalue_keys(a, union, p))
-    histogram = {}
-    for key in np.flatnonzero(counts).tolist():
-        count, alphas = int(counts[key]), []
-        while key:  # its base-(p+1) digits, alpha + 1 each, from the last
-            key, digit = divmod(key, p + 1)
-            alphas.insert(0, digit - 1)
-        histogram[tuple(alphas)] = count
-    hits = []
-    for alphas in spectra:
-        subsets = (s for size in range(1, len(a) + 1) for s in itertools.combinations(alphas, size))
-        hits += sum(histogram.get(s, 0) for s in subsets), histogram.get(alphas, 0)
-    return tuple(hits)
+    # (|U|+1)^n bins hold the key of every set of at most n eigenvalues;
+    # np.unique would fault in ~0.4 MB of its own machinery in every process
+    counts = np.bincount(_eigenvalue_keys(a, union, p), minlength=(len(union) + 1) ** len(a))
+    return tuple(np.diff(np.cumsum(counts[keys])[lasts], prepend=0).tolist())
+
+
+def _spectra_item(spectra: Sequence[Sequence[int]], n: int) -> tuple:
+    """The item of a scan of spectra: their ascending union, the _set_key
+    of every bin each report sums, and the index of each report's last key.
+    M(S) sums the sets of at most n eigenvalues inside S, E(S) the bin of
+    S, or bin 0, the empty set no matrix has, if S is larger."""
+    union, keys, lasts = tuple(sorted(set().union(*spectra))), [], []
+    for alphas in map(sorted, spectra):
+        subsets = (s for size in range(1, n + 1) for s in itertools.combinations(alphas, size))
+        keys += [_set_key(s, union) for s in subsets]
+        keys.append(_set_key(alphas, union) if len(alphas) <= n else 0)
+        lasts += len(keys) - 2, len(keys) - 1
+    return union, np.array(keys, dtype=np.int64), np.array(lasts)
 
 
 def _by_matvecs(k: int, n: int) -> bool:
@@ -459,11 +467,6 @@ _CENTRALIZER = (_commuting, _finish_centralizer)
 # the scan driver
 
 
-def _total(hits) -> tuple[int, ...]:
-    """The entrywise sum of per-piece hit tuples."""
-    return tuple(map(sum, zip(*hits)))
-
-
 def _scan_range(test, n: int, p: int, item, start: int, stop: int) -> tuple[int, ...]:
     """The hits of item over matrix index range [start, stop).
 
@@ -486,7 +489,7 @@ def _scan_range(test, n: int, p: int, item, start: int, stop: int) -> tuple[int,
         np.take(planes, keep, axis=1, out=pool[:, fill : fill + len(keep)], mode="clip")
         fill += len(keep)
     finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
-    return _total(finished)
+    return tuple(map(sum, zip(*finished)))
 
 
 def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
@@ -551,7 +554,7 @@ def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[int, .
             if status:
                 raise RuntimeError(f"scan worker {pid} failed with exit status {status}")
             hits.append(tuple(map(int, text.split())))
-        return _total(hits)
+        return tuple(map(sum, zip(*hits)))
     finally:
         if children:
             import signal
@@ -605,8 +608,7 @@ def count_spectra(
     if not spectra:
         return []
     specs = [mode + ":{" + ",".join(map(str, alphas)) + "}" for alphas in spectra for mode in "me"]
-    item = (tuple(sorted(set().union(*spectra))), [tuple(sorted(alphas)) for alphas in spectra])
-    reports = _count(n, field, specs, _SPECTRA, item, total, jobs)
+    reports = _count(n, field, specs, _SPECTRA, _spectra_item(spectra, n), total, jobs)
     return list(zip(reports[::2], reports[1::2]))
 
 

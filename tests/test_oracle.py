@@ -38,6 +38,8 @@ from eigencount.oracle import (
     _run_scan,
     _scan_index,
     _scan_range,
+    _set_key,
+    _spectra_item,
     block_diag_rep,
     centralizer_size,
     count_potent,
@@ -224,23 +226,17 @@ def two_stage(test, planes, item, p):
     return finish(a.take(np.flatnonzero(column(a, item, 0, p)), axis=2), item, p)
 
 
-def spectra_item(spectra):
-    """The item of a spectrum scan: the ascending union of the spectra, and
-    each spectrum ascending."""
-    return tuple(sorted(set().union(*spectra))), [tuple(sorted(alphas)) for alphas in spectra]
-
-
 def annihilated_planes(planes, alphas, p):
     """Entry planes of the matrices annihilated by prod(A - alpha*I), every
     column tested by _passing."""
     n = math.isqrt(len(planes))
-    return _passing(planes.reshape(n, n, -1), _annihilated, spectra_item([alphas]), p, 0).reshape(n * n, -1)
+    return _passing(planes.reshape(n, n, -1), _annihilated, _spectra_item([alphas], n), p, 0).reshape(n * n, -1)
 
 
 def spectra_hits(planes, spectra, p):
     """The M and E hits of every spectrum in turn on entry planes, from one
     two_stage scan of their union."""
-    return two_stage(_SPECTRA, planes, spectra_item(spectra), p)
+    return two_stage(_SPECTRA, planes, _spectra_item(spectra, math.isqrt(len(planes))), p)
 
 
 def scan_started(*args):
@@ -618,7 +614,7 @@ class TestPooledDriver:
         r = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(np.diag), label="rep")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_CHUNK_BYTES", chunk * plane_bytes(n, p))
-            spectrum_hits = _scan_range(_SPECTRA, n, p, spectra_item(spectra), start, stop)
+            spectrum_hits = _scan_range(_SPECTRA, n, p, _spectra_item(spectra, n), start, stop)
             potent_hits = _scan_range(_POTENT, n, p, k, start, stop)
             rep_planes = r[:, :, None].astype(_plane_dtype(n, p))
             centralizer_hits = _scan_range(_CENTRALIZER, n, p, rep_planes, start, stop)
@@ -678,9 +674,9 @@ class TestWorkingSet:
     @pytest.mark.parametrize(
         "n, p, test, item",
         [(3, 5, None, None), (3, 5, _POTENT, 3), (3, 5, _POTENT, 4),
-         (3, 5, _SPECTRA, spectra_item([(0, 1, 2)])), (2, 13, _SPECTRA, spectra_item([(0, 1, 2)])),
-         (2, 13, _SPECTRA, spectra_item(all_subsets(13, 3))),
-         (3, 5, _SPECTRA, spectra_item(all_subsets(5, 4)))],
+         (3, 5, _SPECTRA, _spectra_item([(0, 1, 2)], 3)), (2, 13, _SPECTRA, _spectra_item([(0, 1, 2)], 2)),
+         (2, 13, _SPECTRA, _spectra_item(all_subsets(13, 3), 2)),
+         (3, 5, _SPECTRA, _spectra_item(all_subsets(5, 4), 3))],
         ids=["decode", "potent-k3", "potent-k4", "spectrum-012", "n2-p13-spectrum-012",
              "n2-p13-all-377-subsets", "n3-p5-all-30-subsets"],
     )
@@ -707,12 +703,13 @@ def spectra(p):
     return [a for size in range(1, p + 1) for a in itertools.combinations(range(p), size)]
 
 
-def key_set(key, p):
-    """The eigenvalues a key holds: its base-(p+1) digits, each alpha + 1."""
+def key_set(key, union):
+    """The eigenvalues a key holds: its base-(|U|+1) digits, i + 1 for each
+    union[i]."""
     alphas = set()
     while key:
-        key, digit = divmod(key, p + 1)
-        alphas.add(digit - 1)
+        key, digit = divmod(key, len(union) + 1)
+        alphas.add(union[digit - 1])
     return alphas
 
 
@@ -734,8 +731,9 @@ class TestSpectrumPass:
             singular = {a: det_batch(mats - a * eye, p) == 0 for a in range(p)}
             expected = [{a for a in range(p) if singular[a][i]} for i in range(len(mats))]
             keys = _eigenvalue_keys(survivors.reshape(n, n, -1), union, p)
-            assert keys.dtype == np.int64 and (keys < (p + 1) ** n).all(), union
-            assert [key_set(key, p) for key in keys.tolist()] == expected, union
+            assert keys.dtype == np.int64 and (keys < (len(union) + 1) ** n).all(), union
+            assert [key_set(key, union) for key in keys.tolist()] == expected, union
+            assert keys.tolist() == [_set_key(sorted(alphas), union) for alphas in expected], union
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
     def test_count_spectrum_equals_separate_counts(self, n, p, monkeypatch, forks):
@@ -756,13 +754,13 @@ class TestSpectrumPass:
             assert len({r.seconds for r in reports}) == 1
         assert len(forks) == 1
 
-    # every shape with p^(n*n) <= 2^16, but at n = 1 only the primes up to 61
-    # and 131, the first with int32 planes: a 1-by-1 matrix is always
-    # diagonalizable, and the projector test over all of F_p makes p^2
-    # products per pool, 8 s for the primes up to 257
+    # every shape with p^(n*n) <= 2^16, but at n = 1 only the primes up to
+    # 61, 131, the first with int32 planes, and 257, the largest field: a
+    # 1-by-1 matrix is always diagonalizable, and the projector test over
+    # all of F_p makes p^2 products per pool, 8 s for the primes up to 257
     @pytest.mark.parametrize(
         "n, p",
-        [(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 131)]
+        [(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 131, 257)]
         + [(2, 2), (2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 2), (3, 3), (4, 2)],
     )
     def test_histogram_over_the_field_counts_the_potent_scan(self, n, p, monkeypatch, forks):
@@ -779,6 +777,20 @@ class TestSpectrumPass:
             assert m.count == count_potent(n, field, p - 1, jobs=jobs).count, jobs
         assert len(forks) == 2
 
+    def test_keys_count_positions_in_the_union_not_eigenvalues(self):
+        # the 1-by-1 matrix [p-1] at the largest field: its key is its
+        # position in the union, so the histogram has |U|+1 bins, not p+1
+        p = 257
+        planes = np.array([[[p - 1]]], dtype=_plane_dtype(1, p))
+        assert _eigenvalue_keys(planes, (p - 1,), p).tolist() == [1]
+        assert _eigenvalue_keys(planes, (0, p - 1), p).tolist() == [2]
+        union, keys, lasts = _spectra_item([(p - 1,), (0, p - 1)], 1)
+        assert union == (0, p - 1) and keys.tolist() == [2, 2, 1, 2, 0] and lasts.tolist() == [0, 1, 3, 4]
+        reports = []
+        peak = traced_peak(lambda: reports.extend(count_spectra(1, PrimeField(p), [(p - 1,), (0, p - 1)])))
+        assert [(m.count, e.count) for m, e in reports] == [(1, 1), (2, 0)]
+        assert peak <= 4.5 * _CHUNK_BYTES, peak
+
     @settings(max_examples=25, deadline=None)
     @given(
         alphas=st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True).map(tuple),
@@ -788,7 +800,7 @@ class TestSpectrumPass:
     def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
-        both = _scan_range(_SPECTRA, n, p, spectra_item([alphas]), start, stop)
+        both = _scan_range(_SPECTRA, n, p, _spectra_item([alphas], n), start, stop)
         assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
