@@ -305,12 +305,14 @@ def _cmd_bound(args, emitter: Emitter) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: a prefix of a flag is refused, not taken for it
     parser = argparse.ArgumentParser(
         prog="eigencount",
+        allow_abbrev=False,
         description="Exact counts of diagonalizable matrices over finite fields, "
         "with brute-force verification and potent-count bounds.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument(
         "--format",
         choices=("text", "json", "csv"),
@@ -319,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_count = sub.add_parser("count", parents=[common], help="closed-form counts")
+    p_count = sub.add_parser("count", parents=[common], allow_abbrev=False, help="closed-form counts")
     p_count.add_argument("--mode", choices=("m", "e"), required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--k", type=int)
@@ -328,11 +330,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--alphas", help="comma-separated distinct residues mod p")
     p_count.set_defaults(handler=_cmd_count)
 
-    p_table = sub.add_parser("table", parents=[common], help="regenerate the reference table")
+    p_table = sub.add_parser("table", parents=[common], allow_abbrev=False, help="regenerate the reference table")
     p_table.add_argument("--n-max", type=int, default=6)
     p_table.set_defaults(handler=_cmd_table)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="formula vs oracle")
+    p_verify = sub.add_parser("verify", parents=[common], allow_abbrev=False, help="formula vs oracle")
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--p", type=int, required=True)
     scope = p_verify.add_mutually_exclusive_group(required=True)
@@ -343,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel scan workers")
     p_verify.set_defaults(handler=_cmd_verify)
 
-    p_bound = sub.add_parser("bound", parents=[common], help="certify an upper bound")
+    p_bound = sub.add_parser("bound", parents=[common], allow_abbrev=False, help="certify an upper bound")
     p_bound.add_argument("--kind", choices=("matrix", "ring"), required=True)
     p_bound.add_argument("--n", type=int, help="matrix dimension (matrix kind)")
     p_bound.add_argument("--p", type=int, help="field prime (matrix kind)")

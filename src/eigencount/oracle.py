@@ -2,9 +2,9 @@
 
 Every count here comes from scanning matrices and testing the defining
 condition directly: annihilation by the prescribed linear factors for
-spectrum counts, the set of alpha with a nonzero spectral projector for
-exact spectra, A^(k+1) = A for potency, commutation and invertibility
-for centralizers, explicit conjugation for orbits.
+spectrum counts, the set of alpha with A - alpha*I singular for exact
+spectra, A^(k+1) = A for potency, commutation and invertibility for
+centralizers, explicit conjugation for orbits.
 Nothing is shared with the closed-form counting path, so agreement
 between the two is evidence, not tautology.
 
@@ -40,12 +40,12 @@ binary powering: its k.bit_length() + k.bit_count() - 2 products take
 about n matvecs each, and one more applies A^k.  Past that, as for large
 period-cut exponents, A^k is formed by binary powering.  A matrix is
 zero exactly when all its columns are, so this is the definition itself.
-Spectra are scanned together: annihilation over U, their union, then on
-the annihilated matrices alpha is an eigenvalue exactly when prod over
-beta != alpha in U of (A - beta*I), a nonzero multiple of the projector
-onto its eigenspace, is nonzero, tested column by column the same way.
-A histogram of the eigenvalue sets gives each spectrum S its E count,
-the bin of S, and its M count, the bins of the subsets of S.
+Spectra are scanned together: annihilation over U, their union, then
+on the annihilated matrices, diagonalizable over F_p, alpha is an
+eigenvalue exactly when (A - alpha*I)^(p-1) != I (Fermat's test), one
+binary powering on whole matrices per alpha in U.  A histogram of the
+eigenvalue sets gives each spectrum S its E count, the bin of S, and
+its M count, the bins of the subsets of S.
 Centralizers and orbits invert on the same planes: by the Fitting
 decomposition behind that period, A^period = I for every invertible A and
 A^period is singular for every singular A, so A^(period-1) is the inverse
@@ -61,7 +61,7 @@ chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or all of F_5) of
 the matrices pass, and copies their planes into a pool as large as a
 chunk.  When the pool would overflow, and at the end of the range, stage
 2 finishes it at once: _passing runs columns 1..n-1, only the matrices
-whose columns so far pass going on to the next, then the projector test
+whose columns so far pass going on to the next, then Fermat's test
 makes the histogram of spectra and invertibility counts centralizers.
 So stage 2 runs on the survivors of many chunks together rather than as
 many small numpy calls per chunk.  Potent exponents past _by_matvecs finish on whole
@@ -328,26 +328,22 @@ def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # the scan kinds, each a (column, finish) pair: column(a, item, j, p) is
 # where column j of planes a, of shape (n, n, B), passes item's defining
-# test, and finish(a, item, p) the hit tuple of planes a pooled from
-# several chunks, matrices whose column 0 passed
-
-
-def _column(a: np.ndarray, j: int, betas: Sequence[int], p: int) -> np.ndarray:
-    """Column j of prod(A - beta*I) mod p for planes a of shape (n, n, B),
-    as v <- (A - beta*I) v from v = e_j."""
-    v = a[:, j].copy()  # A e_j
-    v[j] += p - betas[0]
-    v = _reduce(v, p)
-    for beta in betas[1:]:
-        w = _matvec(a, v)
-        w += (p - beta) * v
-        v = _reduce(w, p)
-    return v
+# test, and finish(a, item, p) the hits, one count per report, of planes a
+# pooled from several chunks, matrices whose column 0 passed
 
 
 def _annihilated(a: np.ndarray, item: tuple, j: int, p: int) -> np.ndarray:
-    """Where column j of prod(A - alpha*I) over item's union vanishes."""
-    return ~_column(a, j, item[0], p).any(axis=0)
+    """Where column j of prod(A - alpha*I) mod p over item's union
+    vanishes, formed as v <- (A - alpha*I) v from v = e_j."""
+    union = item[0]
+    v = a[:, j].copy()  # A e_j
+    v[j] += p - union[0]
+    v = _reduce(v, p)
+    for alpha in union[1:]:
+        w = _matvec(a, v)
+        w += (p - alpha) * v
+        v = _reduce(w, p)
+    return ~v.any(axis=0)
 
 
 def _passing(a: np.ndarray, column, item, p: int, first: int) -> np.ndarray:
@@ -367,21 +363,23 @@ def _set_key(alphas: Sequence[int], union: tuple[int, ...]) -> int:
 
 def _eigenvalue_keys(a: np.ndarray, union: tuple[int, ...], p: int) -> np.ndarray:
     """The _set_key of each matrix's eigenvalues, for planes a of shape
-    (n, n, B) annihilated by prod(A - alpha*I) over the ascending union,
-    found by the projector test on every column."""
-    if len(union) == 1:  # the product is empty: every matrix is alpha*I
-        return np.ones(a.shape[-1], dtype=np.int64)
-    keys = np.zeros(a.shape[-1], dtype=np.int64)
+    (n, n, B) annihilated by prod(A - alpha*I) over the ascending union, in
+    the narrowest unsigned type holding (|U|+1)^n.
+
+    Such an A is diagonalizable over F_p, so by Fermat's test alpha is an
+    eigenvalue exactly where (A - alpha*I)^(p-1) != I: one binary powering
+    per element of the union.
+    """
+    n = len(a)
+    eye = np.eye(n, dtype=a.dtype)[:, :, None]
+    keys = np.zeros(a.shape[-1], dtype=np.min_scalar_type((len(union) + 1) ** n))
     for i in reversed(range(len(union))):  # Horner steps, the highest digit first
-        others = union[:i] + union[i + 1 :]
-        found = _column(a, 0, others, p).any(axis=0)
-        for j in range(1, len(a)):
-            found |= _column(a, j, others, p).any(axis=0)
+        found = (_power(_reduce(a + (p - union[i]) * eye, p), p - 1, p) != eye).any(axis=(0, 1))
         keys[found] = keys[found] * (len(union) + 1) + i + 1
     return keys
 
 
-def _finish_spectra(a: np.ndarray, item: tuple, p: int) -> tuple[int, ...]:
+def _finish_spectra(a: np.ndarray, item: tuple, p: int) -> np.ndarray:
     """The hits of each report of item = (union, keys, lasts), the keys of
     report r ending at keys[lasts[r]]: the sum of their bins in the
     histogram of the annihilated matrices' eigenvalue sets."""
@@ -390,7 +388,7 @@ def _finish_spectra(a: np.ndarray, item: tuple, p: int) -> tuple[int, ...]:
     # (|U|+1)^n bins hold the key of every set of at most n eigenvalues;
     # np.unique would fault in ~0.4 MB of its own machinery in every process
     counts = np.bincount(_eigenvalue_keys(a, union, p), minlength=(len(union) + 1) ** len(a))
-    return tuple(np.diff(np.cumsum(counts[keys])[lasts], prepend=0).tolist())
+    return np.diff(np.cumsum(counts[keys])[lasts], prepend=0)
 
 
 def _spectra_item(spectra: Sequence[Sequence[int]], n: int) -> tuple:
@@ -479,17 +477,17 @@ def _scan_range(test, n: int, p: int, item, start: int, stop: int) -> tuple[int,
     # (n*n, B) like the chunk: taking into an (n, n, B) pool raised the peak
     # RSS of a serial potent scan at (3, 5) by about 0.1 MB
     pool = np.empty((n * n, _chunk_layout(n, p)[2]), dtype=_plane_dtype(n, p))
-    finished, fill = [], 0
+    # summed pool by pool: a list of every pool's hits takes memory in pools x reports
+    hits, fill = 0, 0
     for planes in _chunks(start, stop, n, p):
-        keep = np.flatnonzero(column(planes.reshape(n, n, -1), item, 0, p))
-        if fill + len(keep) > pool.shape[1]:
-            finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
+        keep = column(planes.reshape(n, n, -1), item, 0, p)
+        kept = np.count_nonzero(keep)
+        if fill + kept > pool.shape[1]:
+            hits = np.add(hits, finish(pool[:, :fill].reshape(n, n, -1), item, p))
             fill = 0
-        # keep is in range: "clip" skips the bounds check and its extra copy
-        np.take(planes, keep, axis=1, out=pool[:, fill : fill + len(keep)], mode="clip")
-        fill += len(keep)
-    finished.append(finish(pool[:, :fill].reshape(n, n, -1), item, p))
-    return tuple(map(sum, zip(*finished)))
+        np.compress(keep, planes, axis=1, out=pool[:, fill : fill + kept])
+        fill += kept
+    return tuple(np.add(hits, finish(pool[:, :fill].reshape(n, n, -1), item, p)).tolist())
 
 
 def _ranges(total: int, size: int, workers: int) -> list[tuple[int, int]]:
@@ -595,7 +593,8 @@ def count_spectra(
     every alpha an eigenvalue.  The scan's work per matrix grows with the
     size of the spectra's union, not with their number, but the budget
     still counts an M and an E scan per spectrum: one scan would admit
-    --all-subsets at (2, 89), a pass of some 26 minutes over 62.7M matrices.
+    --all-subsets at (2, 89), a pass over 62.7M matrices that took 142 s
+    forced (one in-process run on a 2-core x86_64 host).
     An overflowing shape, or one whose single scan is over budget, is
     refused before the spectra are listed, so they may come lazily.
     """

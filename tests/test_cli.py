@@ -752,6 +752,16 @@ class TestParserPlumbing:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["table", "--bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv", [("table", "--n", "3"), ("verify", "--n", "2", "--p", "3", "--spec", "0,1")], ids=["n", "spec"]
+    )
+    def test_prefix_of_a_flag_is_usage_error(self, capsys, argv):
+        # not taken for --n-max or --spectrum, of which it is a prefix
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:], err
+
     def test_each_command_loads_only_what_it_uses(self):
         # typing and re are left out: a site hook may load them first
         proc = run_python(
@@ -890,7 +900,8 @@ def command_lines(draw):
     choices, one time in ten an invalid one, or from EDGE_VALUES.  A
     required flag is left out one time in ten; of a mutually exclusive
     group one flag is given, one time in ten all of them; any other flag
-    is given one time in three."""
+    is given one time in three.  One time in four a flag that only another
+    subcommand has follows, with a valid value."""
     name = draw(st.sampled_from(sorted(parser_flags())))
     actions, groups = parser_flags()[name]
     chosen = set()
@@ -913,7 +924,21 @@ def command_lines(draw):
             argv += [flag, "bogus" if one_time_in(draw, 10) else draw(st.sampled_from(action.choices))]
         else:
             argv += [flag, draw(st.sampled_from(EDGE_VALUES[flag]))]
+    if one_time_in(draw, 4):
+        own = own_flags(name)
+        foreign = [a for other, _ in parser_flags().values() for a in other if own.isdisjoint(a.option_strings)]
+        action = draw(st.sampled_from(foreign))
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            argv.append(flag)
+        else:
+            argv += [flag, action.choices[0] if action.choices else EDGE_VALUES[flag][0]]
     return argv
+
+
+def own_flags(name):
+    """The option strings of subcommand name."""
+    return {flag for action in parser_flags()[name][0] for flag in action.option_strings}
 
 
 @functools.lru_cache(maxsize=None)
@@ -931,6 +956,8 @@ def test_every_command_line_answers_or_refuses(argv):
     proc = capped_main(tuple(argv))
     assert proc.returncode in {0, 2, 3, 4, 5, 6}, (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, argv
+    if not own_flags(argv[0]).issuperset(arg for arg in argv if arg.startswith("--")):
+        assert proc.returncode == cli.EXIT_USAGE, (argv, proc.stderr)
     if proc.returncode in (cli.EXIT_USAGE, cli.EXIT_BUDGET):
         assert proc.stdout == "", argv
         lines = proc.stderr.splitlines()

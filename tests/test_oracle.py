@@ -219,11 +219,12 @@ def plane_bytes(n, p):
 
 def two_stage(test, planes, item, p):
     """The hits of item on entry planes by the scan's two stages on them
-    alone: the matrices passing column 0 finished at once without a pool."""
+    alone, as a tuple: the matrices passing column 0 finished at once
+    without a pool."""
     column, finish = test
     n = math.isqrt(len(planes))
     a = planes.reshape(n, n, -1)
-    return finish(a.take(np.flatnonzero(column(a, item, 0, p)), axis=2), item, p)
+    return tuple(np.add(0, finish(a.take(np.flatnonzero(column(a, item, 0, p)), axis=2), item, p)).tolist())
 
 
 def annihilated_planes(planes, alphas, p):
@@ -715,12 +716,12 @@ def key_set(key, union):
 
 class TestSpectrumPass:
     """One annihilation over the union of the spectra per chunk gives every
-    M and E count: the projector test keys each annihilated matrix by its
-    set of eigenvalues, in the planes' own type, and a histogram of the keys
-    gives the counts."""
+    M and E count: Fermat's test keys each annihilated matrix by its set of
+    eigenvalues, computed in the planes' own type, and a histogram of the
+    keys gives the counts."""
 
     @pytest.mark.parametrize("n, p", SPECTRUM_SHAPES)
-    def test_projector_test_is_the_singularity_definition(self, n, p):
+    def test_fermat_test_is_the_singularity_definition(self, n, p):
         planes = decode(0, p ** (n * n), n, p)
         eye = np.eye(n, dtype=np.int64)
         for union in spectra(p):
@@ -731,7 +732,9 @@ class TestSpectrumPass:
             singular = {a: det_batch(mats - a * eye, p) == 0 for a in range(p)}
             expected = [{a for a in range(p) if singular[a][i]} for i in range(len(mats))]
             keys = _eigenvalue_keys(survivors.reshape(n, n, -1), union, p)
-            assert keys.dtype == np.int64 and (keys < (len(union) + 1) ** n).all(), union
+            # keys are below (|U|+1)^n, in the narrowest unsigned type holding it
+            assert keys.dtype == np.min_scalar_type((len(union) + 1) ** n), union
+            assert (keys < (len(union) + 1) ** n).all(), union
             assert [key_set(key, union) for key in keys.tolist()] == expected, union
             assert keys.tolist() == [_set_key(sorted(alphas), union) for alphas in expected], union
 
@@ -754,13 +757,10 @@ class TestSpectrumPass:
             assert len({r.seconds for r in reports}) == 1
         assert len(forks) == 1
 
-    # every shape with p^(n*n) <= 2^16, but at n = 1 only the primes up to
-    # 61, 131, the first with int32 planes, and 257, the largest field: a
-    # 1-by-1 matrix is always diagonalizable, and the projector test over
-    # all of F_p makes p^2 products per pool, 8 s for the primes up to 257
+    # every shape with p^(n*n) <= 2^16, n = 1 with every admitted prime
     @pytest.mark.parametrize(
         "n, p",
-        [(1, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 131, 257)]
+        [(1, p) for p in range(2, PrimeField.MAX_P + 1) if counting.is_prime(p)]
         + [(2, 2), (2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 2), (3, 3), (4, 2)],
     )
     def test_histogram_over_the_field_counts_the_potent_scan(self, n, p, monkeypatch, forks):
@@ -776,6 +776,21 @@ class TestSpectrumPass:
             [(m, _)] = count_spectra(n, field, [range(p)], jobs=jobs)
             assert m.count == count_potent(n, field, p - 1, jobs=jobs).count, jobs
         assert len(forks) == 2
+
+    def test_fermat_test_costs_one_power_per_union_element(self, monkeypatch):
+        # every 1-by-1 matrix over F_257 against the whole field: binary
+        # powering to p-1 takes under 2*(p-1).bit_length() products per
+        # alpha, a cost that does not grow with the other elements of U
+        p = 257
+        union = tuple(range(p))
+        calls = []
+        for name in ("_mul", "_matvec"):
+            kernel = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+        planes = np.arange(p, dtype=_plane_dtype(1, p)).reshape(1, 1, p)
+        keys = _eigenvalue_keys(planes, union, p)
+        assert keys.tolist() == [_set_key([alpha], union) for alpha in union]
+        assert 0 < len(calls) <= len(union) * 2 * (p - 1).bit_length(), len(calls)
 
     def test_keys_count_positions_in_the_union_not_eigenvalues(self):
         # the 1-by-1 matrix [p-1] at the largest field: its key is its
