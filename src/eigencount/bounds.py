@@ -20,6 +20,7 @@ __all__ = [
     "ModeMismatch",
     "bound_matrix_ring",
     "bound_finite_ring",
+    "check_matrix_size",
     "RING_MODES",
     "MAX_CERTIFICATE_BITS",
 ]
@@ -146,6 +147,29 @@ def bound_matrix_ring(n: int, p: int, k: int, count: int) -> BoundVerdict:
     return bound_finite_ring(RingSpec(((p, n * n),)), k, count, "theorem2")
 
 
+def check_matrix_size(n: int, p: int, k: int) -> None:
+    """Refuse a matrix bound whose certificates are past MAX_CERTIFICATE_BITS
+    whatever the count: |R|^(2k) alone is too large.  It needs no count, so
+    a caller that has to compute the count runs it first."""
+    _check_size(0, ((p, n * n),), k)
+
+
+def _check_size(lhs_bits: int, prime_powers: tuple[tuple[int, int], ...], k: int) -> None:
+    """Refuse certificates past MAX_CERTIFICATE_BITS: (k+1)^(s(k+1)) |R|^(2k)
+    and a left-hand side of lhs_bits, s the number of primes."""
+    # bit_length(a^e) <= e * bit_length(a), and likewise for products
+    bits = max(
+        lhs_bits,
+        len(prime_powers) * (k + 1) * (k + 1).bit_length()
+        + 2 * k * sum(r * p.bit_length() for p, r in prime_powers),
+    )
+    if bits > MAX_CERTIFICATE_BITS:
+        raise ValueError(
+            f"the certificates would take about {bits} bits, past the bound's "
+            f"size limit of {MAX_CERTIFICATE_BITS} bits"
+        )
+
+
 def bound_finite_ring(
     ring: RingSpec, k: int, count: int, mode: str = "theorem2"
 ) -> BoundVerdict:
@@ -174,17 +198,7 @@ def bound_finite_ring(
         m = ring.smallest_prime**s
     else:
         m = prod(p for p, _ in ring.prime_powers)
-    # bit_length(a^e) <= e * bit_length(a), and likewise for products
-    bits = max(
-        (k + 1) * (count * m).bit_length(),
-        s * (k + 1) * (k + 1).bit_length()
-        + 2 * k * sum(r * p.bit_length() for p, r in ring.prime_powers),
-    )
-    if bits > MAX_CERTIFICATE_BITS:
-        raise ValueError(
-            f"the certificates would take about {bits} bits, past the bound's "
-            f"size limit of {MAX_CERTIFICATE_BITS} bits"
-        )
+    _check_size((k + 1) * (count * m).bit_length(), ring.prime_powers, k)
     lhs = (count * m) ** (k + 1)
     rhs = (k + 1) ** (s * (k + 1)) * ring.cardinality ** (2 * k)
     return BoundVerdict(lhs, rhs)

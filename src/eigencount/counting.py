@@ -14,19 +14,23 @@ of the invertible m-by-m matrices.  Those ratios are integer polynomials
 in q, so both counts are too, and they depend only on (n, k), never on
 which eigenvalues were prescribed.
 
-The sums are never formed term by term.  Splitting an n-dimensional space
-into a j-dimensional eigenspace and the rest has U_n / (U_j U_{n-j}) =
-q^(j(n-j)) [n choose j]_q ways, row by row by the q-Pascal rule, so
-peeling off one eigenvalue at a time yields E(n, 1..n) without dividing
-polynomials or enumerating compositions.  It runs on plain integers at
-q = 2^B, B wide enough for every coefficient, read back as balanced
-base-2^B digits (Kronecker substitution), as is U_n itself.  A weak
-composition is a strict one of its s nonzero parts, so M(n, k) = sum over
-s of C(k, s) E(n, s), summed on plain-integer coefficients, and its cost
-does not grow with k.
+The sums are never formed term by term.  Splitting an r-dimensional space
+into a j-dimensional part and the rest has S(r, j) = U_r / (U_j U_{r-j}) =
+q^(j(r-j)) [r choose j]_q ways, row by row by the q-Pascal rule, and
+sequences join by (a*b)(r) = sum over j of S(r, j) a(j) b(r-j), the
+product of their q-exponential generating functions.  One routine, _join,
+does every such sum; it takes its factors as data and forms one row of
+split sizes at a time, so nothing divides polynomials or enumerates
+compositions.  E(n, 1..n) is the join of copies of [0, 1, 1, ...], one
+copy per eigenvalue.  It runs on plain integers at q = 2^B, where a
+product by a power of q is a left shift, B wide enough for every
+coefficient, read back as balanced base-2^B digits (Kronecker
+substitution), as is U_n itself.  A weak composition is a strict one of
+its s nonzero parts, so M(n, k) = sum over s of C(k, s) E(n, s), summed on
+plain-integer coefficients, and its cost does not grow with k.
 
-Potent counts, A^(k+1) = A over F_p for any k, join nilpotent primary
-parts over extension fields by the same split sizes, in integers at q = p.
+Potent counts, A^(k+1) = A over F_p for any k, are one join in integers at
+q = p, of the nilpotent primary parts over extension fields.
 
 Everything returns exact polynomials or exact integers; nothing here
 touches the brute-force oracle, which independently recounts these sets.
@@ -51,6 +55,7 @@ __all__ = [
     "table_rows",
     "roots_of_unity",
     "potent_count",
+    "check_potent",
     "validate_spectrum",
     "is_prime",
     "is_prime_power",
@@ -162,13 +167,15 @@ def gl_order_poly(n: int) -> IntPoly:
 def _split_rows(n: int, q: int) -> Iterator[list[int]]:
     """Rows m = 0..n of split sizes at q, row[j] = U_m / (U_j U_(m-j)) =
     q^(j(m-j)) [m choose j]_q: the ways to split an m-space into a j-space
-    and a complement, each row from the one before by the q-Pascal rule."""
-    power = [q**i for i in range(2 * n + 1)]
+    and a complement, each row from the one before by the q-Pascal rule.
+    At q = 2^B a product by q^e is a left shift by B e."""
+    times = operator.lshift if q & (q - 1) == 0 else operator.mul
+    power = [(q.bit_length() - 1) * i if times is operator.lshift else q**i for i in range(2 * n + 1)]
     row = [1]
     yield row
     for m in range(1, n + 1):
         above = [0, *row, 0]
-        row = [power[m - j] * above[j] + power[2 * j] * above[j + 1] for j in range(m + 1)]
+        row = [times(above[j], power[m - j]) + times(above[j + 1], power[2 * j]) for j in range(m + 1)]
         yield row
 
 
@@ -212,22 +219,43 @@ def class_size_poly(parts: Sequence[int]) -> IntPoly:
     return _unpack(math.prod(rows[m][j] for j, m in zip(parts, itertools.accumulate(parts))), bits)
 
 
+def _join(n: int, q: int, factors: list[tuple[list[int], Sequence[int]]], base: list[int]) -> list[int]:
+    """Values at n of base joined with each factor in turn, all at q.
+
+    Sequences join by (a*b)(r) = sum over j of S(r, j) a(j) b(r-j), S the
+    split size: the product of their q-exponential generating functions
+    sum a(m) x^m / U_m.  A factor (h, c), h(0) = 0, maps b to the sum over
+    s of c[s] h^(*s) * b, by Horner's rule from the top s down, and the
+    next factor takes that as its b.  As h^(*s) is 0 below s d, d the least
+    dimension where h is nonzero, the partial sum from s up is kept only
+    up to n - s d, and the last factor's sum only at n.  One row of split
+    sizes is formed at a time, and every factor advances by it.
+    """
+    # each h list's least nonzero dimension d, and each row's products with it, formed once per list
+    kinds = {id(h): (h, next((j for j in range(1, n + 1) if h[j]), n + 1)) for h, _ in factors}
+    plan = [(id(h), c, kinds[id(h)][1], [[] for _ in range(len(c) + 1)]) for h, c in factors]  # acc[s][r]
+    for r, row in enumerate(_split_rows(n, q)):
+        value = base[r]
+        terms = {key: [row[j] * h[j] for j in range(d, r + 1)] for key, (h, d) in kinds.items()}
+        for i, (key, c, d, acc) in enumerate(plan):
+            for s in reversed(range(len(c))):
+                if r + s * d <= n and (s or r == n or i + 1 < len(plan)):
+                    above = acc[s + 1][r - d::-1]  # at r - j for the terms' j = d..r; none at the top s
+                    acc[s].append(c[s] * value + (sum(map(operator.mul, terms[key], above)) if above else 0))
+            value = acc[0][-1] if acc[0] else 0
+    return [acc[0][-1] for *_, acc in plan]
+
+
 @lru_cache(maxsize=None)
 def _strict_sums(n: int, w: int) -> tuple[IntPoly, ...]:
     """E(n, s), s = 1..w: class sizes summed over strict compositions of n.
 
-    Peels one eigenvalue at a time: P_1(m) = 1 for m >= 1, and P_s(m) is
-    the sum over 1 <= j <= m - s + 1 of C(m, j) P_{s-1}(m - j), C(m, j) the
-    split size of a j-dimensional eigenspace, for m = 0..n in turn from one
-    row of split sizes at a time; packed, as E(n, s)(1) = s! S(n, s) <= w^n.
+    E(n, s) = h^(*s)(n) for h = [0, 1, 1, ...], one way to make each
+    nonzero dimension an eigenspace: the join of w copies of (h, [0, 1]),
+    read after each copy.  Packed, as E(n, s)(1) = s! S(n, s) <= w^n.
     """
     bits = (w**n).bit_length() + 1
-    sums: list[list[int]] = [[] for _ in range(w)]  # sums[i][m] = P_{i+1}(m) at q = 2^bits
-    for m, row in enumerate(_split_rows(n, 1 << bits)):
-        sums[0].append(1 if m else 0)
-        for i in range(1, w if m == n else w - 1):  # P_w is needed only at m = n
-            sums[i].append(sum(row[j] * sums[i - 1][m - j] for j in range(1, m - i + 1)))
-    return tuple(_unpack(s[-1], bits) for s in sums)
+    return tuple(_unpack(e, bits) for e in _join(n, 1 << bits, [([0] + [1] * n, (0, 1))] * w, [1] + [0] * n))
 
 
 def _check_shape(n: int, k: int) -> None:
@@ -325,42 +353,41 @@ def _nilpotent_count(m: int, e: int, q: int) -> int:
     return total
 
 
-def potent_count(n: int, p: int, k: int) -> int:
-    """Number of n-by-n matrices A over the p-element field with A^(k+1) = A.
-
-    With e the largest power of p dividing k = k' e, x^(k+1) - x is
-    x (x^k' - 1)^e, x^k' - 1 squarefree: A is 0 on its x-primary part and
-    phi(A)^e = 0 on that of each irreducible factor phi of x^k' - 1.  Parts
-    join by (a*b)(r) = sum over j of S(r, j) a(j) b(r-j), S the split size,
-    and the N_d factors of degree d, gcd(k', p^d - 1) = sum over f | d of
-    f N_f, by the binomial theorem.  If k | p-1 this is M(n, k+1) at p.
-    """
+def check_potent(n: int, p: int, k: int) -> None:
+    """Refuse what potent_count does not count: p not prime, n or k below 1,
+    or n past MAX_SHAPE for the k + 1 eigenvalues of x^(k+1) - x."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     _check_shape(n, k + 1)
+
+
+def potent_count(n: int, p: int, k: int) -> int:
+    """Number of n-by-n matrices A over the p-element field with A^(k+1) = A.
+
+    With e the largest power of p dividing k = k' e, x^(k+1) - x is
+    x (x^k' - 1)^e, x^k' - 1 squarefree: A is 0 on its x-primary part and
+    phi(A)^e = 0 on that of each irreducible factor phi of x^k' - 1.  It
+    is one join at q = p: the x part is the base, and each degree d with
+    N_d factors, gcd(k', p^d - 1) = sum over f | d of f N_f, is one factor
+    (h_d, C(N_d, s)), h_d(d m) the parts of one factor on d m dimensions.
+    If k | p-1 this is M(n, k+1) at p.
+    """
+    check_potent(n, p, k)
     e = next(p**i for i in itertools.count() if k % p ** (i + 1))  # the p-part of k
-    split = list(_split_rows(n, p))
-    total, factors = [1] * (n + 1), {}  # the x part: A = 0 on it; factors[d] = N_d
+    factors, counts = [], {}  # counts[d] = N_d
     for d in range(1, n + 1):
         roots = math.gcd(k // e, p**d - 1)  # the k'-th roots of unity in F_(p^d)
-        factors[d] = (roots - sum(f * factors[f] for f in range(1, d) if d % f == 0)) // d
-        if not factors[d]:
-            continue
-        # one factor on d*m dimensions: F_q-nilpotents of index <= e, q^(m^2-m) if e >= m
-        h, q = [0] * (n + 1), p**d
-        for m in range(1, n // d + 1):
-            nil = q ** (m * m - m) if e >= m else 1 if e == 1 else _nilpotent_count(m, e, q)
-            h[d * m] = nil * p ** (m * m * d * (d - 1) // 2) * math.prod(  # |GL_dm(p)| / |GL_m(q)|
-                p**i - 1 for i in range(1, d * m + 1) if i % d)
-        acc = [0] * (n + 1)  # Horner: sum over s of C(N_d, s) h^s * total, h^s 0 below s*d
-        for s in range(min(n // d, factors[d]), -1, -1):
-            c = math.comb(factors[d], s)
-            acc = [sum(acc[r - j] * h[j] * split[r][j] for j in range(d, r + 1, d))
-                   + c * total[r] if r <= n - s * d else 0 for r in range(n + 1)]
-        total = acc
-    return total[n]
+        counts[d] = (roots - sum(f * counts[f] for f in range(1, d) if d % f == 0)) // d
+        if counts[d]:  # one factor on d*m dimensions: F_q-nilpotents of index <= e, q^(m^2-m) if e >= m
+            h, q = [0] * (n + 1), p**d
+            for m in range(1, n // d + 1):
+                nil = q ** (m * m - m) if e >= m else 1 if e == 1 else _nilpotent_count(m, e, q)
+                h[d * m] = nil * p ** (m * m * d * (d - 1) // 2) * math.prod(  # |GL_dm(p)| / |GL_m(q)|
+                    p**i - 1 for i in range(1, d * m + 1) if i % d)
+            factors.append((h, [math.comb(counts[d], s) for s in range(min(n // d, counts[d]) + 1)]))
+    return _join(n, p, factors, [1] * (n + 1))[-1]  # the x part: A = 0 on it
 
 
 def validate_spectrum(p: int, alphas: Sequence[int], *, p_is_prime: bool = False) -> tuple[int, ...]:

@@ -615,6 +615,26 @@ class TestBound:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "size limit" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "n, p, k, refusal",
+        [
+            ("19", str(2**3217 - 1), str(2**3217 - 2), "the certificates would take about"),
+            # the count's own refusals still come first
+            ("19", str(10**300), "2", f"{10**300} is not prime"),
+            ("0", "3", "1000000", "n and k must be positive"),
+        ],
+    )
+    def test_oversized_certificates_refused_before_the_count(self, capsys, monkeypatch, n, p, k, refusal):
+        # |R|^(2k) alone is past the size limit, whatever the count
+        def no_count(*args):
+            raise ValueError("the count was computed")
+
+        monkeypatch.setattr(counting, "potent_count", no_count)
+        code, out, err = run_cli(capsys, "bound", "--kind", "matrix", "--n", n, "--p", p, "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {refusal}") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("shape", [("25", "29", "7"), ("19", "2", "32")])
     def test_certificate_past_digit_limit_is_one_line_exit_2(self, capsys, shape, fmt):
@@ -895,24 +915,26 @@ def one_time_in(draw, n):
 
 
 @st.composite
-def command_lines(draw):
-    """A subcommand and a draw of its flags, each flag's value one of its
+def command_lines(draw, name):
+    """A draw of subcommand name's flags, each flag's value one of its
     choices, one time in ten an invalid one, or from EDGE_VALUES.  A
     required flag is left out one time in ten; of a mutually exclusive
     group one flag is given, one time in ten all of them; any other flag
     is given one time in three.  One time in four a flag that only another
-    subcommand has follows, with a valid value."""
-    name = draw(st.sampled_from(sorted(parser_flags())))
+    subcommand has follows, with a valid value, on a line that gives every
+    required flag and one of each group, and all of whose own flags take
+    their first, valid, value: the foreign flag is the line's one fault."""
     actions, groups = parser_flags()[name]
+    foreign = one_time_in(draw, 4)
     chosen = set()
     for group in groups:
-        chosen.update(group if one_time_in(draw, 10) else [draw(st.sampled_from(group))])
+        chosen.update(group if not foreign and one_time_in(draw, 10) else [draw(st.sampled_from(group))])
     argv = [name]
     for action in actions:
         if any(action in group for group in groups):
             given = action in chosen
         elif action.required:
-            given = not one_time_in(draw, 10)
+            given = foreign or not one_time_in(draw, 10)
         else:
             given = one_time_in(draw, 3)
         if not given:
@@ -920,14 +942,16 @@ def command_lines(draw):
         flag = action.option_strings[-1]
         if action.nargs == 0:
             argv.append(flag)
+        elif foreign:
+            argv += [flag, action.choices[0] if action.choices else EDGE_VALUES[flag][0]]
         elif action.choices:
             argv += [flag, "bogus" if one_time_in(draw, 10) else draw(st.sampled_from(action.choices))]
         else:
             argv += [flag, draw(st.sampled_from(EDGE_VALUES[flag]))]
-    if one_time_in(draw, 4):
+    if foreign:
         own = own_flags(name)
-        foreign = [a for other, _ in parser_flags().values() for a in other if own.isdisjoint(a.option_strings)]
-        action = draw(st.sampled_from(foreign))
+        others = [a for other, _ in parser_flags().values() for a in other if own.isdisjoint(a.option_strings)]
+        action = draw(st.sampled_from(others))
         flag = action.option_strings[-1]
         if action.nargs == 0:
             argv.append(flag)
@@ -948,16 +972,20 @@ def capped_main(argv):
     return run_capped(f"cli.main({list(argv)!r})", env={"EIGENCOUNT_BUDGET": "100000"})
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(argv=command_lines())
-def test_every_command_line_answers_or_refuses(argv):
+@pytest.mark.parametrize("name", sorted(parser_flags()))
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_command_line_answers_or_refuses(name, data):
     # the contract: an answer, or a refusal with its documented exit code
     # and one error line, never a traceback; json and csv output parses
+    argv = data.draw(command_lines(name))
     proc = capped_main(tuple(argv))
     assert proc.returncode in {0, 2, 3, 4, 5, 6}, (argv, proc.stderr)
     assert "Traceback" not in proc.stderr, argv
-    if not own_flags(argv[0]).issuperset(arg for arg in argv if arg.startswith("--")):
+    foreign = [arg for arg in argv if arg.startswith("--") and arg not in own_flags(name)]
+    if foreign:
         assert proc.returncode == cli.EXIT_USAGE, (argv, proc.stderr)
+        assert "unrecognized arguments: " + foreign[0] in proc.stderr, (argv, proc.stderr)
     if proc.returncode in (cli.EXIT_USAGE, cli.EXIT_BUDGET):
         assert proc.stdout == "", argv
         lines = proc.stderr.splitlines()

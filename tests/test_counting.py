@@ -1,18 +1,22 @@
 """Counting formulas: compositions, group orders, class sizes, M/E counts."""
 
+import ast
 import functools
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from conftest import canonical, poly_add, poly_mul, poly_scale
 from hypothesis import strategies as st
 
+from eigencount import counting
 from eigencount.counting import (
     MAX_SHAPE,
     _exact_row,
+    _join,
     _nilpotent_count,
     _split_rows,
     _strict_sums,
@@ -185,6 +189,34 @@ def reference_class_size(parts):
     for part, placed in zip(parts, itertools.accumulate(parts)):
         size = poly_mul(size, split_size(rows[placed], part))
     return size
+
+
+def positive_tuples(n, s):
+    """Ordered s-tuples of positive integers summing to at most n."""
+    if s == 0:
+        yield ()
+        return
+    for first in range(1, n - s + 2):
+        yield from ((first, *rest) for rest in positive_tuples(n - first, s - 1))
+
+
+def join_reference(n, q, factors, base):
+    """The values at n after each factor of a join, term by term: after
+    factors 1..i, the sum over s_1..s_i of prod c_l[s_l], and over ordered
+    dimensions of the s_1 + ... + s_i parts, of the class size of those
+    parts and the rest, prod h(part) and base(rest)."""
+    values = []
+    for i in range(1, len(factors) + 1):
+        total = 0
+        for ss in itertools.product(*(range(len(c)) for _, c in factors[:i])):
+            hs = [h for (h, _), s in zip(factors, ss) for _ in range(s)]
+            weight = math.prod(c[s] for (_, c), s in zip(factors, ss))
+            for parts in positive_tuples(n, len(hs)):
+                rest = n - sum(parts)
+                terms = math.prod(h[m] for h, m in zip(hs, parts)) * base[rest]
+                total += weight * class_size((*parts, rest), q) * terms
+        values.append(total)
+    return values
 
 
 class TestCompositions:
@@ -424,6 +456,51 @@ class TestPackedRecurrence:
         # places, and zeros under a negative leading coefficient
         value = sum(c << (bits * i) for i, c in enumerate(coeffs))
         assert _unpack(value, bits).coeffs == coeffs
+
+
+@st.composite
+def join_factor(draw, n):
+    """(h, c): h(0) = 0 and h nonzero only on multiples of its least
+    nonzero dimension d, as in potent_count, and any coefficients c."""
+    d = draw(st.integers(1, n + 1))
+    h = [draw(st.integers(-50, 50)) if m and m % d == 0 else 0 for m in range(n + 1)]
+    return h, draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4))
+
+
+class TestJoin:
+    """counting._join, the one routine every closed form joins by."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.integers(0, 6).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.one_of(st.sampled_from([2, 3, 4, 5, 7]), st.integers(1, 80).map(lambda b: 1 << b)),
+            st.lists(join_factor(n), min_size=1, max_size=3),
+            st.lists(st.integers(-30, 30), min_size=n + 1, max_size=n + 1),
+        )),
+    )
+    def test_join_equals_per_composition_sum(self, case):
+        n, q, factors, base = case
+        assert _join(n, q, factors, base) == join_reference(n, q, factors, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), w=st.integers(1, 6),
+           q=st.one_of(st.sampled_from([2, 3, 4, 5, 7]), st.integers(1, 80).map(lambda b: 1 << b)))
+    def test_e_row_is_the_join_of_copies_of_ones(self, n, w, q):
+        # w copies of ([0, 1, 1, ...], [0, 1]) on the unit [1, 0, ...] give E(n, 1..w)
+        row = _join(n, q, [([0] + [1] * n, [0, 1])] * w, [1] + [0] * n)
+        assert row == [sum(c * q**i for i, c in enumerate(e)) for e in reference_strict_sums(n, w)]
+
+    def test_split_rows_feed_only_the_join_and_class_sizes(self):
+        # every closed form that sums over split sizes does so through _join
+        tree = ast.parse(Path(counting.__file__).read_text())
+        callers = {
+            function.name
+            for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split_rows"
+        }
+        assert callers == {"_join", "class_size_poly"}
 
 
 class TestTable:
