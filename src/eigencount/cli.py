@@ -191,11 +191,10 @@ def _scan_line(what: str, rep):
 
 def _spectra(args, p: int):
     """The spectra to verify, anew on each call: the one given, or each nonempty
-    subset of F_p with at most n+1 elements (larger ones add no information).
-    p comes from a PrimeField, which has proven it prime."""
+    subset of F_p with at most n+1 elements (larger ones add no information)."""
     if args.spectrum is not None:
         alphas = _parse_int_list(args.spectrum, "spectrum")
-        return [counting.validate_spectrum(p, alphas, p_is_prime=True)]
+        return [counting.validate_spectrum(p, alphas)]
     sizes = range(1, min(args.n + 1, p) + 1)
     return itertools.chain.from_iterable(itertools.combinations(range(p), size) for size in sizes)
 

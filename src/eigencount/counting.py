@@ -73,13 +73,15 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
+@lru_cache(maxsize=32)
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, exact below 3.3 * 10^24.
 
     There it runs every base in _WITNESSES.  Above it no fixed set of
     bases is exact, and it is a strong probable-prime test to base 2
     alone, which costs one modular power of n: about 1 s for a 2150-digit
-    n on a 2-core host.
+    n on a 2-core host.  The last few answers are cached, so a command
+    that checks its p in several layers tests it once.
     """
     if n < 2 or any(n % b == 0 for b in _WITNESSES):
         return n in _WITNESSES
@@ -390,11 +392,11 @@ def potent_count(n: int, p: int, k: int) -> int:
     return _join(n, p, factors, [1] * (n + 1))[-1]  # the x part: A = 0 on it
 
 
-def validate_spectrum(p: int, alphas: Sequence[int], *, p_is_prime: bool = False) -> tuple[int, ...]:
+def validate_spectrum(p: int, alphas: Sequence[int]) -> tuple[int, ...]:
     """Check a concrete spectrum: p prime, alphas distinct residues mod p,
-    returned as Python ints.  A caller that has already proven p prime,
-    as the oracle's PrimeField has, passes p_is_prime to skip that test."""
-    if not p_is_prime and not is_prime(p):
+    returned as Python ints.  is_prime caches its answer, so checking many
+    spectra of one p tests p once."""
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     try:
         alphas = tuple(map(operator.index, alphas))

@@ -30,45 +30,50 @@ planes and stays below glibc's default 128 KiB mmap threshold, so it is
 served from the heap and reused chunk after chunk instead of being
 mapped, faulted in and returned to the system each time.
 
-Spectrum and potent scans test their defining condition on the planes
-one column at a time, by matrix-vector products: column j of
-prod(A - alpha*I) is v <- (A - alpha*I) v from v = e_j, and column j of
-A^(k+1) - A is A^k (A e_j) - A e_j, k first cut by a period of all n-by-n
-powers.  A^k (A e_j) is k matvecs v <- A v from v = A e_j while
+Spectrum and potent scans run one test on the planes, f(A) = 0 for a
+monic f with coefficients mod p, one column at a time by matrix-vector
+products: column j of f(A) is, by Horner's rule, v <- A v + c*e_j from
+v = A e_j, one step for each lower coefficient c of f.  A matrix is zero
+exactly when all its columns are, so this is the definition itself.
+Spectra are scanned together, with f = prod(x - alpha) over U, their
+union: an annihilated A is diagonalizable over F_p, so alpha is an
+eigenvalue exactly when (A - alpha*I)^(p-1) != I (Fermat's test), one
+binary powering on whole matrices per alpha in U.  A scan's hits are the
+histogram of the annihilated matrices' eigenvalue sets, and each
+spectrum S reads from it its E count, the bin of S, and its M count, the
+bins of the subsets of S.  A potent scan, A^(k+1) = A with k first cut
+by a period of all n-by-n powers, takes f = x^(k+1) - x and U empty, one
+bin.  Its k matvecs are used while
 k <= n*(k.bit_length() + k.bit_count() - 2) + 1, the matvec cost of
 binary powering: its k.bit_length() + k.bit_count() - 2 products take
 about n matvecs each, and one more applies A^k.  Past that, as for large
-period-cut exponents, A^k is formed by binary powering.  A matrix is
-zero exactly when all its columns are, so this is the definition itself.
-Spectra are scanned together: annihilation over U, their union, then
-on the annihilated matrices, diagonalizable over F_p, alpha is an
-eigenvalue exactly when (A - alpha*I)^(p-1) != I (Fermat's test), one
-binary powering on whole matrices per alpha in U.  A histogram of the
-eigenvalue sets gives each spectrum S its E count, the bin of S, and
-its M count, the bins of the subsets of S.
+period-cut exponents, A^k is formed by binary powering and A^k A = A
+tested on whole matrices.
 Centralizers and orbits invert on the same planes: by the Fitting
 decomposition behind that period, A^period = I for every invertible A and
 A^period is singular for every singular A, so A^(period-1) is the inverse
 exactly where A * A^(period-1) = I.
 
 Every count comes from one driver, _scan_range, in two stages, for the
-one item of a scan (the union U with its spectra, a potent exponent, a
-centralizer's representative).  A scan kind is a (column, finish) pair:
-column(a, item, j, p) is where column j of the planes passes the kind's
-defining test (_annihilated, _fixed, _commuting), and finish counts the
-hits among matrices whose column 0 passed.  Stage 1 runs column 0 on each
-chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or all of F_5) of
-the matrices pass, and copies their planes into a pool as large as a
-chunk.  When the pool would overflow, and at the end of the range, stage
-2 finishes it at once: _passing runs columns 1..n-1, only the matrices
-whose columns so far pass going on to the next, then Fermat's test
-makes the histogram of spectra and invertibility counts centralizers.
-So stage 2 runs on the survivors of many chunks together rather than as
-many small numpy calls per chunk.  Potent exponents past _by_matvecs finish on whole
-matrices instead: A^k is formed once on the pool and the other columns
-tested by one product, A^k A = A.  Going column by column would mean
-carrying A^k along and compacting it with the planes, and would save
-little: at n=3, p=5 the period cuts k = 10^18 to 1000, 41% of the
+one item of a scan ((f, U) for an annihilation, a potent exponent past
+the matvec crossover, a centralizer's representative).  A scan kind is a
+(column, finish) pair: column(a, item, j, p) is where column j of the
+planes passes the kind's defining test (_annihilated, _powered,
+_commuting), and finish gives the hits among matrices whose column 0
+passed as counts that add element-wise, so the hits of pools and
+workers are summed before any report is formed.  Stage 1 runs column 0
+on each chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or all of
+F_5) of the matrices pass, and copies their planes into a pool as large
+as a chunk.  When the pool would overflow, and at the end of the range,
+stage 2 finishes it at once: _passing runs columns 1..n-1, only the
+matrices whose columns so far pass going on to the next, then Fermat's
+test makes the histogram of eigenvalue sets and invertibility counts
+centralizers.  So stage 2 runs on the survivors of many chunks together
+rather than as many small numpy calls per chunk.  _powered tests whole
+matrices in stage 1 instead, A^k formed once per chunk, so its pool
+holds only hits and stage 2 counts them.  Going column by column would
+mean carrying A^k along and compacting it with the planes, and would
+save little: at n=3, p=5 the period cuts k = 10^18 to 1000, 41% of the
 matrices pass column 0 and 96% of those column 1.  Scans above the
 budget (default 2^26 matrices) are refused unless forced, and shapes
 whose p^(n*n) overflows the int64 index always; the budget counts an M
@@ -229,7 +234,7 @@ _PLANE_TYPES = [(np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32)]
 def _plane_dtype(n: int, p: int) -> type:
     """The narrowest signed integer type holding (n+1)*p^2, above every
     intermediate of the plane kernels: a matvec or product sum is at most
-    n*(p-1)^2, and annihilation adds at most p*(p-1) to it."""
+    n*(p-1)^2, and a Horner step of _annihilated adds at most p-1 to it."""
     return next(t for top, t in _PLANE_TYPES if top >= (n + 1) * p * p)
 
 
@@ -328,21 +333,35 @@ def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 # ----------------------------------------------------------------------
 # the scan kinds, each a (column, finish) pair: column(a, item, j, p) is
 # where column j of planes a, of shape (n, n, B), passes item's defining
-# test, and finish(a, item, p) the hits, one count per report, of planes a
-# pooled from several chunks, matrices whose column 0 passed
+# test, and finish(a, item, p) the hits of planes a pooled from several
+# chunks, matrices whose column 0 passed, as counts that add element-wise
+
+
+def _monic(roots: Iterable[int], p: int) -> tuple[int, ...]:
+    """prod(x - alpha) over roots, its coefficients mod p, lowest first."""
+    f = [1]
+    for alpha in roots:
+        f = [(low - alpha * high) % p for low, high in zip([0, *f], [*f, 0])]
+    return tuple(f)
 
 
 def _annihilated(a: np.ndarray, item: tuple, j: int, p: int) -> np.ndarray:
-    """Where column j of prod(A - alpha*I) mod p over item's union
-    vanishes, formed as v <- (A - alpha*I) v from v = e_j."""
-    union = item[0]
-    v = a[:, j].copy()  # A e_j
-    v[j] += p - union[0]
-    v = _reduce(v, p)
-    for alpha in union[1:]:
-        w = _matvec(a, v)
-        w += (p - alpha) * v
-        v = _reduce(w, p)
+    """Where column j of f(A) mod p vanishes, for f = item[0] monic with
+    coefficients mod p, lowest first, of degree at least 1: by Horner's
+    rule, v = A e_j, then v <- A v + c*e_j for each lower coefficient c,
+    the highest first.  v < p before each matvec, so no step passes
+    n*(p-1)^2 + p-1."""
+    f = item[0]
+    v = a[:, j]  # A e_j, already reduced
+    if f[-2]:
+        v = v.copy()
+        v[j] += f[-2]
+        _reduce(v[j], p)  # the only row changed
+    for c in f[-3::-1]:
+        v = _matvec(a, v)
+        if c:
+            v[j] += c
+        v = _reduce(v, p)
     return ~v.any(axis=0)
 
 
@@ -379,70 +398,38 @@ def _eigenvalue_keys(a: np.ndarray, union: tuple[int, ...], p: int) -> np.ndarra
     return keys
 
 
-def _finish_spectra(a: np.ndarray, item: tuple, p: int) -> np.ndarray:
-    """The hits of each report of item = (union, keys, lasts), the keys of
-    report r ending at keys[lasts[r]]: the sum of their bins in the
-    histogram of the annihilated matrices' eigenvalue sets."""
-    union, keys, lasts = item
+def _finish_annihilated(a: np.ndarray, item: tuple, p: int) -> np.ndarray:
+    """The histogram of the eigenvalue sets of the matrices with f(A) = 0,
+    for item = (f, U) with f = prod(x - alpha) over the ascending U: bin
+    _set_key(S, U) counts those whose eigenvalues are S.  With U = (), for
+    any f, it is one bin, their number."""
+    union = item[1]
     a = _passing(a, _annihilated, item, p, 1)
     # (|U|+1)^n bins hold the key of every set of at most n eigenvalues;
     # np.unique would fault in ~0.4 MB of its own machinery in every process
-    counts = np.bincount(_eigenvalue_keys(a, union, p), minlength=(len(union) + 1) ** len(a))
-    return np.diff(np.cumsum(counts[keys])[lasts], prepend=0)
+    return np.bincount(_eigenvalue_keys(a, union, p), minlength=(len(union) + 1) ** len(a))
 
 
-def _spectra_item(spectra: Sequence[Sequence[int]], n: int) -> tuple:
-    """The item of a scan of spectra: their ascending union, the _set_key
-    of every bin each report sums, and the index of each report's last key.
-    M(S) sums the sets of at most n eigenvalues inside S, E(S) the bin of
-    S, or bin 0, the empty set no matrix has, if S is larger."""
-    union, keys, lasts = tuple(sorted(set().union(*spectra))), [], []
-    for alphas in map(sorted, spectra):
-        subsets = (s for size in range(1, n + 1) for s in itertools.combinations(alphas, size))
-        keys += [_set_key(s, union) for s in subsets]
-        keys.append(_set_key(alphas, union) if len(alphas) <= n else 0)
-        lasts += len(keys) - 2, len(keys) - 1
-    return union, np.array(keys, dtype=np.int64), np.array(lasts)
+def _spectrum_counts(counts: Sequence[int], union: tuple, alphas: Sequence[int], n: int) -> tuple[int, int]:
+    """The M and E counts of spectrum alphas from the histogram counts of a
+    scan over union: M sums the bins of the sets of at most n eigenvalues
+    inside alphas, E is the bin of alphas, or 0 if it has more than n."""
+    alphas = sorted(alphas)
+    subsets = (s for size in range(1, n + 1) for s in itertools.combinations(alphas, size))
+    exact = counts[_set_key(alphas, union)] if len(alphas) <= n else 0
+    return sum(counts[_set_key(s, union)] for s in subsets), exact
 
 
-def _by_matvecs(k: int, n: int) -> bool:
-    """Whether A^k (A e_j) costs no more as k matvecs than by binary powering.
-
-    Binary powering forms A^k in k.bit_length() - 1 squarings and
-    k.bit_count() - 1 further products, each about n matvecs, and then
-    takes one matvec by A^k."""
-    return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
+def _powered(a: np.ndarray, k: int, j: int, p: int) -> np.ndarray:
+    """Where A^k A = A, tested on whole matrices whatever j, with A^k formed
+    by binary powering: column 0 of a potent scan past _by_matvecs, so its
+    pool holds only hits."""
+    return (_mul(_power(a, k, p), a, p) == a).all(axis=(0, 1))
 
 
-def _fixed(a: np.ndarray, k: int, j: int, p: int) -> np.ndarray:
-    """Where A^k (A e_j) = A e_j: k matvecs from v = A e_j on (n, B) vectors
-    where that is cheaper (_by_matvecs), else one matvec by A^k formed by
-    binary powering."""
-    column = a[:, j]
-    if _by_matvecs(k, len(a)):
-        v = column
-        for _ in range(k):
-            v = _reduce(_matvec(a, v), p)
-    else:
-        v = _reduce(_matvec(_power(a, k, p), column), p)
-    return (v == column).all(axis=0)
-
-
-def _finish_potent(a: np.ndarray, k: int, p: int) -> tuple[int]:
-    """Matrices with A^(k+1) = A: column by column where k matvecs are
-    cheaper, else A^k formed once and every other column tested by one
-    product, A^k A = A."""
-    if _by_matvecs(k, len(a)):
-        return (_passing(a, _fixed, k, p, 1).shape[-1],)
-    rest = a[:, 1:]
-    return (int((_mul(_power(a, k, p), rest, p) == rest).all(axis=(0, 1)).sum()),)
-
-
-def _potent_exponent(k: int, n: int, p: int) -> int:
-    """An exponent no larger than k with the same solutions of A^(k+1) = A,
-    k cut by the period of the powers A^i, i >= n (_period)."""
-    period = _period(n, p)
-    return n + (k - n) % period if k > n + period else k
+def _finish_powered(a: np.ndarray, k: int, p: int) -> tuple[int]:
+    """The number of pooled matrices, each a hit of _powered."""
+    return (a.shape[-1],)
 
 
 def _commuting(a: np.ndarray, rep: np.ndarray, j: int, p: int) -> np.ndarray:
@@ -456,9 +443,34 @@ def _finish_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
     return (int(_invertible(_passing(a, _commuting, rep, p, 1), p)[0].sum()),)
 
 
-_SPECTRA = (_annihilated, _finish_spectra)
-_POTENT = (_fixed, _finish_potent)
+_ANNIHILATED = (_annihilated, _finish_annihilated)
+_POWERED = (_powered, _finish_powered)
 _CENTRALIZER = (_commuting, _finish_centralizer)
+
+
+def _by_matvecs(k: int, n: int) -> bool:
+    """Whether A^k (A e_j) costs no more as k matvecs than by binary powering.
+
+    Binary powering forms A^k in k.bit_length() - 1 squarings and
+    k.bit_count() - 1 further products, each about n matvecs, and then
+    takes one matvec by A^k."""
+    return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
+
+
+def _potent_exponent(k: int, n: int, p: int) -> int:
+    """An exponent no larger than k with the same solutions of A^(k+1) = A,
+    k cut by the period of the powers A^i, i >= n (_period)."""
+    period = _period(n, p)
+    return n + (k - n) % period if k > n + period else k
+
+
+def _potent_scan(k: int, n: int, p: int) -> tuple[tuple, object]:
+    """The kind and item of a scan for A^(k+1) = A: f(A) = 0 for
+    f = x^(k+1) - x, k matvecs a column, where they cost no more
+    (_by_matvecs), else A^k A = A on whole matrices."""
+    if _by_matvecs(k, n):
+        return _ANNIHILATED, ((0, p - 1, *[0] * (k - 1), 1), ())
+    return _POWERED, k
 
 
 # ----------------------------------------------------------------------
@@ -530,11 +542,13 @@ def _fork_scan(test, n: int, p: int, item, start: int, stop: int) -> tuple[int, 
         os._exit(status)
 
 
-def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[int, ...]:
-    """Sum the hits over all matrices on at most jobs processes, the caller
-    included, clamped to the cores and to the chunks so none starts
-    without work.  No child outlives the call: each is reaped on success,
-    and killed and reaped when the caller or a child fails."""
+def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[tuple[int, ...], float]:
+    """The hits summed over all matrices, and the seconds the scan took, on
+    at most jobs processes, the caller included, clamped to the cores and
+    to the chunks so none starts without work.  No child outlives the
+    call: each is reaped on success, and killed and reaped when the caller
+    or a child fails."""
+    t0 = time.perf_counter()
     size = _chunk_layout(n, p)[2]
     workers = min(jobs, os.cpu_count() or 1, -(-total // size)) if hasattr(os, "fork") else 1
     first, *others = _ranges(total, size, workers)
@@ -552,7 +566,7 @@ def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[int, .
             if status:
                 raise RuntimeError(f"scan worker {pid} failed with exit status {status}")
             hits.append(tuple(map(int, text.split())))
-        return tuple(map(sum, zip(*hits)))
+        return tuple(map(sum, zip(*hits))), time.perf_counter() - t0
     finally:
         if children:
             import signal
@@ -564,17 +578,6 @@ def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[int, .
                     os.waitpid(pid, 0)
                 except ProcessLookupError:  # reaped just before the exception
                     pass
-
-
-def _count(n, field, specs, test, item, total, jobs) -> list[OracleCountReport]:
-    """A report per spec from one scan of the total matrices."""
-    t0 = time.perf_counter()
-    counts = _run_scan(test, n, field.p, item, total, jobs)
-    seconds = time.perf_counter() - t0
-    return [
-        OracleCountReport(n, field.p, spec, count=count, scanned=total, seconds=seconds)
-        for spec, count in zip(specs, counts)
-    ]
 
 
 def count_spectra(
@@ -603,12 +606,18 @@ def count_spectra(
         raise BudgetExceeded(2 * total * sum(1 for _ in spectra), budget)
     spectra = list(spectra)
     _charge(2 * len(spectra) * total, budget, force)  # before each spectrum is checked
-    spectra = [validate_spectrum(field.p, alphas, p_is_prime=True) for alphas in spectra]
+    spectra = [validate_spectrum(field.p, alphas) for alphas in spectra]
     if not spectra:
         return []
-    specs = [mode + ":{" + ",".join(map(str, alphas)) + "}" for alphas in spectra for mode in "me"]
-    reports = _count(n, field, specs, _SPECTRA, _spectra_item(spectra, n), total, jobs)
-    return list(zip(reports[::2], reports[1::2]))
+    union = tuple(sorted(set().union(*spectra)))
+    counts, seconds = _run_scan(_ANNIHILATED, n, field.p, (_monic(union, field.p), union), total, jobs)
+    return [
+        tuple(
+            OracleCountReport(n, field.p, f"{mode}:{{{','.join(map(str, alphas))}}}", count, total, seconds)
+            for mode, count in zip("me", _spectrum_counts(counts, union, alphas, n))
+        )
+        for alphas in spectra
+    ]
 
 
 def count_potent(
@@ -629,8 +638,9 @@ def count_potent(
         raise ValueError("k must be positive")
     total = _scan_size(n, field.p, jobs)  # bounds n before the period's lcm of n terms
     _charge(total, budget, force)
-    exponent = _potent_exponent(k, n, field.p)
-    return _count(n, field, [f"potent:k={k}"], _POTENT, exponent, total, jobs)[0]
+    kind, item = _potent_scan(_potent_exponent(k, n, field.p), n, field.p)
+    (count,), seconds = _run_scan(kind, n, field.p, item, total, jobs)
+    return OracleCountReport(n, field.p, f"potent:k={k}", count, total, seconds)
 
 
 # ----------------------------------------------------------------------
@@ -717,7 +727,8 @@ def centralizer_size(
 ) -> int:
     """Count invertible matrices commuting with the block-diagonal rep."""
     rep, total = _representative(parts, field, budget, force)
-    return _run_scan(_CENTRALIZER, len(rep), field.p, rep, total, 1)[0]
+    (count,), _ = _run_scan(_CENTRALIZER, len(rep), field.p, rep, total, 1)
+    return count
 
 
 def orbit_size(

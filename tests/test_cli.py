@@ -27,6 +27,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_primality_test(capsys, argv, p):
+    """argv runs without a failed verdict and runs Miller-Rabin once, on p:
+    is_prime's cache misses once, and p is then in it."""
+    counting.is_prime.cache_clear()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "verdict=fail" not in out
+    assert counting.is_prime.cache_info().misses == 1
+    assert counting.is_prime(p) and counting.is_prime.cache_info().misses == 1
+
+
 def budget_refusal(required, budget=oracle.DEFAULT_BUDGET):
     """The error line of a verify refused over budget."""
     return (
@@ -306,21 +316,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("scope", [("--n", "1", "--p", "31", "--all-subsets"),
                                        ("--n", "2", "--p", "5", "--spectrum", "0,1")])
-    def test_p_tested_for_primality_once(self, capsys, monkeypatch, scope):
-        # the PrimeField proves p prime; the 496 spectra of (1, 31), like
-        # the 33,153 of (1, 257), are checked for their entries alone
-        calls = []
-        is_prime = counting.is_prime
-
-        def counted(n):
-            calls.append(n)
-            return is_prime(n)
-
-        monkeypatch.setattr(counting, "is_prime", counted)
-        monkeypatch.setattr(oracle, "is_prime", counted)
-        code, out, _ = run_cli(capsys, "verify", *scope)
-        assert code == 0 and "verdict=fail" not in out
-        assert calls == [int(scope[3])]
+    def test_p_tested_for_primality_once(self, capsys, scope):
+        # the PrimeField tests p; the 496 spectra of (1, 31), like the
+        # 33,153 of (1, 257), find it in is_prime's cache
+        assert_one_primality_test(capsys, ("verify", *scope), int(scope[3]))
 
     def test_one_fork_per_command(self, capsys, monkeypatch, forks):
         # chunks of 81 matrices, 9 int8 entries each, give every scan
@@ -505,6 +504,12 @@ class TestBound:
         assert "value=340" in out
         assert "source=computed" in out
         assert "provenance=formula" in out
+
+    def test_matrix_computed_count_tests_p_once(self, capsys):
+        # the count's check and the ring's both test p; the second finds it
+        # in is_prime's cache
+        argv = ("bound", "--kind", "matrix", "--n", "2", "--p", "7", "--k", "3")
+        assert_one_primality_test(capsys, argv, 7)
 
     def test_matrix_computed_count_non_split(self, capsys):
         code, out, err = run_cli(

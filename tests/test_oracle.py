@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from eigencount import counting, oracle
 from eigencount.oracle import (
+    _ANNIHILATED,
     _CENTRALIZER,
     _CHUNK_BYTES,
-    _POTENT,
-    _SPECTRA,
+    _POWERED,
     DEFAULT_BUDGET,
     BudgetExceeded,
     PrimeField,
@@ -30,16 +30,18 @@ from eigencount.oracle import (
     _distinct,
     _eigenvalue_keys,
     _invertible,
+    _monic,
     _passing,
     _plane_dtype,
     _potent_exponent,
+    _potent_scan,
     _power,
     _ranges,
     _run_scan,
     _scan_index,
     _scan_range,
     _set_key,
-    _spectra_item,
+    _spectrum_counts,
     block_diag_rep,
     centralizer_size,
     count_potent,
@@ -227,17 +229,44 @@ def two_stage(test, planes, item, p):
     return tuple(np.add(0, finish(a.take(np.flatnonzero(column(a, item, 0, p)), axis=2), item, p)).tolist())
 
 
-def annihilated_planes(planes, alphas, p):
-    """Entry planes of the matrices annihilated by prod(A - alpha*I), every
-    column tested by _passing."""
+def spectra_item(spectra, p):
+    """The item of a scan of spectra, as count_spectra builds it: the monic
+    polynomial of their ascending union U, and U."""
+    union = tuple(sorted(set().union(*spectra)))
+    return _monic(union, p), union
+
+
+def kept_planes(planes, f, p):
+    """Entry planes of the matrices with f(A) = 0, for f monic with
+    coefficients mod p, lowest first, every column tested by _passing."""
     n = math.isqrt(len(planes))
-    return _passing(planes.reshape(n, n, -1), _annihilated, _spectra_item([alphas], n), p, 0).reshape(n * n, -1)
+    return _passing(planes.reshape(n, n, -1), _annihilated, (f, ()), p, 0).reshape(n * n, -1)
+
+
+def annihilated_planes(planes, alphas, p):
+    """Entry planes of the matrices annihilated by prod(A - alpha*I)."""
+    return kept_planes(planes, _monic(alphas, p), p)
+
+
+def spectrum_reports(counts, spectra, n, p):
+    """The M and E hits of every spectrum in turn, read from the histogram
+    counts of a scan of their union."""
+    union = spectra_item(spectra, p)[1]
+    return tuple(h for alphas in spectra for h in _spectrum_counts(counts, union, alphas, n))
 
 
 def spectra_hits(planes, spectra, p):
     """The M and E hits of every spectrum in turn on entry planes, from one
     two_stage scan of their union."""
-    return two_stage(_SPECTRA, planes, _spectra_item(spectra, math.isqrt(len(planes))), p)
+    n = math.isqrt(len(planes))
+    return spectrum_reports(two_stage(_ANNIHILATED, planes, spectra_item(spectra, p), p), spectra, n, p)
+
+
+def potent_hits(planes, k, p):
+    """The hits of a potent scan for exponent k, uncut, on entry planes by
+    two_stage, of the kind _potent_scan picks."""
+    kind, item = _potent_scan(k, math.isqrt(len(planes)), p)
+    return two_stage(kind, planes, item, p)
 
 
 def scan_started(*args):
@@ -451,6 +480,78 @@ class TestFqMatrix:
             assert not narrower or np.iinfo(narrower[-1]).max < (n + 1) * p * p, (n, p)
 
 
+def poly_mask(mats, f, p):
+    """True where f(A) mod p vanishes, for f given by its coefficients
+    lowest first, by Horner's rule on whole int64 matrices."""
+    eye = np.eye(mats.shape[1], dtype=np.int64)
+    value = np.zeros_like(mats)
+    for c in reversed(f):
+        value = (value @ mats + c * eye) % p
+    return ~value.any(axis=(1, 2))
+
+
+def kernel_matrices(n, p):
+    """Every n-by-n matrix over F_p if there are at most 20,000, else a
+    seeded sample of 4096 with every matrix whose only off-diagonal entry is
+    (0, 1), Jordan blocks among them."""
+    if p ** (n * n) <= 20000:
+        return matrices(decode(0, p ** (n * n), n, p))
+    drawn = np.random.default_rng(n * p).integers(0, p, size=(4096, n, n))
+    shaped = np.zeros((p ** (n + 1), n, n), dtype=np.int64)
+    entries = np.array(list(itertools.product(range(p), repeat=n + 1)))
+    shaped[:, range(n), range(n)] = entries[:, :n]
+    shaped[:, 0, 1] = entries[:, n]
+    return np.concatenate([drawn, shaped])
+
+
+class TestPolynomialKernel:
+    """_annihilated tests f(A) = 0 for any monic f mod p, one column at a
+    time by Horner's rule, on entry planes: spectrum scans take f =
+    prod(x - alpha) (_monic), potent scans x^(k+1) - x."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        p=st.sampled_from([2, 3, 5, 7]),
+        data=st.data(),
+    )
+    def test_kernel_keeps_exactly_the_matrices_f_annihilates(self, n, p, data):
+        # any coefficients, so repeated roots and irreducible factors occur
+        low = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=5), label="low")
+        f = (*low, 1)
+        mats = kernel_matrices(n, p)
+        kept = kept_planes(planes_of(mats, p), f, p)
+        assert kept.dtype == _plane_dtype(n, p)
+        assert np.array_equal(matrices(kept), mats[poly_mask(mats, f, p)])
+
+    def test_kernel_sees_repeated_and_irreducible_factors(self):
+        # over F_3: (x - 1)^2 keeps I and the Jordan block J(1, 2), which
+        # x - 1 does not; x^2 + 1 has no root, and keeps the rotation by
+        # a quarter turn but no scalar matrix
+        mats = matrices(decode(0, 3**4, 2, 3))
+        jordan = np.array([[1, 1], [0, 1]])
+        rotation = np.array([[0, 2], [1, 0]])
+        for f, inside, outside in [((1, 1, 1), jordan, 2 * np.eye(2, dtype=np.int64)),
+                                   ((1, 0, 1), rotation, np.eye(2, dtype=np.int64)),
+                                   ((2, 1), np.eye(2, dtype=np.int64), jordan)]:
+            kept = matrices(kept_planes(planes_of(mats, 3), f, 3))
+            assert np.array_equal(kept, mats[poly_mask(mats, f, 3)]), f
+            assert (kept == inside).all(axis=(1, 2)).any() and not (kept == outside).all(axis=(1, 2)).any(), f
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 257]), roots=st.lists(st.integers(0, 300), max_size=6))
+    def test_monic_is_the_expanded_product(self, p, roots):
+        # the coefficient of x^(d-i) is (-1)^i times the i-th elementary
+        # symmetric sum of the roots, repeated ones too
+        d = len(roots)
+        expected = [
+            (-1) ** (d - j) * sum(math.prod(c) for c in itertools.combinations(roots, d - j)) % p
+            for j in range(d + 1)
+        ]
+        assert _monic(roots, p) == tuple(expected)
+        assert _monic([r % p for r in roots], p) == tuple(expected)
+
+
 class TestFirstColumnFilter:
     """The column-by-column tests on entry planes accept exactly the
     matrices the whole-matrix int64 references accept."""
@@ -463,7 +564,7 @@ class TestFirstColumnFilter:
         expected = [hit for alphas in spectra(p) for hit in full_batch_hits(mats, alphas, p)]
         assert spectra_hits(planes, spectra(p), p) == tuple(expected)
         for k in range(1, 9):
-            assert two_stage(_POTENT, planes, k, p) == (potent_mask(mats, k, p).sum(),), k
+            assert potent_hits(planes, k, p) == (potent_mask(mats, k, p).sum(),), k
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -499,14 +600,14 @@ class TestFirstColumnFilter:
         potent = potent_mask(mats, k, p)
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
         assert np.array_equal(matrices(annihilated_planes(planes, alphas, p)), mats[annihilated])
-        assert two_stage(_POTENT, planes, k, p) == (potent.sum(),)
+        assert potent_hits(planes, k, p) == (potent.sum(),)
         # an exponent past n plus a period of the powers A^i, i >= n, and
         # its reduction accept the same matrices as the whole int64 power
         big = n + period + lift
         reduced = _potent_exponent(big, n, p)
         assert n <= reduced < n + period and (big - reduced) % period == 0
         expected = (potent_mask(mats, big, p).sum(),)
-        assert two_stage(_POTENT, planes, big, p) == two_stage(_POTENT, planes, reduced, p) == expected
+        assert potent_hits(planes, big, p) == potent_hits(planes, reduced, p) == expected
 
     @pytest.mark.parametrize(
         "planes, p",
@@ -538,7 +639,7 @@ class TestFirstColumnFilter:
             assert spectra_hits(planes, [alphas], p) == full_batch_hits(mats, alphas, p)
         for k in (*range(1, 9), p - 1, p, 4 * p + 3, 10**18):
             expected = (potent_mask(mats, k, p).sum(),)
-            assert two_stage(_POTENT, planes, k, p) == two_stage(_POTENT, wide, k, p) == expected
+            assert potent_hits(planes, k, p) == potent_hits(wide, k, p) == expected
 
     @pytest.mark.parametrize("n, p", [(1, 257), (2, 3), (2, 5), (3, 2)])
     def test_potent_paths_straddle_the_crossover(self, n, p):
@@ -553,7 +654,7 @@ class TestFirstColumnFilter:
         planes = decode(0, p ** (n * n), n, p)
         mats = matrices(planes)
         for k in ks:
-            assert two_stage(_POTENT, planes, k, p) == (potent_mask(mats, k, p).sum(),), k
+            assert potent_hits(planes, k, p) == (potent_mask(mats, k, p).sum(),), k
 
     def test_small_exponents_skip_binary_powering(self, monkeypatch):
         exponents = []
@@ -569,6 +670,32 @@ class TestFirstColumnFilter:
         assert exponents == []
         assert count_potent(3, F5, 10**18).count == counting.potent_count(3, 5, 10**18)
         assert exponents and set(exponents) == {_potent_exponent(10**18, 3, 5)}
+
+    def test_power_path_powers_each_matrix_once(self, monkeypatch):
+        # past _by_matvecs stage 1 tests A^k A = A on every chunk, so the
+        # pool holds only hits and is never powered again: the batches that
+        # _power takes hold each of the 5^9 matrices once
+        widths = []
+        power = oracle._power
+
+        def recording_power(a, k, p):
+            widths.append(a.shape[-1])
+            return power(a, k, p)
+
+        monkeypatch.setattr(oracle, "_power", recording_power)
+        assert count_potent(3, F5, 10**18).count == counting.potent_count(3, 5, 10**18)
+        assert sum(widths) == 5**9
+
+    @pytest.mark.parametrize("n, p", [(1, 257), (2, 3), (3, 5)])
+    def test_potent_scan_picks_its_kind_at_the_crossover(self, n, p):
+        # f(A) = 0 for f = x^(k+1) - x by k matvecs a column while
+        # _by_matvecs holds, else A^k A = A on whole matrices
+        for k in range(1, 40):
+            kind, item = _potent_scan(k, n, p)
+            if _by_matvecs(k, n):
+                assert kind == _ANNIHILATED and item == ((0, p - 1, *[0] * (k - 1), 1), ()), k
+            else:
+                assert kind == _POWERED and item == k, k
 
     def test_huge_k_answers_at_once(self):
         # binary powering costs O(log k) squarings; a loop linear in k
@@ -615,12 +742,15 @@ class TestPooledDriver:
         r = data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(np.diag), label="rep")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_CHUNK_BYTES", chunk * plane_bytes(n, p))
-            spectrum_hits = _scan_range(_SPECTRA, n, p, _spectra_item(spectra, n), start, stop)
-            potent_hits = _scan_range(_POTENT, n, p, k, start, stop)
+            counts = _scan_range(_ANNIHILATED, n, p, spectra_item(spectra, p), start, stop)
+            kind, item = _potent_scan(k, n, p)
+            potent_hits = _scan_range(kind, n, p, item, start, stop)
             rep_planes = r[:, :, None].astype(_plane_dtype(n, p))
             centralizer_hits = _scan_range(_CENTRALIZER, n, p, rep_planes, start, stop)
         mats = matrices(decode(start, stop, n, p))
-        assert spectrum_hits == tuple(h for alphas in spectra for h in full_batch_hits(mats, alphas, p))
+        assert spectrum_reports(counts, spectra, n, p) == tuple(
+            h for alphas in spectra for h in full_batch_hits(mats, alphas, p)
+        )
         assert potent_hits == (int(potent_mask(mats, k, p).sum()),)
         invertible = det_batch(mats, p) != 0
         assert centralizer_hits == (
@@ -674,10 +804,11 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize(
         "n, p, test, item",
-        [(3, 5, None, None), (3, 5, _POTENT, 3), (3, 5, _POTENT, 4),
-         (3, 5, _SPECTRA, _spectra_item([(0, 1, 2)], 3)), (2, 13, _SPECTRA, _spectra_item([(0, 1, 2)], 2)),
-         (2, 13, _SPECTRA, _spectra_item(all_subsets(13, 3), 2)),
-         (3, 5, _SPECTRA, _spectra_item(all_subsets(5, 4), 3))],
+        [(3, 5, None, None), (3, 5, *_potent_scan(3, 3, 5)), (3, 5, *_potent_scan(4, 3, 5)),
+         (3, 5, _ANNIHILATED, spectra_item([(0, 1, 2)], 5)),
+         (2, 13, _ANNIHILATED, spectra_item([(0, 1, 2)], 13)),
+         (2, 13, _ANNIHILATED, spectra_item(all_subsets(13, 3), 13)),
+         (3, 5, _ANNIHILATED, spectra_item(all_subsets(5, 4), 5))],
         ids=["decode", "potent-k3", "potent-k4", "spectrum-012", "n2-p13-spectrum-012",
              "n2-p13-all-377-subsets", "n3-p5-all-30-subsets"],
     )
@@ -799,8 +930,13 @@ class TestSpectrumPass:
         planes = np.array([[[p - 1]]], dtype=_plane_dtype(1, p))
         assert _eigenvalue_keys(planes, (p - 1,), p).tolist() == [1]
         assert _eigenvalue_keys(planes, (0, p - 1), p).tolist() == [2]
-        union, keys, lasts = _spectra_item([(p - 1,), (0, p - 1)], 1)
-        assert union == (0, p - 1) and keys.tolist() == [2, 2, 1, 2, 0] and lasts.tolist() == [0, 1, 3, 4]
+        item = spectra_item([(p - 1,), (0, p - 1)], p)
+        assert item[1] == (0, p - 1)
+        # the matrices [0] and [p-1], keys 1 and 2; bin 0, the empty set, is
+        # the E count of (0, p-1), which a 1-by-1 matrix cannot have
+        counts = _scan_range(_ANNIHILATED, 1, p, item, 0, p)
+        assert counts == (0, 1, 1)
+        assert [_spectrum_counts(counts, item[1], s, 1) for s in [(p - 1,), (0, p - 1)]] == [(1, 1), (2, 0)]
         reports = []
         peak = traced_peak(lambda: reports.extend(count_spectra(1, PrimeField(p), [(p - 1,), (0, p - 1)])))
         assert [(m.count, e.count) for m, e in reports] == [(1, 1), (2, 0)]
@@ -815,7 +951,8 @@ class TestSpectrumPass:
     def test_spectrum_hits_over_unaligned_ranges(self, alphas, start, length):
         n, p = 3, 5
         stop = min(start + length, p ** (n * n))
-        both = _scan_range(_SPECTRA, n, p, _spectra_item([alphas], n), start, stop)
+        counts = _scan_range(_ANNIHILATED, n, p, spectra_item([alphas], p), start, stop)
+        both = spectrum_reports(counts, [alphas], n, p)
         assert both == full_batch_hits(matrices(decode(start, stop, n, p)), alphas, p)
 
     def test_budget_counts_an_m_and_an_e_scan(self, monkeypatch):
@@ -897,10 +1034,10 @@ def test_serial_scans_load_no_worker_pool():
 
 
 def two_process_scan(column, finish=lambda a, item, p: (a.shape[-1],)):
-    """_run_scan of (column, finish) over the 17^4 matrices of n = 2, p = 17:
-    six chunks in two ranges on two cores, the first scanned by the caller,
-    the second by one forked worker."""
-    return _run_scan((column, finish), 2, 17, None, 17**4, 2)
+    """The hits of _run_scan of (column, finish) over the 17^4 matrices of
+    n = 2, p = 17: six chunks in two ranges on two cores, the first scanned
+    by the caller, the second by one forked worker."""
+    return _run_scan((column, finish), 2, 17, None, 17**4, 2)[0]
 
 
 def every_matrix(a, item, j, p):
