@@ -5,11 +5,16 @@ C and D, so instead of evaluating fractional powers both sides are raised
 to the (k+1)-th power and compared as exact integers.  A verdict stores
 the two certificates actually compared; no floating point is involved,
 which keeps tight cases (certificates equal) honest.
+
+Verdicts and ring specs are named tuples: immutable, hashable, equal and
+shown field by field.  A ring spec checks its factors however it is built,
+by its constructor, _make, _replace, copy or pickle.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from math import prod
 
 from .counting import is_prime
@@ -38,65 +43,26 @@ class ModeMismatch(ValueError):
     """The requested bound mode does not apply to this ring shape."""
 
 
-class _Frozen:
-    """An immutable record whose fields are its __slots__: equal to records
-    of its own class with equal fields, hashable, and shown by field."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which validates
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({fields})"
-
-
-class BoundVerdict(_Frozen):
+class BoundVerdict(namedtuple("BoundVerdict", "lhs_certificate rhs_certificate")):
     """Outcome of one integer-certified comparison.
 
     ``holds`` is defined as lhs <= rhs, with both certificates already
     raised to the (k+1)-th power to clear fractional exponents.
     """
 
-    __slots__ = ("lhs_certificate", "rhs_certificate")
-
-    def __init__(self, lhs_certificate: int, rhs_certificate: int):
-        super().__init__(lhs_certificate, rhs_certificate)
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:
         return self.lhs_certificate <= self.rhs_certificate
 
 
-class RingSpec(_Frozen):
+class RingSpec(namedtuple("RingSpec", "prime_powers")):
     """A finite ring described by the prime factorization of its cardinality."""
 
-    __slots__ = ("prime_powers",)
+    __slots__ = ()
 
-    def __init__(self, prime_powers: tuple[tuple[int, int], ...]):
+    def __new__(cls, prime_powers: tuple[tuple[int, int], ...]):
         if not prime_powers:
             raise ValueError("ring spec needs at least one prime power")
         primes = [p for p, _ in prime_powers]
@@ -107,7 +73,12 @@ class RingSpec(_Frozen):
                 raise ValueError(f"{p} is not prime")
             if r < 1:
                 raise ValueError("exponents must be at least 1")
-        super().__init__(prime_powers)
+        return super().__new__(cls, prime_powers)
+
+    @classmethod
+    def _make(cls, iterable) -> RingSpec:
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*iterable)
 
     @property
     def cardinality(self) -> int:

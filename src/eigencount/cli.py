@@ -266,11 +266,10 @@ def _cmd_bound(args, emitter: Emitter) -> int:
         params = {"kind": "matrix", "n": str(args.n), "p": str(args.p), "k": str(args.k)}
         if count is None:
             params["source"], provenance = "computed", "formula"
-            try:  # refuse certificates too large for any count before computing one,
-                bounds.check_matrix_size(args.n, args.p, args.k)
-            except ValueError:
-                counting.check_potent(args.n, args.p, args.k)  # but after the count's own refusals
-                raise
+            # the count's own refusals first, then certificates too large
+            # for any count, before one is computed
+            counting.check_potent(args.n, args.p, args.k)
+            bounds.check_matrix_size(args.n, args.p, args.k)
             count = counting.potent_count(args.n, args.p, args.k)
         else:
             params["source"] = "explicit"

@@ -8,6 +8,10 @@ centralizers, explicit conjugation for orbits.
 Nothing is shared with the closed-form counting path, so agreement
 between the two is evidence, not tautology.
 
+Fields and count reports are named tuples: immutable, hashable, equal
+and shown field by field.  A field checks p however it is built, by its
+constructor, _make, _replace, copy or pickle.
+
 A full scan enumerates all p^(n*n) matrices.  Matrix number t has entry
 digits of t in base p, least significant digit first, row-major; the scan
 walks t ascending, which makes results reproducible and lets the index
@@ -95,6 +99,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 # numpy's OpenBLAS would start a thread pool that these integer kernels
@@ -142,55 +147,31 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
-class PrimeField:
+class PrimeField(namedtuple("PrimeField", "p")):
     """A prime field F_p with 2 <= p <= 257, checked at construction."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
 
     MIN_P = 2
     MAX_P = 257
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"{p!r} is not prime")
-        if not (self.MIN_P <= p <= self.MAX_P):
+        if not (cls.MIN_P <= p <= cls.MAX_P):
             raise ValueError(f"p={p} outside supported range [2, 257]")
-        self.p = p
+        return super().__new__(cls, p)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
+    @classmethod
+    def _make(cls, iterable) -> PrimeField:
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*iterable)
 
 
-class OracleCountReport:
-    """One exhaustive count with the scan parameters that produced it: a
-    record whose fields are its __slots__, equal to reports with equal
-    fields and shown by field."""
+class OracleCountReport(namedtuple("OracleCountReport", "n p spec count scanned seconds")):
+    """One exhaustive count with the scan parameters that produced it."""
 
-    __slots__ = ("n", "p", "spec", "count", "scanned", "seconds")
-
-    def __init__(self, n: int, p: int, spec: str, count: int, scanned: int, seconds: float):
-        self.n, self.p, self.spec = n, p, spec
-        self.count, self.scanned, self.seconds = count, scanned, seconds
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # the fields may be reassigned
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({fields})"
+    __slots__ = ()
 
 
 def _scan_size(n: int, p: int, jobs: int = 1) -> int:

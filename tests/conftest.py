@@ -48,11 +48,12 @@ def python_env():
     return env
 
 
-def run_python(code, timeout=60, env=None):
+def run_python(code, timeout=60, env=None, flags=()):
     """Run code in a fresh interpreter that imports eigencount from src/,
-    with the variables in env added to its environment."""
+    with the variables in env added to its environment and the interpreter
+    options in flags."""
     return subprocess.run(
-        [sys.executable, "-c", code], env={**python_env(), **(env or {})}, capture_output=True,
+        [sys.executable, *flags, "-c", code], env={**python_env(), **(env or {})}, capture_output=True,
         text=True, timeout=timeout,
     )
 

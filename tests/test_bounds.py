@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from eigencount import oracle
 from eigencount.bounds import (
     BoundVerdict,
     ModeMismatch,
@@ -142,11 +143,48 @@ def test_verdict_holds_matches_comparison():
 
 
 @pytest.mark.parametrize(
-    "record", [BoundVerdict(6, 5), RingSpec(((2, 1), (3, 2)))], ids=["verdict", "ring"]
+    "record",
+    [
+        BoundVerdict(6, 5),
+        RingSpec(((2, 1), (3, 2))),
+        oracle.OracleCountReport(2, 3, "potent:k=1", 21, 81, 0.5),
+        oracle.PrimeField(7),
+    ],
+    ids=["verdict", "ring", "report", "field"],
 )
 def test_records_survive_copy_and_pickle(record):
+    # a record is a tuple of its fields, equal to the plain tuple of them
+    assert record == tuple(getattr(record, name) for name in record._fields)
     for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(clone) is type(record)
         assert clone == record and hash(clone) == hash(record)
-        with pytest.raises(AttributeError):
-            clone.__setattr__(clone.__slots__[0], None)
+        for name in clone._fields:
+            with pytest.raises(AttributeError):
+                setattr(clone, name, None)
+            with pytest.raises(AttributeError):
+                delattr(clone, name)
+        assert clone == record
+
+
+@pytest.mark.parametrize(
+    "record, invalid, refusal",
+    [
+        (RingSpec(((2, 1), (3, 2))), ((2, 1), (9, 2)), "9 is not prime"),
+        (RingSpec(((2, 1),)), ((2, 0),), "exponents must be at least 1"),
+        (oracle.PrimeField(7), 4, "4 is not prime"),
+        (oracle.PrimeField(7), 263, "p=263 outside supported range [2, 257]"),
+    ],
+)
+def test_records_refuse_invalid_values_however_built(record, invalid, refusal):
+    # _make and _replace of a plain named tuple would skip the checks
+    (field,) = record._fields
+    kind = type(record)
+    builds = (
+        lambda: kind(invalid),
+        lambda: kind._make([invalid]),
+        lambda: record._replace(**{field: invalid}),
+    )
+    for build in builds:
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == refusal

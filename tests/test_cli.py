@@ -285,10 +285,10 @@ class TestVerify:
         real = oracle.count_spectra
 
         def skewed(*args, **kwargs):
-            pairs = real(*args, **kwargs)
-            for pair in pairs:
-                pair[which].count += 1
-            return pairs
+            return [
+                tuple(rep._replace(count=rep.count + 1) if i == which else rep for i, rep in enumerate(pair))
+                for pair in real(*args, **kwargs)
+            ]
 
         monkeypatch.setattr(oracle, "count_spectra", skewed)
 
@@ -485,6 +485,27 @@ class TestVerify:
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ") and "int64" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "scope, required",
+        [
+            (("--spectrum", "0,1"), 2 * 127**9),
+            (("--all-subsets",), subset_scans(3, 127) * 127**9),
+            (("--potent", "1"), 127**9),
+        ],
+        ids=["spectrum", "all-subsets", "potent"],
+    )
+    def test_int64_index_edge(self, capsys, monkeypatch, scope, required):
+        # 127^9 < 2^63 < 131^9: (3, 127) is the largest n = 3 shape the
+        # index holds, refused by the budget only, and (3, 131) overflows it
+        def no_scan(*args):
+            raise AssertionError("a scan was started")
+
+        monkeypatch.setattr(oracle, "_chunks", no_scan)
+        assert run_cli(capsys, "verify", "--n", "3", "--p", "127", *scope) == (5, "", budget_refusal(required))
+        assert run_cli(capsys, "verify", "--n", "3", "--p", "131", *scope, "--force") == (
+            2, "", "error: 131^9 matrices overflow the int64 scan index\n"
+        )
+
 
 class TestBound:
     def test_matrix_tight_case(self, capsys):
@@ -627,6 +648,7 @@ class TestBound:
             # the count's own refusals still come first
             ("19", str(10**300), "2", f"{10**300} is not prime"),
             ("0", "3", "1000000", "n and k must be positive"),
+            ("51", str(2**127 - 1), "2", "n=51 with 3 prescribed eigenvalues is past the closed forms' size limit"),
         ],
     )
     def test_oversized_certificates_refused_before_the_count(self, capsys, monkeypatch, n, p, k, refusal):
@@ -808,6 +830,27 @@ class TestParserPlumbing:
         assert proc.returncode == 0, proc.stderr
         # verify loads numpy and the oracle, but its reports need no dataclasses
         assert proc.stdout == "[] ['eigencount.bounds'] False\n"
+
+    def test_commands_load_no_typing_without_site_hooks(self):
+        # python -S runs no .pth file, which may load typing, re, shutil or
+        # pathlib before eigencount and so hide a command's own import of
+        # them; verify needs numpy from site-packages and is left out
+        proc = run_python(
+            "import io, sys\n"
+            "from eigencount import cli\n"
+            "heavy = {'numpy', 'eigencount.oracle', 'eigencount.bounds', 'typing', 'pathlib',\n"
+            "         'dataclasses', 'inspect', 'concurrent.futures', 'multiprocessing'}\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert cli.main(['count', '--mode', 'm', '--n', '3', '--k', '2', '--q', '5']) == 0\n"
+            "assert cli.main(['table', '--n-max', '4']) == 0\n"
+            "counted = sorted(heavy & sys.modules.keys())\n"
+            "assert cli.main(['bound', '--kind', 'matrix', '--n', '4', '--p', '5', '--k', '2']) == 0\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(counted, sorted(heavy & sys.modules.keys()))\n",
+            flags=("-S",),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[] ['eigencount.bounds']\n"
 
     def test_ring_modes_are_the_bounds_own(self):
         assert cli._RING_MODES == bounds.RING_MODES
