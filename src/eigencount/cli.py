@@ -189,14 +189,31 @@ def _scan_line(what: str, rep):
     _diag(f"scan {what} n={rep.n} p={rep.p}: {rep.scanned} matrices in {int(rep.seconds * 1000)} ms")
 
 
+class _Subsets:
+    """The nonempty subsets of range(p) with at most top elements, smallest
+    first, as often as they are iterated; len() counts them without listing
+    them, so an over-budget scan of them is refused at once."""
+
+    def __init__(self, p: int, top: int):
+        self.p, self.top = p, top
+
+    def __iter__(self):
+        sizes = range(1, self.top + 1)
+        return itertools.chain.from_iterable(itertools.combinations(range(self.p), s) for s in sizes)
+
+    def __len__(self) -> int:
+        import math  # loaded already, by counting
+
+        return sum(math.comb(self.p, s) for s in range(1, self.top + 1))
+
+
 def _spectra(args, p: int):
-    """The spectra to verify, anew on each call: the one given, or each nonempty
-    subset of F_p with at most n+1 elements (larger ones add no information)."""
+    """The spectra to verify: the one given, or each nonempty subset of F_p
+    with at most n+1 elements (larger ones add no information)."""
     if args.spectrum is not None:
         alphas = _parse_int_list(args.spectrum, "spectrum")
         return [counting.validate_spectrum(p, alphas)]
-    sizes = range(1, min(args.n + 1, p) + 1)
-    return itertools.chain.from_iterable(itertools.combinations(range(p), size) for size in sizes)
+    return _Subsets(p, min(args.n + 1, p))
 
 
 def _verify_record(emitter: Emitter, rep, params: dict[str, str], poly, formula) -> bool:
@@ -236,10 +253,11 @@ def _cmd_verify(args, emitter: Emitter) -> int:
         ok = _verify_record(emitter, rep, params, poly, counting.potent_count(args.n, fld.p, k))
         return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
-    pairs = oracle.count_spectra(args.n, fld, _spectra(args, fld.p), **scan)
+    spectra = _spectra(args, fld.p)
+    pairs = oracle.count_spectra(args.n, fld, spectra, **scan)
     _scan_line(f"spectra={len(pairs)}", pairs[0][0])
     ok = True
-    for alphas, pair in zip(_spectra(args, fld.p), pairs):
+    for alphas, pair in zip(spectra, pairs):
         for mode, formula_poly, rep in zip("me", (counting.count_m_poly, counting.count_e_poly), pair):
             poly = formula_poly(args.n, len(alphas))
             params = {

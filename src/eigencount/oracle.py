@@ -45,18 +45,20 @@ eigenvalue exactly when (A - alpha*I)^(p-1) != I (Fermat's test), one
 binary powering on whole matrices per alpha in U.  A scan's hits are the
 histogram of the annihilated matrices' eigenvalue sets, and each
 spectrum S reads from it its E count, the bin of S, and its M count, the
-bins of the subsets of S.  A potent scan, A^(k+1) = A with k first cut
-by a period of all n-by-n powers, takes f = x^(k+1) - x and U empty, one
-bin.  Its k matvecs are used while
-k <= n*(k.bit_length() + k.bit_count() - 2) + 1, the matvec cost of
-binary powering: its k.bit_length() + k.bit_count() - 2 products take
-about n matvecs each, and one more applies A^k.  Past that, as for large
-period-cut exponents, A^k is formed by binary powering and A^k A = A
-tested on whole matrices.
-Centralizers and orbits invert on the same planes: by the Fitting
-decomposition behind that period, A^period = I for every invertible A and
-A^period is singular for every singular A, so A^(period-1) is the inverse
-exactly where A * A^(period-1) = I.
+bins of the subsets of S.  Both potent scans and inverses rest on one
+constant, E = lcm(p^d - 1, d <= n) * p^a with p^a >= n, a >= 1
+(_exponent): B^E = I for every invertible n-by-n B over F_p.  A potent
+scan, A^(k+1) = A, first replaces k by g = gcd(k, E), which has the same
+solutions (a solution is 0 on its nilpotent Fitting part and of order
+dividing k, so dividing g, on its invertible part), and takes
+f = x^(g+1) - x and U empty, one bin.  Its g matvecs are used while
+g <= n*(g.bit_length() + g.bit_count() - 2) + 1, the matvec cost of
+binary powering: its g.bit_length() + g.bit_count() - 2 products take
+about n matvecs each, and one more applies A^g.  Past that A^g is formed
+by binary powering and A^g A = A tested on whole matrices.
+Centralizers and orbits invert on the same planes: A^E = I for every
+invertible A and A^E is singular for every singular A, so A^(E-1) is the
+inverse exactly where A * A^(E-1) = I.
 
 Every count comes from one driver, _scan_range, in two stages, for the
 one item of a scan ((f, U) for an annihilation, a potent exponent past
@@ -77,7 +79,7 @@ rather than as many small numpy calls per chunk.  _powered tests whole
 matrices in stage 1 instead, A^k formed once per chunk, so its pool
 holds only hits and stage 2 counts them.  Going column by column would
 mean carrying A^k along and compacting it with the planes, and would
-save little: at n=3, p=5 the period cuts k = 10^18 to 1000, 41% of the
+save little: at n=3, p=5 k = 10^18 becomes gcd(k, 3720) = 40, 41% of the
 matrices pass column 0 and 96% of those column 1.  Scans above the
 budget (default 2^26 matrices) are refused unless forced, and shapes
 whose p^(n*n) overflows the int64 index always; the budget counts an M
@@ -100,7 +102,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Sized
 
 # numpy's OpenBLAS would start a thread pool that these integer kernels
 # never use: import it single-threaded unless the caller chose otherwise,
@@ -242,10 +244,10 @@ def _chunks(start: int, stop: int, n: int, p: int):
     places = np.array([min(p**e, _INDEX_MAX) for e in range(n * n - j)], dtype=np.int64)[:, None]
     for cs in range(start - start % size, stop, size):
         end = min(stop, cs + size) - cs
-        if j < n * n:  # else the template holds every digit
-            runs = np.arange(cs // run, cs // run - (-end // run), dtype=np.int64)
-            # cast before broadcasting: a cast while broadcasting is several times slower
-            high[:, : len(runs)] = (runs // places % p).astype(buffer.dtype)[:, :, None]
+        # with no high digits (j = n*n) high has no rows, and this writes nothing
+        runs = np.arange(cs // run, cs // run - (-end // run), dtype=np.int64)
+        # cast before broadcasting: a cast while broadcasting is several times slower
+        high[:, : len(runs)] = (runs // places % p).astype(buffer.dtype)[:, :, None]
         yield buffer[:, max(start - cs, 0) : end]
 
 
@@ -274,15 +276,18 @@ def _mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return _reduce(prod, p)
 
 
-def _period(n: int, p: int) -> int:
-    """A period of the powers A^i, i >= n, of every n-by-n A over F_p.
+def _exponent(n: int, p: int) -> int:
+    """E = lcm(p^d - 1, d <= n) * p^a for the least a >= 1 with p^a >= n:
+    B^E = I for every invertible n-by-n B over F_p.
 
-    A is nilpotent on one Fitting part and invertible on the other, of
-    dimension <= n, where its semisimple order divides lcm(p^d - 1, d <= n)
-    and its unipotent order divides any p^e >= n, such as p^n.  So
-    A^(i + period) = A^i for i >= n, and A^period = I when A is invertible.
+    The semisimple part of B has its eigenvalues in the fields F_(p^d),
+    d <= n, so its order divides lcm(p^d - 1, d <= n); the unipotent part
+    has Jordan blocks of size at most n, so its order divides any p^a >= n.
+    For n >= 2 this is the exponent of GL_n(F_p), the lcm of its element
+    orders; at n = 1 it is p times that, so E - 1 >= 1 even for p = 2.
     """
-    return math.lcm(*(p**d - 1 for d in range(1, n + 1))) * p**n
+    unipotent = next(p**a for a in itertools.count(1) if p**a >= n)
+    return math.lcm(*(p**d - 1 for d in range(1, n + 1))) * unipotent
 
 
 def _power(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -301,12 +306,12 @@ def _power(a: np.ndarray, k: int, p: int) -> np.ndarray:
 def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Invertible mask and inverses mod p of planes a of shape (n, n, B).
 
-    The inverse is A^(period-1) (_period), and A is invertible exactly where
-    A times it is I: a singular A has a singular A^period.  The inverse
-    planes of a singular matrix hold no meaning.
+    The inverse is A^(E-1) (_exponent), and A is invertible exactly where
+    A times it is I: a singular A has a singular A^E.  The inverse planes
+    of a singular matrix hold no meaning.
     """
     n = len(a)
-    inverse = _power(a, _period(n, p) - 1, p)
+    inverse = _power(a, _exponent(n, p) - 1, p)
     eye = np.eye(n, dtype=a.dtype)[:, :, None]
     return (_mul(a, inverse, p) == eye).all(axis=(0, 1)), inverse
 
@@ -436,13 +441,6 @@ def _by_matvecs(k: int, n: int) -> bool:
     k.bit_count() - 1 further products, each about n matvecs, and then
     takes one matvec by A^k."""
     return k <= n * (k.bit_length() + k.bit_count() - 2) + 1
-
-
-def _potent_exponent(k: int, n: int, p: int) -> int:
-    """An exponent no larger than k with the same solutions of A^(k+1) = A,
-    k cut by the period of the powers A^i, i >= n (_period)."""
-    period = _period(n, p)
-    return n + (k - n) % period if k > n + period else k
 
 
 def _potent_scan(k: int, n: int, p: int) -> tuple[tuple, object]:
@@ -580,11 +578,14 @@ def count_spectra(
     --all-subsets at (2, 89), a pass over 62.7M matrices that took 142 s
     forced (one in-process run on a 2-core x86_64 host).
     An overflowing shape, or one whose single scan is over budget, is
-    refused before the spectra are listed, so they may come lazily.
+    refused before the spectra are listed, so they may come lazily; their
+    number is then len(spectra) where spectra has a length, so a sized
+    family is refused without being walked.
     """
     total = _scan_size(n, field.p, jobs)
     if not force and total > budget:
-        raise BudgetExceeded(2 * total * sum(1 for _ in spectra), budget)
+        number = len(spectra) if isinstance(spectra, Sized) else sum(1 for _ in spectra)
+        raise BudgetExceeded(2 * total * number, budget)
     spectra = list(spectra)
     _charge(2 * len(spectra) * total, budget, force)  # before each spectrum is checked
     spectra = [validate_spectrum(field.p, alphas) for alphas in spectra]
@@ -612,14 +613,20 @@ def count_potent(
 ) -> OracleCountReport:
     """Exhaustively count matrices with A^(k+1) = A.
 
+    The scan tests A^(g+1) = A for g = gcd(k, E), E = _exponent(n, p), which
+    has the same solutions: on the nilpotent Fitting part of a solution A,
+    N = N^(k+1) forces N = 0, and on the invertible part B^k = I holds
+    exactly when the order of B, a divisor of E, divides g.  So g <= k and
+    a k of any size costs what its gcd does.
+
     Valid for every p and k, including fields without k-th roots of unity;
     it checks counting.potent_count, which shares none of its logic.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    total = _scan_size(n, field.p, jobs)  # bounds n before the period's lcm of n terms
+    total = _scan_size(n, field.p, jobs)  # bounds n before the exponent's lcm of n terms
     _charge(total, budget, force)
-    kind, item = _potent_scan(_potent_exponent(k, n, field.p), n, field.p)
+    kind, item = _potent_scan(math.gcd(k, _exponent(n, field.p)), n, field.p)
     (count,), seconds = _run_scan(kind, n, field.p, item, total, jobs)
     return OracleCountReport(n, field.p, f"potent:k={k}", count, total, seconds)
 
@@ -696,7 +703,8 @@ def _representative(parts, field: PrimeField, budget: int, force: bool) -> tuple
     n, p = sum(parts), field.p
     total = _scan_size(n, p)
     _charge(total, budget, force)
-    return block_diag_rep(parts, field)[:, :, None].astype(_plane_dtype(n, p)), total
+    # block_diag_rep's matrix, built here so that parts are checked once
+    return np.diag(np.repeat(np.arange(len(parts), dtype=_plane_dtype(n, p)), parts))[:, :, None], total
 
 
 def centralizer_size(

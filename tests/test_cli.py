@@ -261,8 +261,17 @@ class TestVerify:
         assert out == "verify n=2 p=2 k=2 scanned=16 value=11 verdict=pass provenance=both\n"
         assert err.startswith("scan ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("k, value", [(7, 1552), (63, 32552)])
+    def test_potent_scan_by_matvecs_for_a_small_gcd(self, capsys, monkeypatch, k, value):
+        # gcd(k, 3720) is 1 and 3, the exponent of GL_3(F_5) being 3720,
+        # so both scans take matvecs and power no matrix
+        monkeypatch.setattr(oracle, "_power", lambda *a: pytest.fail("a matrix was powered"))
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--p", "5", "--potent", str(k))
+        assert code == 0
+        assert out == f"verify n=3 p=5 k={k} scanned=1953125 value={value} verdict=pass provenance=both\n"
+
     def test_potent_scan_cost_does_not_grow_with_digits_of_k(self):
-        # the scan reduces k by a period of the n-by-n matrix powers, so a
+        # the scan takes gcd(k, E) for E the exponent of GL_n(F_p), so a
         # 4001-digit k costs about what a small one does; powering to the
         # full k would not finish before the child's time cap
         k = 10**4000 + 7
@@ -469,7 +478,7 @@ class TestVerify:
     @pytest.mark.parametrize("scope", [("--potent", "1"), ("--spectrum", "0"), ("--all-subsets",)])
     def test_huge_dimension_refused_at_once(self, scope):
         # n*n >= 63 overflows the index for every p: refused before
-        # 2^(n*n), the period of the n-by-n powers or any subset is formed
+        # 2^(n*n), the exponent of GL_n(F_2) or any subset is formed
         proc = run_capped(f"cli.main(['verify', '--n', '100000', '--p', '2', *{scope!r}])")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == "error: 2^10000000000 matrices overflow the int64 scan index\n"
@@ -504,6 +513,16 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--n", "3", "--p", "127", *scope) == (5, "", budget_refusal(required))
         assert run_cli(capsys, "verify", "--n", "3", "--p", "131", *scope, "--force") == (
             2, "", "error: 131^9 matrices overflow the int64 scan index\n"
+        )
+
+    def test_over_budget_subsets_are_counted_not_walked(self, capsys, monkeypatch):
+        # the refusal takes len() of the C(127, <= 4) ~ 1.1e7 subsets, and
+        # a verify walks its subsets once for the scan and once for the records
+        subsets = cli._Subsets(5, 3)
+        assert len(subsets) == len(list(subsets)) == len(set(subsets)) == 5 + 10 + 10
+        monkeypatch.setattr(cli._Subsets, "__iter__", lambda self: pytest.fail("the subsets were walked"))
+        assert run_cli(capsys, "verify", "--n", "3", "--p", "127", "--all-subsets") == (
+            5, "", budget_refusal(subset_scans(3, 127) * 127**9)
         )
 
 

@@ -29,11 +29,11 @@ from eigencount.oracle import (
     _chunks,
     _distinct,
     _eigenvalue_keys,
+    _exponent,
     _invertible,
     _monic,
     _passing,
     _plane_dtype,
-    _potent_exponent,
     _potent_scan,
     _power,
     _ranges,
@@ -601,13 +601,10 @@ class TestFirstColumnFilter:
         assert annihilated[size : size + len(g)].all() and potent[size + len(g) :].all()
         assert np.array_equal(matrices(annihilated_planes(planes, alphas, p)), mats[annihilated])
         assert potent_hits(planes, k, p) == (potent.sum(),)
-        # an exponent past n plus a period of the powers A^i, i >= n, and
-        # its reduction accept the same matrices as the whole int64 power
-        big = n + period + lift
-        reduced = _potent_exponent(big, n, p)
-        assert n <= reduced < n + period and (big - reduced) % period == 0
-        expected = (potent_mask(mats, big, p).sum(),)
-        assert potent_hits(planes, big, p) == potent_hits(planes, reduced, p) == expected
+        # a scan for gcd(lift, E) accepts the matrices of the whole int64
+        # power to lift + 1
+        expected = (potent_mask(mats, lift, p).sum(),)
+        assert potent_hits(planes, math.gcd(lift, _exponent(n, p)), p) == expected
 
     @pytest.mark.parametrize(
         "planes, p",
@@ -669,7 +666,9 @@ class TestFirstColumnFilter:
             assert count_potent(3, F5, k).count == counting.potent_count(3, 5, k)
         assert exponents == []
         assert count_potent(3, F5, 10**18).count == counting.potent_count(3, 5, 10**18)
-        assert exponents and set(exponents) == {_potent_exponent(10**18, 3, 5)}
+        # the scan powers to gcd(10^18, 3720) = 40
+        assert _exponent(3, 5) == 3720
+        assert exponents and set(exponents) == {40}
 
     def test_power_path_powers_each_matrix_once(self, monkeypatch):
         # past _by_matvecs stage 1 tests A^k A = A on every chunk, so the
@@ -1300,6 +1299,38 @@ class TestPotentCounts:
         with pytest.raises(ValueError):
             count_potent(2, F2, 0)
 
+    @pytest.mark.parametrize("n, p", [(1, 2), (1, 3), (1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+    def test_exponent_is_the_lcm_of_the_element_orders(self, n, p):
+        # the order of every invertible matrix, by repeated products of
+        # whole int64 matrices: E is their lcm for n >= 2, and p times it
+        # at n = 1
+        mats = np.array(list(itertools.product(range(p), repeat=n * n))).reshape(-1, n, n)
+        units = mats[det_batch(mats, p) != 0]
+        orders = np.zeros(len(units), dtype=np.int64)
+        power = units.copy()
+        for t in itertools.count(1):
+            done = (orders == 0) & (power == eye(n, len(units))).all(axis=(1, 2))
+            orders[done] = t
+            if orders.all():
+                break
+            power = power @ units % p
+        exponent = math.lcm(*orders.tolist())
+        assert _exponent(n, p) == (exponent * p if n == 1 else exponent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(
+            [(n, p) for n in (1, 2, 3) for p in (2, 3, 5, 7) if p ** (n * n) <= 3**9]
+        ),
+        k=st.integers(1, 64) | st.integers(1, 10**30),
+    )
+    def test_k_counts_what_its_gcd_with_the_exponent_counts(self, shape, k):
+        n, p = shape
+        field = PrimeField(p)
+        g = math.gcd(k, _exponent(n, p))
+        count = count_potent(n, field, k).count
+        assert count == count_potent(n, field, g).count == counting.potent_count(n, p, k)
+
 
 class TestOrbitGeometry:
     def test_centralizer_examples(self):
@@ -1350,6 +1381,15 @@ class TestOrbitGeometry:
         assert _chunk_layout(3, 3)[2] == 81
         for parts in [(1, 2), (1, 1, 1), (3,)]:
             assert orbit_size(parts, F3) == counting.class_size_poly(parts)(3), parts
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 257])
+    def test_one_by_one(self, p):
+        # GL_1(F_p) is abelian of order p - 1; at n = 1 the inverse is
+        # A^(E-1) with E = p(p-1), A itself at p = 2
+        field = PrimeField(p)
+        for parts in [(1,), (0, 1)]:
+            assert centralizer_size(parts, field) == p - 1
+            assert orbit_size(parts, field) == 1
 
     def test_zero_parts_shift_eigenvalues_not_sizes(self):
         assert orbit_size((0, 2), F3) == orbit_size((2,), F3) == 1
