@@ -4,7 +4,8 @@ Every count here comes from scanning matrices and testing the defining
 condition directly: annihilation by the prescribed linear factors for
 spectrum counts, the set of alpha with A - alpha*I singular for exact
 spectra, A^(k+1) = A for potency, commutation and invertibility for
-centralizers, explicit conjugation for orbits.
+centralizers, and for orbits A g = g D with g invertible, which holds for
+some g exactly when each A - i*I has as large a kernel as D - i*I.
 Nothing is shared with the closed-form counting path, so agreement
 between the two is evidence, not tautology.
 
@@ -45,45 +46,51 @@ eigenvalue exactly when (A - alpha*I)^(p-1) != I (Fermat's test), one
 binary powering on whole matrices per alpha in U.  A scan's hits are the
 histogram of the annihilated matrices' eigenvalue sets, and each
 spectrum S reads from it its E count, the bin of S, and its M count, the
-bins of the subsets of S.  Both potent scans and inverses rest on one
-constant, E = lcm(p^d - 1, d <= n) * p^a with p^a >= n, a >= 1
-(_exponent): B^E = I for every invertible n-by-n B over F_p.  A potent
-scan, A^(k+1) = A, first replaces k by g = gcd(k, E), which has the same
-solutions (a solution is 0 on its nilpotent Fitting part and of order
-dividing k, so dividing g, on its invertible part), and takes
+bins of the subsets of S.  Both potent scans and the invertibility test
+rest on one constant, E = lcm(p^d - 1, d <= n) * p^a with p^a >= n,
+a >= 1 (_exponent): B^E = I for every invertible n-by-n B over F_p.  A
+potent scan, A^(k+1) = A, first replaces k by g = gcd(k, E), which has
+the same solutions (a solution is 0 on its nilpotent Fitting part and of
+order dividing k, so dividing g, on its invertible part), and takes
 f = x^(g+1) - x and U empty, one bin.  Its g matvecs are used while
 g <= n*(g.bit_length() + g.bit_count() - 2) + 1, the matvec cost of
 binary powering: its g.bit_length() + g.bit_count() - 2 products take
 about n matvecs each, and one more applies A^g.  Past that A^g is formed
 by binary powering and A^g A = A tested on whole matrices.
-Centralizers and orbits invert on the same planes: A^E = I for every
-invertible A and A^E is singular for every singular A, so A^(E-1) is the
-inverse exactly where A * A^(E-1) = I.
+Centralizers test invertibility by the same constant on the same planes:
+A^E = I for every invertible A and A^E is singular for every singular A.
+An orbit, the class of the diagonal D with eigenvalue i on parts[i]
+columns, is the matrices A with A g = g D for an invertible g, whose
+columns in the block of i are a basis of the kernel of A - i*I.  So it
+is scanned as f(A) = 0 for f = prod(x - i) over the i with
+parts[i] > 0, then each such kernel counted on the p^n vectors: it must
+hold exactly p^parts[i], 0 included.
 
 Every count comes from one driver, _scan_range, in two stages, for the
 one item of a scan ((f, U) for an annihilation, a potent exponent past
-the matvec crossover, a centralizer's representative).  A scan kind is a
-(column, finish) pair: column(a, item, j, p) is where column j of the
-planes passes the kind's defining test (_annihilated, _powered,
-_commuting), and finish gives the hits among matrices whose column 0
-passed as counts that add element-wise, so the hits of pools and
-workers are summed before any report is formed.  Stage 1 runs column 0
-on each chunk, which at n=3, p=5 only 0.8% ({0}) to 18% (k=4, or all of
-F_5) of the matrices pass, and copies their planes into a pool as large
-as a chunk.  When the pool would overflow, and at the end of the range,
-stage 2 finishes it at once: _passing runs columns 1..n-1, only the
-matrices whose columns so far pass going on to the next, then Fermat's
-test makes the histogram of eigenvalue sets and invertibility counts
-centralizers.  So stage 2 runs on the survivors of many chunks together
-rather than as many small numpy calls per chunk.  _powered tests whole
-matrices in stage 1 instead, A^k formed once per chunk, so its pool
-holds only hits and stage 2 counts them.  Going column by column would
-mean carrying A^k along and compacting it with the planes, and would
-save little: at n=3, p=5 k = 10^18 becomes gcd(k, 3720) = 40, 41% of the
-matrices pass column 0 and 96% of those column 1.  Scans above the
-budget (default 2^26 matrices) are refused unless forced, and shapes
-whose p^(n*n) overflows the int64 index always; the budget counts an M
-and an E scan per spectrum.
+the matvec crossover, a centralizer's representative, (f, blocks) for an
+orbit).  A scan kind is a (column, finish) pair: column(a, item, j, p)
+is where column j of the planes passes the kind's defining test
+(_annihilated, _powered, _commuting), and finish gives the hits among
+matrices whose column 0 passed as counts that add element-wise, so the
+hits of pools and workers are summed before any report is formed.
+Stage 1 runs column 0 on each chunk, which at n=3, p=5 only 0.8% ({0})
+to 18% (k=4, or all of F_5) of the matrices pass, and copies their
+planes into a pool as large as a chunk.  When the pool would overflow,
+and at the end of the range, stage 2 finishes it at once: _passing runs
+columns 1..n-1, only the matrices whose columns so far pass going on to
+the next, then Fermat's test makes the histogram of eigenvalue sets,
+invertibility counts centralizers and kernel sizes count orbits.  So
+stage 2 runs on the survivors of many chunks together rather than as
+many small numpy calls per chunk.  _powered tests whole matrices in
+stage 1 instead, A^k formed once per chunk, so its pool holds only hits
+and stage 2 counts them.  Going column by column would mean carrying A^k
+along and compacting it with the planes, and would save little: at n=3,
+p=5 k = 10^18 becomes gcd(k, 3720) = 40, 41% of the matrices pass
+column 0 and 96% of those column 1.  Scans above the budget (default
+2^26 matrices) are refused unless forced, and shapes whose p^(n*n)
+overflows the int64 index always; the budget counts an M and an E scan
+per spectrum.
 
 A parallel scan splits the index range on chunk boundaries into one
 range per process.  The caller scans the first range itself and forks a
@@ -98,11 +105,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import sys
 import time
 from collections import namedtuple
-from collections.abc import Iterable, Sequence, Sized
+from collections.abc import Collection, Iterable, Sequence
 
 # numpy's OpenBLAS would start a thread pool that these integer kernels
 # never use: import it single-threaded unless the caller chose otherwise,
@@ -303,17 +311,11 @@ def _power(a: np.ndarray, k: int, p: int) -> np.ndarray:
     return power
 
 
-def _invertible(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invertible mask and inverses mod p of planes a of shape (n, n, B).
-
-    The inverse is A^(E-1) (_exponent), and A is invertible exactly where
-    A times it is I: a singular A has a singular A^E.  The inverse planes
-    of a singular matrix hold no meaning.
-    """
+def _invertible(a: np.ndarray, p: int) -> np.ndarray:
+    """Where planes a of shape (n, n, B) are invertible mod p: exactly where
+    A^E = I (_exponent), as a singular A has a singular A^E."""
     n = len(a)
-    inverse = _power(a, _exponent(n, p) - 1, p)
-    eye = np.eye(n, dtype=a.dtype)[:, :, None]
-    return (_mul(a, inverse, p) == eye).all(axis=(0, 1)), inverse
+    return (_power(a, _exponent(n, p), p) == np.eye(n, dtype=a.dtype)[:, :, None]).all(axis=(0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -426,12 +428,30 @@ def _commuting(a: np.ndarray, rep: np.ndarray, j: int, p: int) -> np.ndarray:
 
 def _finish_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
     """Invertible matrices commuting with rep."""
-    return (int(_invertible(_passing(a, _commuting, rep, p, 1), p)[0].sum()),)
+    return (int(_invertible(_passing(a, _commuting, rep, p, 1), p).sum()),)
+
+
+def _finish_orbit(a: np.ndarray, item: tuple, p: int) -> tuple[int]:
+    """The matrices with f(A) = 0 whose A - i*I has a kernel of exactly
+    p^size vectors, 0 included, for item = (f, blocks), blocks the pairs
+    (i, size) with size > 0 and f = prod(x - i) over their i: each of the
+    p^n vectors is tried on every matrix, one block at a time, and only
+    the matrices that pass go on to the next."""
+    a = _passing(a, _annihilated, item, p, 1)
+    n = len(a)
+    eye = np.eye(n, dtype=a.dtype)[:, :, None]
+    vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=a.dtype)[:, :, None]
+    for i, size in item[1]:
+        b = _reduce(a + (p - i) * eye, p)
+        kernel = sum(~_reduce(_matvec(b, v), p).any(axis=0) for v in vectors)
+        a = a.take(np.flatnonzero(kernel == p**size), axis=2)
+    return (a.shape[-1],)
 
 
 _ANNIHILATED = (_annihilated, _finish_annihilated)
 _POWERED = (_powered, _finish_powered)
 _CENTRALIZER = (_commuting, _finish_centralizer)
+_ORBIT = (_annihilated, _finish_orbit)
 
 
 def _by_matvecs(k: int, n: int) -> bool:
@@ -562,7 +582,7 @@ def _run_scan(test, n: int, p: int, item, total: int, jobs: int) -> tuple[tuple[
 def count_spectra(
     n: int,
     field: PrimeField,
-    spectra: Iterable[Sequence[int]],
+    spectra: Collection[Sequence[int]],
     *,
     budget: int = DEFAULT_BUDGET,
     force: bool = False,
@@ -577,17 +597,12 @@ def count_spectra(
     still counts an M and an E scan per spectrum: one scan would admit
     --all-subsets at (2, 89), a pass over 62.7M matrices that took 142 s
     forced (one in-process run on a 2-core x86_64 host).
-    An overflowing shape, or one whose single scan is over budget, is
-    refused before the spectra are listed, so they may come lazily; their
-    number is then len(spectra) where spectra has a length, so a sized
-    family is refused without being walked.
+    The spectra are a sized family: an overflowing shape, or one whose
+    scans are over budget, is refused by its len() before any spectrum is
+    listed or checked.
     """
     total = _scan_size(n, field.p, jobs)
-    if not force and total > budget:
-        number = len(spectra) if isinstance(spectra, Sized) else sum(1 for _ in spectra)
-        raise BudgetExceeded(2 * total * number, budget)
-    spectra = list(spectra)
-    _charge(2 * len(spectra) * total, budget, force)  # before each spectrum is checked
+    _charge(2 * total * len(spectra), budget, force)
     spectra = [validate_spectrum(field.p, alphas) for alphas in spectra]
     if not spectra:
         return []
@@ -635,46 +650,13 @@ def count_potent(
 # conjugacy-class geometry for diagonal representatives
 
 
-def _union(seen: np.ndarray, batch: list[np.ndarray]) -> np.ndarray:
-    """The distinct values of seen and the arrays of batch, sorted.
-    np.unique hashes integer keys in numpy >= 2.3, several times slower
-    than sorting them."""
-    keys = np.sort(np.concatenate([seen, *batch]))
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first]
-
-
-def _distinct(arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """The distinct int64 keys of all the arrays, sorted.  Arrays wait in a
-    batch that joins the sorted set only once it outnumbers the set, so all
-    the sorts together handle at most three times as many keys as the
-    arrays hold, where joining each array as it comes sorts the whole set
-    every time."""
-    seen, batch, waiting = np.empty(0, dtype=np.int64), [], 0
-    for keys in arrays:
-        batch.append(keys)
-        waiting += len(keys)
-        if waiting > len(seen):
-            seen, batch, waiting = _union(seen, batch), [], 0
-    return _union(seen, batch)
-
-
-def _scan_index(planes: np.ndarray, p: int) -> np.ndarray:
-    """The int64 scan index of each matrix in entry planes of shape (n*n, B),
-    digit d of it in row d, by Horner steps from the top digit on one int64
-    row: no step exceeds the index itself, which _scan_size keeps in int64."""
-    index = planes[-1].astype(np.int64)
-    for row in planes[-2::-1]:
-        index *= p
-        index += row
-    return index
-
-
 def _checked_parts(parts: Sequence[int], field: PrimeField) -> tuple[int, ...]:
-    """parts as a tuple, checked: nonnegative, summing to a positive
-    dimension, with at most p distinct eigenvalues."""
-    parts = tuple(parts)
+    """parts as a tuple of Python ints, checked: integers, nonnegative,
+    summing to a positive dimension, with at most p distinct eigenvalues."""
+    try:
+        parts = tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError("parts must be integers") from None
     if not parts or any(s < 0 for s in parts):
         raise ValueError("parts must be nonnegative with at least one entry")
     if sum(parts) < 1:
@@ -695,16 +677,15 @@ def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
     return np.diag(np.repeat(np.arange(len(parts), dtype=np.int64), parts))
 
 
-def _representative(parts, field: PrimeField, budget: int, force: bool) -> tuple[np.ndarray, int]:
-    """The block-diagonal rep of parts as planes of shape (n, n, 1), and the
-    p^(n*n) matrices to scan.  The shape is refused before the n-by-n rep
-    is built, which for a huge n would not fit in memory."""
+def _class_shape(parts, field: PrimeField, budget: int, force: bool) -> tuple[tuple[int, ...], int]:
+    """parts, checked, and the p^(n*n) matrices to scan for the class of
+    their block-diagonal rep, charged to the budget.  The shape is refused
+    before any n-by-n matrix is built, which for a huge n would not fit in
+    memory."""
     parts = _checked_parts(parts, field)
-    n, p = sum(parts), field.p
-    total = _scan_size(n, p)
+    total = _scan_size(sum(parts), field.p)
     _charge(total, budget, force)
-    # block_diag_rep's matrix, built here so that parts are checked once
-    return np.diag(np.repeat(np.arange(len(parts), dtype=_plane_dtype(n, p)), parts))[:, :, None], total
+    return parts, total
 
 
 def centralizer_size(
@@ -715,8 +696,12 @@ def centralizer_size(
     force: bool = False,
 ) -> int:
     """Count invertible matrices commuting with the block-diagonal rep."""
-    rep, total = _representative(parts, field, budget, force)
-    (count,), _ = _run_scan(_CENTRALIZER, len(rep), field.p, rep, total, 1)
+    parts, total = _class_shape(parts, field, budget, force)
+    n = sum(parts)
+    # block_diag_rep's matrix as planes of shape (n, n, 1), built here so
+    # that parts are checked once
+    rep = np.diag(np.repeat(np.arange(len(parts), dtype=_plane_dtype(n, field.p)), parts))[:, :, None]
+    (count,), _ = _run_scan(_CENTRALIZER, n, field.p, rep, total, 1)
     return count
 
 
@@ -727,20 +712,16 @@ def orbit_size(
     budget: int = DEFAULT_BUDGET,
     force: bool = False,
 ) -> int:
-    """Size of the conjugacy class of the block-diagonal rep.
+    """Size of the conjugacy class of the block-diagonal rep D.
 
-    Built explicitly: conjugate the representative by every invertible
-    matrix and deduplicate (_distinct), each conjugate keyed by its scan
-    index.
+    A is in it exactly when A g = g D for an invertible g.  The columns of
+    g in the block of eigenvalue i are then a basis of the kernel of
+    A - i*I, so such a g exists exactly when A is annihilated by
+    f = prod(x - i) over the i with parts[i] > 0 and each such kernel has
+    p^parts[i] vectors (_finish_orbit).
     """
-    rep, total = _representative(parts, field, budget, force)
-    n, p = len(rep), field.p
-
-    def conjugate_keys(planes):
-        g = planes.reshape(n, n, -1)
-        invertible, g_inv = _invertible(g, p)
-        keep = np.flatnonzero(invertible)
-        conjugates = _mul(_mul(g.take(keep, axis=2), rep, p), g_inv.take(keep, axis=2), p)
-        return _scan_index(conjugates.reshape(n * n, -1), p)
-
-    return len(_distinct(conjugate_keys(planes) for planes in _chunks(0, total, n, p)))
+    parts, total = _class_shape(parts, field, budget, force)
+    blocks = [(i, size) for i, size in enumerate(parts) if size]
+    item = (_monic([i for i, _ in blocks], field.p), blocks)
+    (count,), _ = _run_scan(_ORBIT, sum(parts), field.p, item, total, 1)
+    return count

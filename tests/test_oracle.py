@@ -27,7 +27,6 @@ from eigencount.oracle import (
     _by_matvecs,
     _chunk_layout,
     _chunks,
-    _distinct,
     _eigenvalue_keys,
     _exponent,
     _invertible,
@@ -38,7 +37,6 @@ from eigencount.oracle import (
     _power,
     _ranges,
     _run_scan,
-    _scan_index,
     _scan_range,
     _set_key,
     _spectrum_counts,
@@ -81,6 +79,38 @@ def det_mod(rows, p):
 def matmul_mod(x, y, p):
     n = len(x)
     return [[sum(x[i][t] * y[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+def inverse_mod(rows, p):
+    """The inverse mod p of an invertible matrix, its adjugate over its
+    determinant: entry (i, j) is (-1)^(i+j) det_mod of the minor without
+    row j and column i."""
+    n, scale = len(rows), pow(det_mod(rows, p), -1, p)
+    if n == 1:
+        return [[scale]]
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(rows) if k != i]
+        return (-1) ** (i + j) * det_mod(minor, p)
+
+    return [[cofactor(j, i) * scale % p for j in range(n)] for i in range(n)]
+
+
+def conjugacy_class_sizes(n, p):
+    """The size of the class of every diagonal matrix of M_n(F_p), keyed by
+    its diagonal: g D g^-1 formed for every invertible g and the distinct
+    results counted."""
+    units = []
+    for entries in itertools.product(range(p), repeat=n * n):
+        g = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+        if det_mod(g, p):
+            units.append((g, inverse_mod(g, p)))
+    sizes = {}
+    for diagonal in itertools.product(range(p), repeat=n):
+        d = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        conjugates = {tuple(map(tuple, matmul_mod(matmul_mod(g, d, p), g_inv, p))) for g, g_inv in units}
+        sizes[diagonal] = len(conjugates)
+    return sizes
 
 
 def power_mod(rows, exponent, p):
@@ -138,11 +168,23 @@ def planes_of(mats, p):
 
 
 def invert(mats, p):
-    """_invertible on the planes of an int64 (B, n, n) batch, the inverses
-    returned as a batch."""
+    """_invertible on the planes of an int64 (B, n, n) batch, and A^(E-1) by
+    _power, the inverse wherever the mask holds, returned as a batch: the
+    mask is A^E = I, so E - 1 must invert every matrix it passes."""
     n = mats.shape[1]
-    invertible, inverse = _invertible(planes_of(mats, p).reshape(n, n, -1), p)
-    return invertible, matrices(inverse.reshape(n * n, -1))
+    planes = planes_of(mats, p).reshape(n, n, -1)
+    inverse = _power(planes, _exponent(n, p) - 1, p)
+    return _invertible(planes, p), matrices(inverse.reshape(n * n, -1))
+
+
+def scan_index(planes, p):
+    """The int64 scan index of each matrix in entry planes of shape (n*n, B),
+    digit d of it in row d, by Horner steps from the top digit: no step
+    exceeds the index itself, which a scan keeps in int64."""
+    index = planes[-1].astype(np.int64)
+    for row in planes[-2::-1]:
+        index = index * p + row
+    return index
 
 
 def det_batch(mats, p):
@@ -271,6 +313,19 @@ def potent_hits(planes, k, p):
 
 def scan_started(*args):
     raise AssertionError("a scan started that should have been refused")
+
+
+class Unlisted:
+    """A family of size spectra that fails if it is listed."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        raise AssertionError("the spectra were listed")
 
 
 def one_spectrum(n, field, alphas, **scan):
@@ -435,7 +490,7 @@ class TestFqMatrix:
         for start in rng.integers(0, total, size=5).tolist():
             ranges.append((start, min(total, start + int(rng.integers(1, 3 * size)))))
         for start, stop in ranges:
-            index = np.concatenate([_scan_index(planes, p) for planes in _chunks(start, stop, n, p)])
+            index = np.concatenate([scan_index(planes, p) for planes in _chunks(start, stop, n, p)])
             assert index.dtype == np.int64
             assert np.array_equal(index, np.arange(start, stop)), (start, stop)
 
@@ -766,7 +821,7 @@ class TestPooledDriver:
 
         def finish(a, item, p):
             finished.append((item, a.shape[-1]))
-            return a.shape[-1], int(_scan_index(a.reshape(4, -1), p).sum())
+            return a.shape[-1], int(scan_index(a.reshape(4, -1), p).sum())
 
         hits = _scan_range((every_matrix, finish), 2, 3, "a", 0, 31)
         assert hits == (31, sum(range(31)))
@@ -799,7 +854,9 @@ class TestWorkingSet:
     chunks of earlier versions reached at the same shape (decode 590,625 B
     and potent or spectrum 1,265,625 B at (3, 5), orbit 974,308 B at (3, 3)),
     and the pool's memory does not grow with the number of spectra, which
-    are one scan of their union."""
+    are one scan of their union.  An orbit is a scan like the others: no
+    inverse or conjugate is formed, and its kernels are tried one vector at
+    a time on the pool."""
 
     @pytest.mark.parametrize(
         "n, p, test, item",
@@ -821,9 +878,12 @@ class TestWorkingSet:
             assert peak <= 4.5 * _CHUNK_BYTES, peak
 
     def test_orbit_peak(self):
-        # inversion by powering holds a few (n, n, B) products at once
+        # a chunk, the pool and column 0's temporaries: 357,809 B, 2.91
+        # chunks, at (1, 2) over F_3 and 445,125 B at (1, 1, 1) over F_5
         peak = traced_peak(lambda: orbit_size((1, 2), F3))
-        assert peak <= 5.5 * _CHUNK_BYTES, peak
+        assert peak <= 3 * _CHUNK_BYTES, peak
+        peak = traced_peak(lambda: orbit_size((1, 1, 1), F5))
+        assert peak <= 3.75 * _CHUNK_BYTES, peak
 
 
 SPECTRUM_SHAPES = [(2, 3), (2, 5), (3, 2), (3, 3), (2, 7)]
@@ -973,12 +1033,12 @@ class TestSpectrumPass:
         monkeypatch.setattr(oracle, "_chunks", scan_started)
         # an overflowing shape takes not one spectrum, even forced
         with pytest.raises(ValueError, match="int64"):
-            count_spectra(3, PrimeField(257), iter(scan_started, None), force=True)
-        # one scan over budget: the spectra are counted one at a time,
-        # where a list of them would hold 8 MB of pointers
+            count_spectra(3, PrimeField(257), Unlisted(1), force=True)
+        # one scan over budget: the spectra are counted by len(), where a
+        # list of them would hold 8 MB of pointers
         def refuse():
             with pytest.raises(BudgetExceeded) as refused:
-                count_spectra(2, F3, itertools.repeat((0, 1), 10**6), budget=80)
+                count_spectra(2, F3, Unlisted(10**6), budget=80)
             assert refused.value.required == 2 * 81 * 10**6
 
         peak = traced_peak(refuse)
@@ -990,6 +1050,13 @@ class TestSpectrumPass:
         assert refused.value.required == 324
         with pytest.raises(ValueError, match="distinct"):
             count_spectra(2, F3, [[0, 1], [1, 1]], budget=400)
+
+    def test_no_spectra_need_no_budget(self, monkeypatch):
+        # no spectra are no scans, however large the shape: nothing is
+        # refused and nothing is counted
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
+        assert count_spectra(3, F5, [], budget=100) == []
+        assert count_spectra(3, F5, [], budget=0, jobs=2) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
@@ -1110,6 +1177,19 @@ def package_imports(source):
             if module.startswith("eigencount."):
                 found.setdefault(module, set()).update(names)
     return found
+
+
+def test_one_driver_decodes_every_scan():
+    # every count reaches the matrices through _scan_range, whose chunks
+    # no other function of the oracle walks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    callers = {
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_chunks"
+    }
+    assert callers == {"_scan_range"}
 
 
 def test_oracle_shares_no_counting_logic():
@@ -1361,22 +1441,51 @@ class TestOrbitGeometry:
         for parts, field in [((1, 1), F2), ((1, 2), F2), ((1, 2), F3)]:
             assert orbit_size(parts, field) == counting.class_size_poly(parts)(field.p)
 
-    def test_distinct_keys_join_the_set_in_batches(self):
-        # [1] and [5] wait: neither batch outnumbers the set {1, 3}, so
-        # only the join at the end takes them in
-        arrays = [np.array([3, 1, 3]), np.array([1]), np.array([5])]
-        assert _distinct(iter(arrays)).tolist() == [1, 3, 5]
-        assert _distinct(iter([])).tolist() == []
+    @pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (3, 2)])
+    def test_orbit_is_the_explicit_conjugacy_class(self, n, p):
+        # every parts of n with at most p entries, zero parts included,
+        # against g D g^-1 formed for every invertible g in plain Python
+        sizes = conjugacy_class_sizes(n, p)
+        field = PrimeField(p)
+        every_parts = [
+            parts
+            for length in range(1, p + 1)
+            for parts in itertools.product(range(n + 1), repeat=length)
+            if sum(parts) == n
+        ]
+        for parts in every_parts:
+            diagonal = tuple(i for i, size in enumerate(parts) for _ in range(size))
+            assert orbit_size(parts, field) == sizes[diagonal], parts
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(st.integers(0, 2**62), max_size=30), max_size=20))
-    def test_distinct_keys_are_the_sorted_set(self, key_lists):
-        arrays = (np.array(keys, dtype=np.int64) for keys in key_lists)
-        assert _distinct(arrays).tolist() == sorted({k for keys in key_lists for k in keys})
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 7), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)]),
+        data=st.data(),
+    )
+    def test_orbit_ignores_the_order_of_the_eigenvalues(self, shape, data):
+        # the class of D depends on its eigenvalues only through the sizes
+        # of their blocks, so any arrangement of the nonzero parts, on any
+        # eigenvalues, has the size class_size_poly gives
+        n, p = shape
+        sizes = data.draw(st.sampled_from([
+            blocks
+            for length in range(1, min(n, p) + 1)
+            for blocks in itertools.product(range(1, n + 1), repeat=length)
+            if sum(blocks) == n
+        ]))
+        length = data.draw(st.integers(len(sizes), p))
+        positions = data.draw(st.permutations(range(length)).map(lambda order: sorted(order[: len(sizes)])))
+        arranged = data.draw(st.permutations(sizes))
+        parts = [0] * length
+        for position, size in zip(positions, arranged):
+            parts[position] = size
+        field = PrimeField(p)
+        expected = counting.class_size_poly(tuple(parts))(p)
+        assert orbit_size(parts, field) == orbit_size(sorted(sizes), field) == expected, parts
 
-    def test_orbit_keys_batched_over_many_chunks(self, monkeypatch):
-        # 243 chunks of 81 matrices: the batch joins the sorted set many
-        # times, and what waits at the end joins it once more
+    def test_orbit_pools_over_many_chunks(self, monkeypatch):
+        # 243 chunks of 81 matrices, whose column-0 survivors fill and
+        # finish many pools
         monkeypatch.setattr(oracle, "_CHUNK_BYTES", 81 * plane_bytes(3, 3))
         assert _chunk_layout(3, 3)[2] == 81
         for parts in [(1, 2), (1, 1, 1), (3,)]:
@@ -1384,8 +1493,8 @@ class TestOrbitGeometry:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 257])
     def test_one_by_one(self, p):
-        # GL_1(F_p) is abelian of order p - 1; at n = 1 the inverse is
-        # A^(E-1) with E = p(p-1), A itself at p = 2
+        # GL_1(F_p) is abelian of order p - 1; at n = 1 invertibility is
+        # A^E = I with E = p(p-1), 2 at p = 2
         field = PrimeField(p)
         for parts in [(1,), (0, 1)]:
             assert centralizer_size(parts, field) == p - 1
@@ -1401,6 +1510,8 @@ class TestOrbitGeometry:
         assert rep.tolist() == [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
         rep = block_diag_rep((0, 2), F3)
         assert rep.tolist() == [[1, 0], [0, 1]]
+        # numpy integers are integers
+        assert block_diag_rep((np.int64(1), 1), F3).tolist() == [[0, 0], [0, 1]]
 
     def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunks", scan_started)
@@ -1430,3 +1541,12 @@ class TestOrbitGeometry:
     def test_too_many_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
             block_diag_rep((1, 1, 1), F2)
+
+    @pytest.mark.parametrize("size", [block_diag_rep, orbit_size, centralizer_size])
+    @pytest.mark.parametrize("parts", [(1.5, 1), (1.0, 1), ("1", 1), (None,)])
+    def test_parts_must_be_integers(self, size, parts, monkeypatch):
+        # 1.5 + 1 is no dimension, and 1.0 is refused as validate_spectrum
+        # refuses it, however close it is to one
+        monkeypatch.setattr(oracle, "_chunks", scan_started)
+        with pytest.raises(ValueError, match="^parts must be integers$"):
+            size(parts, F3)
