@@ -27,7 +27,6 @@ _EXPORTS = {
     "table_rows": "counting",
     "validate_spectrum": "counting",
     "BoundVerdict": "bounds",
-    "ModeMismatch": "bounds",
     "RingSpec": "bounds",
     "bound_finite_ring": "bounds",
     "bound_matrix_ring": "bounds",

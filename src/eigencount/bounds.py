@@ -22,7 +22,6 @@ from .counting import is_prime
 __all__ = [
     "BoundVerdict",
     "RingSpec",
-    "ModeMismatch",
     "bound_matrix_ring",
     "bound_finite_ring",
     "check_matrix_size",
@@ -37,10 +36,6 @@ RING_MODES = ("theorem2", "theorem3", "corollary")
 # takes milliseconds to compute, while a (k+1)-th power of a large count,
 # or |R|^(2k) of a large ring, can take longer than any caller waits.
 MAX_CERTIFICATE_BITS = 1 << 20
-
-
-class ModeMismatch(ValueError):
-    """The requested bound mode does not apply to this ring shape."""
 
 
 class BoundVerdict(namedtuple("BoundVerdict", "lhs_certificate rhs_certificate")):
@@ -161,7 +156,7 @@ def bound_finite_ring(
         raise ValueError(f"unknown mode {mode!r}; expected one of {RING_MODES}")
     s = ring.num_primes
     if mode == "theorem2" and s != 1:
-        raise ModeMismatch(
+        raise ValueError(
             "theorem2 mode needs a single-prime ring; got primes "
             + ",".join(str(p) for p, _ in ring.prime_powers)
         )

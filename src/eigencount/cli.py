@@ -242,7 +242,7 @@ def _cmd_verify(args, emitter: Emitter) -> int:
         raise ValueError(f"EIGENCOUNT_BUDGET={raw!r} is not an integer") from exc
     if budget < 1:
         raise ValueError("EIGENCOUNT_BUDGET must be positive")
-    scan = {"budget": budget, "force": args.force, "jobs": args.jobs}
+    scan = {"budget": None if args.force else budget, "jobs": args.jobs}
 
     if args.potent is not None:
         k = args.potent

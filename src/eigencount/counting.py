@@ -183,24 +183,19 @@ def _split_rows(n: int, q: int) -> Iterator[list[int]]:
 
 # Kronecker substitution: the closed forms are built as plain integers at
 # q = 2^bits and read back as balanced base-2^bits digits, each in
-# [-2^(bits-1), 2^(bits-1)), a high digit borrowing from the next place.
-# Every packed value on the way is the exact value of its polynomial at that
-# q, so only the final polynomials need every coefficient's absolute value
-# below 2^(bits-1); each caller bounds them by their absolute sum, which for
-# nonnegative coefficients is the value at q = 1.
+# [-2^(bits-1), 2^(bits-1)).  Every packed value on the way is the exact
+# value of its polynomial at that q, so only the final polynomials need
+# every coefficient's absolute value below 2^(bits-1); each caller bounds
+# them by their absolute sum, which for nonnegative coefficients is the
+# value at q = 1.
 def _unpack(value: int, bits: int) -> IntPoly:
-    """The polynomial whose balanced base-2^bits digits make up value."""
-    sign = -1 if value < 0 else 1
-    text = f"{abs(value):b}"
-    # digits of |value| from top up borrow; for a negative value a digit of
-    # 2^(bits-1) stays, as it negates to -2^(bits-1), inside the range
-    top = (1 << (bits - 1)) + (value < 0)
-    coeffs, carry = [], 0
-    for i in range(len(text), 0, -bits):
-        digit = int(text[max(i - bits, 0):i], 2) + carry
-        carry = digit >= top
-        coeffs.append(sign * (digit - (carry << bits)))
-    return IntPoly(coeffs + [sign] * carry)
+    """The polynomial whose balanced base-2^bits digits make up value: with
+    2^(bits-1) added at every place each digit is a plain one, in
+    [0, 2^bits), read off and less 2^(bits-1)."""
+    half = 1 << (bits - 1)
+    places = value.bit_length() // bits + 2  # the top digit's place, and one more
+    text = f"{value + half * ((1 << bits * places) - 1) // ((1 << bits) - 1):0{bits * places}b}"
+    return IntPoly(int(text[i - bits : i], 2) - half for i in range(len(text), 0, -bits))
 
 
 def class_size_poly(parts: Sequence[int]) -> IntPoly:

@@ -26,7 +26,7 @@ broadcast, into one buffer reused across a range.  Entries are
 reduced mod p after each product, so no intermediate reaches (n+1)*p^2,
 and the planes are the narrowest of int8/int16/int32 that holds it.
 Within the default budget that is int8 or int16, except int32 at n=1
-for p >= 131; forced shapes such as (2, 257) take int32 too.
+for p >= 131; unbudgeted shapes such as (2, 257) take int32 too.
 
 A chunk's planes take at most _CHUNK_BYTES, about 120 KiB, whatever the
 shape and type, which is why the bound is in bytes and not in matrices:
@@ -87,8 +87,9 @@ stage 1 instead, A^k formed once per chunk, so its pool holds only hits
 and stage 2 counts them.  Going column by column would mean carrying A^k
 along and compacting it with the planes, and would save little: at n=3,
 p=5 k = 10^18 becomes gcd(k, 3720) = 40, 41% of the matrices pass
-column 0 and 96% of those column 1.  Scans above the budget (default
-2^26 matrices) are refused unless forced, and shapes whose p^(n*n)
+column 0 and 96% of those column 1.  Every scan is sized and charged
+by _admit before anything is built: scans above the budget (default 2^26
+matrices; budget=None lifts it) are refused, and shapes whose p^(n*n)
 overflows the int64 index always; the budget counts an M and an E scan
 per spectrum.
 
@@ -184,22 +185,20 @@ class OracleCountReport(namedtuple("OracleCountReport", "n p spec count scanned 
     __slots__ = ()
 
 
-def _scan_size(n: int, p: int, jobs: int = 1) -> int:
-    """The p^(n*n) matrices of a scan shape, refusing those no budget admits:
-    as p >= 2, n*n >= 63 overflows the int64 index before any power is formed."""
+def _admit(n: int, p: int, budget: int | None, scans: int = 1, jobs: int = 1) -> int:
+    """The p^(n*n) matrices of a scan shape, refused unless scans of them
+    fit in budget, which None lifts: as p >= 2, n*n >= 63 overflows the
+    int64 index before any power is formed, and no budget admits that."""
     if n < 1:
         raise ValueError("dimension must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if n * n >= 63 or p ** (n * n) > _INDEX_MAX:
         raise ValueError(f"{p}^{n * n} matrices overflow the int64 scan index")
-    return p ** (n * n)
-
-
-def _charge(required: int, budget: int, force: bool) -> None:
-    """Refuse to scan required matrices in all over budget, unless forced."""
-    if not force and required > budget:
-        raise BudgetExceeded(required, budget)
+    total = p ** (n * n)
+    if budget is not None and scans * total > budget:
+        raise BudgetExceeded(scans * total, budget)
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +352,11 @@ def _annihilated(a: np.ndarray, item: tuple, j: int, p: int) -> np.ndarray:
     return ~v.any(axis=0)
 
 
-def _passing(a: np.ndarray, column, item, p: int, first: int) -> np.ndarray:
-    """Planes of the matrices of a whose columns first..n-1 pass column's
-    test, the earlier ones known to pass; only the matrices whose columns
-    so far pass go on to the next."""
-    for j in range(first, len(a)):
+def _passing(a: np.ndarray, column, item, p: int) -> np.ndarray:
+    """Planes of the matrices of a whose columns 1..n-1 pass column's test,
+    column 0 known to pass; only the matrices whose columns so far pass go
+    on to the next."""
+    for j in range(1, len(a)):
         a = a.take(np.flatnonzero(column(a, item, j, p)), axis=2)
     return a
 
@@ -392,7 +391,7 @@ def _finish_annihilated(a: np.ndarray, item: tuple, p: int) -> np.ndarray:
     _set_key(S, U) counts those whose eigenvalues are S.  With U = (), for
     any f, it is one bin, their number."""
     union = item[1]
-    a = _passing(a, _annihilated, item, p, 1)
+    a = _passing(a, _annihilated, item, p)
     # (|U|+1)^n bins hold the key of every set of at most n eigenvalues;
     # np.unique would fault in ~0.4 MB of its own machinery in every process
     return np.bincount(_eigenvalue_keys(a, union, p), minlength=(len(union) + 1) ** len(a))
@@ -428,7 +427,7 @@ def _commuting(a: np.ndarray, rep: np.ndarray, j: int, p: int) -> np.ndarray:
 
 def _finish_centralizer(a: np.ndarray, rep: np.ndarray, p: int) -> tuple[int]:
     """Invertible matrices commuting with rep."""
-    return (int(_invertible(_passing(a, _commuting, rep, p, 1), p).sum()),)
+    return (int(_invertible(_passing(a, _commuting, rep, p), p).sum()),)
 
 
 def _finish_orbit(a: np.ndarray, item: tuple, p: int) -> tuple[int]:
@@ -437,7 +436,7 @@ def _finish_orbit(a: np.ndarray, item: tuple, p: int) -> tuple[int]:
     (i, size) with size > 0 and f = prod(x - i) over their i: each of the
     p^n vectors is tried on every matrix, one block at a time, and only
     the matrices that pass go on to the next."""
-    a = _passing(a, _annihilated, item, p, 1)
+    a = _passing(a, _annihilated, item, p)
     n = len(a)
     eye = np.eye(n, dtype=a.dtype)[:, :, None]
     vectors = np.array(list(itertools.product(range(p), repeat=n)), dtype=a.dtype)[:, :, None]
@@ -584,8 +583,7 @@ def count_spectra(
     field: PrimeField,
     spectra: Collection[Sequence[int]],
     *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
+    budget: int | None = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> list[tuple[OracleCountReport, OracleCountReport]]:
     """The M and E reports of each spectrum in turn, all from one scan.
@@ -596,13 +594,13 @@ def count_spectra(
     size of the spectra's union, not with their number, but the budget
     still counts an M and an E scan per spectrum: one scan would admit
     --all-subsets at (2, 89), a pass over 62.7M matrices that took 142 s
-    forced (one in-process run on a 2-core x86_64 host).
+    with budget=None, which admits a scan of any size (one in-process run
+    on a 2-core x86_64 host).
     The spectra are a sized family: an overflowing shape, or one whose
     scans are over budget, is refused by its len() before any spectrum is
     listed or checked.
     """
-    total = _scan_size(n, field.p, jobs)
-    _charge(2 * total * len(spectra), budget, force)
+    total = _admit(n, field.p, budget, 2 * len(spectra), jobs)
     spectra = [validate_spectrum(field.p, alphas) for alphas in spectra]
     if not spectra:
         return []
@@ -622,8 +620,7 @@ def count_potent(
     field: PrimeField,
     k: int,
     *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
+    budget: int | None = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> OracleCountReport:
     """Exhaustively count matrices with A^(k+1) = A.
@@ -635,12 +632,12 @@ def count_potent(
     a k of any size costs what its gcd does.
 
     Valid for every p and k, including fields without k-th roots of unity;
-    it checks counting.potent_count, which shares none of its logic.
+    it checks counting.potent_count, which shares none of its logic.  The
+    scan is refused over budget; budget=None admits a scan of any size.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    total = _scan_size(n, field.p, jobs)  # bounds n before the exponent's lcm of n terms
-    _charge(total, budget, force)
+    total = _admit(n, field.p, budget, jobs=jobs)  # bounds n before the exponent's lcm of n terms
     kind, item = _potent_scan(math.gcd(k, _exponent(n, field.p)), n, field.p)
     (count,), seconds = _run_scan(kind, n, field.p, item, total, jobs)
     return OracleCountReport(n, field.p, f"potent:k={k}", count, total, seconds)
@@ -677,30 +674,21 @@ def block_diag_rep(parts: Sequence[int], field: PrimeField) -> np.ndarray:
     return np.diag(np.repeat(np.arange(len(parts), dtype=np.int64), parts))
 
 
-def _class_shape(parts, field: PrimeField, budget: int, force: bool) -> tuple[tuple[int, ...], int]:
-    """parts, checked, and the p^(n*n) matrices to scan for the class of
-    their block-diagonal rep, charged to the budget.  The shape is refused
-    before any n-by-n matrix is built, which for a huge n would not fit in
-    memory."""
-    parts = _checked_parts(parts, field)
-    total = _scan_size(sum(parts), field.p)
-    _charge(total, budget, force)
-    return parts, total
-
-
 def centralizer_size(
     parts: Sequence[int],
     field: PrimeField,
     *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> int:
-    """Count invertible matrices commuting with the block-diagonal rep."""
-    parts, total = _class_shape(parts, field, budget, force)
+    """Count invertible matrices commuting with the block-diagonal rep.
+
+    The scan is refused over budget; budget=None admits a scan of any size.
+    Either way the shape is admitted before the rep is built, which for a
+    huge n would not fit in memory."""
+    parts = _checked_parts(parts, field)
     n = sum(parts)
-    # block_diag_rep's matrix as planes of shape (n, n, 1), built here so
-    # that parts are checked once
-    rep = np.diag(np.repeat(np.arange(len(parts), dtype=_plane_dtype(n, field.p)), parts))[:, :, None]
+    total = _admit(n, field.p, budget)
+    rep = block_diag_rep(parts, field).astype(_plane_dtype(n, field.p))[:, :, None]
     (count,), _ = _run_scan(_CENTRALIZER, n, field.p, rep, total, 1)
     return count
 
@@ -709,8 +697,7 @@ def orbit_size(
     parts: Sequence[int],
     field: PrimeField,
     *,
-    budget: int = DEFAULT_BUDGET,
-    force: bool = False,
+    budget: int | None = DEFAULT_BUDGET,
 ) -> int:
     """Size of the conjugacy class of the block-diagonal rep D.
 
@@ -718,9 +705,11 @@ def orbit_size(
     g in the block of eigenvalue i are then a basis of the kernel of
     A - i*I, so such a g exists exactly when A is annihilated by
     f = prod(x - i) over the i with parts[i] > 0 and each such kernel has
-    p^parts[i] vectors (_finish_orbit).
+    p^parts[i] vectors (_finish_orbit).  The scan is refused over budget;
+    budget=None admits a scan of any size.
     """
-    parts, total = _class_shape(parts, field, budget, force)
+    parts = _checked_parts(parts, field)
+    total = _admit(sum(parts), field.p, budget)
     blocks = [(i, size) for i, size in enumerate(parts) if size]
     item = (_monic([i for i, _ in blocks], field.p), blocks)
     (count,), _ = _run_scan(_ORBIT, sum(parts), field.p, item, total, 1)

@@ -8,7 +8,6 @@ import pytest
 from eigencount import oracle
 from eigencount.bounds import (
     BoundVerdict,
-    ModeMismatch,
     RingSpec,
     bound_finite_ring,
     bound_matrix_ring,
@@ -115,7 +114,7 @@ class TestFiniteRingBound:
         assert verdict.rhs_certificate == 2**4 * 6**2
 
     def test_theorem2_needs_single_prime(self):
-        with pytest.raises(ModeMismatch):
+        with pytest.raises(ValueError, match=r"^theorem2 mode needs a single-prime ring; got primes 2,3$"):
             bound_finite_ring(RingSpec(((2, 1), (3, 1))), k=1, count=4, mode="theorem2")
 
     def test_unknown_mode(self):

@@ -423,6 +423,21 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_force_answers_as_a_budget_that_admits_the_scan(self, capsys, monkeypatch):
+        # an M and an E scan of 3^4 matrices: 162 is over a budget of 80,
+        # and --force prints what a budget of 162 does
+        argv = ("verify", "--n", "2", "--p", "3", "--spectrum", "0")
+        monkeypatch.setenv("EIGENCOUNT_BUDGET", "80")
+        assert run_cli(capsys, *argv) == (5, "", budget_refusal(162, 80))
+        forced = run_cli(capsys, *argv, "--force")
+        monkeypatch.setenv("EIGENCOUNT_BUDGET", "162")
+        budgeted = run_cli(capsys, *argv)
+        assert forced[0] == budgeted[0] == 0
+        assert forced[1] == budgeted[1] != ""
+        # the budget is still checked when --force lifts it
+        monkeypatch.setenv("EIGENCOUNT_BUDGET", "0")
+        assert run_cli(capsys, *argv, "--force") == (2, "", "error: EIGENCOUNT_BUDGET must be positive\n")
+
     def test_bad_budget_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("EIGENCOUNT_BUDGET", "lots")
         code, _, _ = run_cli(capsys, "verify", "--n", "2", "--p", "2", "--all-subsets")

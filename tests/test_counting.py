@@ -450,10 +450,14 @@ class TestPackedRecurrence:
         (5, (15, -16, 15, -16)),
         (8, (-128, -128, 127)),
         (64, (-(1 << 63), (1 << 63) - 1, -1)),
+        (64, ()),
+        (7, (0, 0, -64)),
+        (7, (63, -64, -64)),
+        (64, (0, -(1 << 63))),
     ])
     def test_signed_unpack_edge_digits(self, bits, coeffs):
-        # the ends of the digit range, borrows running through several
-        # places, and zeros under a negative leading coefficient
+        # the ends of the digit range, value 0, a top digit of -2^(B-1),
+        # and zeros under a negative leading coefficient
         value = sum(c << (bits * i) for i, c in enumerate(coeffs))
         assert _unpack(value, bits).coeffs == coeffs
 

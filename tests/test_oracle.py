@@ -23,6 +23,7 @@ from eigencount.oracle import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     PrimeField,
+    _admit,
     _annihilated,
     _by_matvecs,
     _chunk_layout,
@@ -280,9 +281,12 @@ def spectra_item(spectra, p):
 
 def kept_planes(planes, f, p):
     """Entry planes of the matrices with f(A) = 0, for f monic with
-    coefficients mod p, lowest first, every column tested by _passing."""
+    coefficients mod p, lowest first: column 0 tested here, the others by
+    _passing."""
     n = math.isqrt(len(planes))
-    return _passing(planes.reshape(n, n, -1), _annihilated, (f, ()), p, 0).reshape(n * n, -1)
+    a = planes.reshape(n, n, -1)
+    a = a.take(np.flatnonzero(_annihilated(a, (f, ()), 0, p)), axis=2)
+    return _passing(a, _annihilated, (f, ()), p).reshape(n * n, -1)
 
 
 def annihilated_planes(planes, alphas, p):
@@ -495,7 +499,7 @@ class TestFqMatrix:
             assert np.array_equal(index, np.arange(start, stop)), (start, stop)
 
     def test_chunk_planes_stay_within_the_byte_bound(self):
-        # at every shape a scan admits, forced or within the default budget,
+        # at every shape a scan admits, unbudgeted or within the default budget,
         # a chunk's planes take at most _CHUNK_BYTES, below glibc's 128 KiB
         # mmap threshold, and the chunk is the most whole runs of the
         # largest p^j that fit: one more run, or a p times longer run,
@@ -1031,9 +1035,9 @@ class TestSpectrumPass:
 
     def test_refused_before_the_spectra_are_listed(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunks", scan_started)
-        # an overflowing shape takes not one spectrum, even forced
+        # an overflowing shape takes not one spectrum, even with no budget
         with pytest.raises(ValueError, match="int64"):
-            count_spectra(3, PrimeField(257), Unlisted(1), force=True)
+            count_spectra(3, PrimeField(257), Unlisted(1), budget=None)
         # one scan over budget: the spectra are counted by len(), where a
         # list of them would hold 8 MB of pointers
         def refuse():
@@ -1254,8 +1258,41 @@ class TestSpectrumCounts:
             one_spectrum(2, F3, [0], budget=10)
         assert excinfo.value.required == 2 * 81
         assert excinfo.value.budget == 10
-        # force overrides
-        assert one_spectrum(2, F3, [0], budget=10, force=True)[0].count == 1
+        # None admits a scan of any size
+        assert one_spectrum(2, F3, [0], budget=None)[0].count == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 9),
+        p=st.sampled_from([2, 3, 257]),
+        jobs=st.integers(0, 2),
+        scans=st.integers(0, 2),
+        budget=st.sampled_from(["none", "zero", "below", "at"]),
+    )
+    def test_admit_refuses_as_the_size_and_charge_it_replaced(self, n, p, jobs, scans, budget):
+        # _admit answers as the two steps it folds together did: a shape
+        # sized, then scans of it charged unless forced, now budget=None
+        def sized_and_charged(n, p, budget, scans, jobs):
+            if n < 1:
+                raise ValueError("dimension must be positive")
+            if jobs < 1:
+                raise ValueError("jobs must be at least 1")
+            if n * n >= 63 or p ** (n * n) > (1 << 63) - 1:
+                raise ValueError(f"{p}^{n * n} matrices overflow the int64 scan index")
+            force, required = budget is None, scans * p ** (n * n)
+            if not force and required > budget:
+                raise BudgetExceeded(required, budget)
+            return p ** (n * n)
+
+        def outcome(admit):
+            try:
+                return admit(n, p, budget, scans, jobs)
+            except (ValueError, BudgetExceeded) as exc:
+                return type(exc), str(exc)
+
+        total = p ** (n * n)
+        budget = {"none": None, "zero": 0, "below": total - 1, "at": total}[budget]
+        assert outcome(_admit) == outcome(sized_and_charged)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, monkeypatch, jobs):
@@ -1282,13 +1319,13 @@ class TestSpectrumCounts:
             assert e.count == reference.get(alphas, 0), alphas
 
     def test_int64_overflowing_shape_refused_even_forced(self, monkeypatch):
-        # 257^9 > 2^63 - 1: no budget or force can make this scannable.
+        # 257^9 > 2^63 - 1: no budget, None included, makes this scannable.
         # A scan that starts anyway fails here instead of running for ever.
         monkeypatch.setattr(oracle, "_chunks", scan_started)
         with pytest.raises(ValueError, match="int64"):
-            one_spectrum(3, PrimeField(257), [0], force=True)
+            one_spectrum(3, PrimeField(257), [0], budget=None)
         with pytest.raises(ValueError, match="int64"):
-            count_potent(8, F2, 1, force=True)
+            count_potent(8, F2, 1, budget=None)
 
     def test_workers_clamped_to_cores_and_chunks(self, monkeypatch, forks):
         # a scan on w processes forks w - 1 workers: the caller is the other
@@ -1517,9 +1554,9 @@ class TestOrbitGeometry:
         monkeypatch.setattr(oracle, "_chunks", scan_started)
         big = PrimeField(257)
         with pytest.raises(ValueError, match="int64"):
-            orbit_size((1, 2), big, force=True)
+            orbit_size((1, 2), big, budget=None)
         with pytest.raises(ValueError, match="int64"):
-            centralizer_size((1, 2), big, force=True)
+            centralizer_size((1, 2), big, budget=None)
 
     @pytest.mark.parametrize("size", ["orbit_size", "centralizer_size"])
     def test_huge_parts_refused_before_the_rep_is_built(self, size):
@@ -1536,7 +1573,7 @@ class TestOrbitGeometry:
             orbit_size((1, 2), F3, budget=100)
         with pytest.raises(BudgetExceeded):
             centralizer_size((1, 2), F3, budget=100)
-        assert centralizer_size((1, 2), F3, budget=100, force=True) == 96
+        assert centralizer_size((1, 2), F3, budget=None) == 96
 
     def test_too_many_eigenvalues_rejected(self):
         with pytest.raises(ValueError):
